@@ -265,10 +265,6 @@ class H2Presentation:
     def _unit(self, name: str) -> Dict[int, Fraction]:
         return {self.index[name]: Fraction(1)}
 
-    def _delta_sep(self, a: int, S: FrozenSet[int]) -> Dict[int, Fraction]:
-        key = self._canonical(a, S)
-        return {self.index[self._sep_name(*key)]: Fraction(1)}
-
     def _add(self, row: Dict[int, Fraction], other: Dict[int, Fraction],
              scale: Fraction = Fraction(1)) -> None:
         for c, v in other.items():

@@ -3,7 +3,6 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import random
 import signal
 import sys
 from fractions import Fraction
@@ -56,8 +55,6 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="path of the persistent value cache")
     common.add_argument("--no-cache", action="store_true",
                         help="ignore any cache file for this invocation")
-    common.add_argument("--seed", type=int, default=None,
-                        help="seed for randomized property commands")
     common.add_argument("--max-seconds", type=int, default=None,
                         help="abort with exit code 1 after this wall-clock budget")
 
@@ -230,11 +227,19 @@ def _cmd_graphs(args, out: _Output) -> int:
     return EXIT_OK
 
 
+def _field(obj: Any, key: str) -> Any:
+    """obj[key] for a JSON object given on the command line; a missing key
+    is a usage error."""
+    if not isinstance(obj, dict) or key not in obj:
+        raise ValueError(f"input JSON object needs the key {key!r}")
+    return obj[key]
+
+
 def _parse_jac_poly(text: str) -> jacobian.JacPolynomial:
     data = json.loads(text)
     acc = jacobian.JacPolynomial()
     for term in data:
-        num, _, den = term["coeff"].partition("/")
+        num, _, den = _field(term, "coeff").partition("/")
         coeff = Fraction(int(num), int(den or 1))
         mono = jacobian.jac_monomial(term.get("psi_power", 0),
                                      term.get("factors", []))
@@ -264,7 +269,7 @@ def _cmd_presentation_dims(args, out: _Output) -> int:
         with open(text[1:], "r", encoding="utf-8") as fh:
             text = fh.read()
     data = json.loads(text)
-    gens = GeneratorTable([(n, int(d)) for n, d in data["generators"]])
+    gens = GeneratorTable([(n, int(d)) for n, d in _field(data, "generators")])
     rels = []
     for rel in data.get("relations", []):
         terms = {}
@@ -272,7 +277,7 @@ def _cmd_presentation_dims(args, out: _Output) -> int:
             num, _, den = coeff.partition("/")
             terms[tuple(int(e) for e in expvec)] = Fraction(int(num), int(den or 1))
         rels.append(GradedPolynomial(gens, terms))
-    report = graded_quotient(gens, rels, int(data["max_degree"]),
+    report = graded_quotient(gens, rels, int(_field(data, "max_degree")),
                              with_pairings=bool(data.get("pairings", False)))
     out.emit(report.export(), " ".join(str(d) for d in report.dims),
              ",".join(str(d) for d in report.dims))
@@ -300,8 +305,6 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
-    if args.seed is not None:
-        random.seed(args.seed)
     if args.max_seconds:
         def _timeout(signum, frame):
             raise TimeoutError(f"exceeded --max-seconds={args.max_seconds}")
@@ -314,7 +317,7 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
         if args.command == "sq":
             return _cmd_relations(args, out, "SQ")
         return _HANDLERS[args.command](args, out)
-    except (ValueError, CacheError, json.JSONDecodeError, KeyError) as exc:
+    except (ValueError, CacheError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except TimeoutError as exc:

@@ -5,6 +5,7 @@ from fractions import Fraction
 from math import factorial
 from typing import List, Optional, Sequence, Tuple
 
+from .correlators import odd_double_factorial
 from .exactmath import (GeneratorTable, GradedPolynomial, TruncatedSeries,
                         bernoulli, series_exp)
 
@@ -22,7 +23,6 @@ __all__ = [
     "euler_orbifold",
     "kappa_table",
     "multinomial",
-    "double_factorial",
 ]
 
 
@@ -32,17 +32,6 @@ def multinomial(top: int, parts: Sequence[int]) -> int:
     r = factorial(top)
     for p in parts:
         r //= factorial(p)
-    return r
-
-
-def double_factorial(m: int) -> int:
-    """m!! with the conventions (-1)!! = 1 and 0!! = 1."""
-    if m <= 0:
-        return 1
-    r = 1
-    while m > 1:
-        r *= m
-        m -= 2
     return r
 
 
@@ -109,7 +98,7 @@ def lambda_gm1_lambda_g_constant(g: int) -> Fraction:
     if g < 2:
         raise ValueError("genus must be >= 2")
     return Fraction(abs(bernoulli(2 * g)),
-                    2 ** (2 * g - 1) * double_factorial(2 * g - 1) * 2 * g)
+                    2 ** (2 * g - 1) * odd_double_factorial(2 * g - 1) * 2 * g)
 
 
 def lambda_gm1_lambda_g_eval(g: int, alpha: Sequence[int]) -> Fraction:
@@ -124,10 +113,10 @@ def lambda_gm1_lambda_g_eval(g: int, alpha: Sequence[int]) -> Fraction:
     n = len(a)
     if sum(a) != g - 2 + n:
         return Fraction(0)
-    num = factorial(2 * g + n - 3) * double_factorial(2 * g - 1)
+    num = factorial(2 * g + n - 3) * odd_double_factorial(2 * g - 1)
     den = factorial(2 * g - 1)
     for x in a:
-        den *= double_factorial(2 * x - 1)
+        den *= odd_double_factorial(2 * x - 1)
     return Fraction(num, den) * lambda_gm1_lambda_g_constant(g)
 
 

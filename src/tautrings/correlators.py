@@ -94,10 +94,14 @@ class CorrelatorTable:
 
     def put(self, g: int, exps: Tuple[int, ...], value: Fraction) -> None:
         with self._lock:
-            prev = self._data.get((g, exps))
-            if prev is not None and prev != value:
-                raise RuntimeError("divergent correlator values for one key")
-            self._data[(g, exps)] = value
+            self._store((g, exps), value)
+
+    def _store(self, key: Tuple[int, Tuple[int, ...]], value: Fraction) -> None:
+        """The one write path into the memo; callers hold `_lock`."""
+        prev = self._data.get(key)
+        if prev is not None and prev != value:
+            raise RuntimeError("divergent correlator values for one key")
+        self._data[key] = value
 
     def clear(self) -> None:
         with self._lock:
@@ -120,7 +124,8 @@ class CorrelatorTable:
             for key, val in entries.items():
                 ck = CorrelatorKey.deserialize(key)
                 num, _, den = val.partition("/")
-                self._data[(ck.genus, ck.exponents)] = Fraction(int(num), int(den or 1))
+                self._store((ck.genus, ck.exponents),
+                            Fraction(int(num), int(den or 1)))
 
 
 default_table = CorrelatorTable()

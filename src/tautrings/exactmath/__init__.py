@@ -10,7 +10,8 @@ from .bernoulli import bernoulli
 from .gradedpoly import GeneratorTable, GradedPolynomial
 from .linalg import SparseEchelon, exact_rank
 from .partitions import Partition, partition_count, partitions
-from .quotient import GradedQuotient, QuotientReport, graded_quotient
+from .quotient import (GradedQuotient, QuotientReport, graded_quotient,
+                       relation_rows)
 from .series import TruncatedSeries, series_exp, series_log
 
 __all__ = [
@@ -25,6 +26,7 @@ __all__ = [
     "GradedQuotient",
     "QuotientReport",
     "graded_quotient",
+    "relation_rows",
     "TruncatedSeries",
     "series_exp",
     "series_log",

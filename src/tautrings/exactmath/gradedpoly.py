@@ -212,33 +212,7 @@ class GradedPolynomial:
     def __bool__(self) -> bool:
         return bool(self.terms)
 
-    # ---- substitution & export ----------------------------------------
-
-    def substitute(self, values: Mapping[str, Scalar]) -> "GradedPolynomial":
-        """Replace named generators by rational constants (e.g. kappa_0 by
-        2g-2, out-of-range kappas by 0).  Other generators are untouched."""
-        idx = {self.gens.index(n): Fraction(v) for n, v in values.items()}
-        terms: Dict[Monomial, Fraction] = {}
-        for mono, c in self.terms.items():
-            coef = c
-            new = list(mono)
-            for i, v in idx.items():
-                e = mono[i]
-                if e:
-                    coef *= v ** e
-                    new[i] = 0
-                    if not coef:
-                        break
-            if coef:
-                m = tuple(new)
-                s = terms.get(m, Fraction(0)) + coef
-                if s:
-                    terms[m] = s
-                else:
-                    terms.pop(m, None)
-        out = GradedPolynomial.__new__(GradedPolynomial)
-        out.gens, out.terms = self.gens, terms
-        return out
+    # ---- conversion & export ------------------------------------------
 
     def map_to(self, gens: GeneratorTable) -> "GradedPolynomial":
         """Re-express over another generator table (by name); generators with

@@ -7,7 +7,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .gradedpoly import GeneratorTable, GradedPolynomial, Monomial
 from .linalg import SparseEchelon, exact_rank
 
-__all__ = ["QuotientReport", "GradedQuotient", "graded_quotient"]
+__all__ = ["QuotientReport", "GradedQuotient", "graded_quotient",
+           "relation_rows"]
 
 
 @dataclass
@@ -35,6 +36,29 @@ class QuotientReport:
             else list(self.pairing_ranks),
             "gorenstein": self.gorenstein,
         }
+
+
+def relation_rows(gens: GeneratorTable,
+                  relations: Sequence[GradedPolynomial],
+                  d: int) -> List[Dict[int, Fraction]]:
+    """Sparse rows of every product monomial * relation of degree d, with
+    columns indexing gens.monomials(d).  Relations must be homogeneous
+    polynomials over `gens`; zero and constant ones give no rows.  Rows are
+    sorted singletons first (free pivots, no fill-in)."""
+    index = {m: i for i, m in enumerate(gens.monomials(d))}
+    rows: List[Dict[int, Fraction]] = []
+    for rel in relations:
+        r = rel.degree()
+        if r > d or r == 0:
+            continue
+        for cof in gens.monomials(d - r):
+            row: Dict[int, Fraction] = {}
+            for mono, c in rel.terms.items():
+                i = index[tuple(a + b for a, b in zip(mono, cof))]
+                row[i] = row.get(i, Fraction(0)) + c
+            rows.append({k: v for k, v in row.items() if v})
+    rows.sort(key=lambda row: (len(row), sorted(row.items())))
+    return rows
 
 
 class GradedQuotient:
@@ -79,20 +103,7 @@ class GradedQuotient:
         self._monomials[d] = monos
         self._index[d] = {m: i for i, m in enumerate(monos)}
         ech = SparseEchelon()
-        rows: List[Dict[int, Fraction]] = []
-        for rel in self.relations:
-            r = rel.degree()
-            if r > d or r == 0:
-                continue
-            for cof in self.gens.monomials(d - r):
-                row: Dict[int, Fraction] = {}
-                for mono, c in rel.terms.items():
-                    m = tuple(a + b for a, b in zip(mono, cof))
-                    row[self._index[d][m]] = row.get(self._index[d][m], Fraction(0)) + c
-                rows.append({k: v for k, v in row.items() if v})
-        # singleton rows first: free pivots, no fill-in
-        rows.sort(key=lambda row: (len(row), sorted(row.items())))
-        for row in rows:
+        for row in relation_rows(self.gens, self.relations, d):
             ech.add_row(row)
         self._echelons[d] = ech
 

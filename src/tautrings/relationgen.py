@@ -8,7 +8,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .exactmath import (GeneratorTable, GradedPolynomial, Partition,
                         SparseEchelon, TruncatedSeries, bernoulli, partitions,
-                        series_exp, series_log)
+                        relation_rows, series_exp, series_log)
 from .closedforms import kappa_table
 
 __all__ = [
@@ -68,13 +68,6 @@ def _branch_b(i: int) -> Fraction:
 
 def _p_vars(order: int) -> List[Tuple[str, int]]:
     return [(f"p{j}", j) for j in range(1, order + 1) if _part_ok(j)]
-
-
-def _sigma_exponents(variables: Sequence[str], sigma: Sequence[int]) -> Tuple[int, ...]:
-    ev = [0] * len(variables)
-    for part in sigma:
-        ev[variables.index(f"p{part}")] += 1
-    return tuple(ev)
 
 
 def psi_series(order: int) -> TruncatedSeries:
@@ -451,27 +444,16 @@ def relation_span(relations: Sequence[KappaRelation], g: int,
                   degree: int) -> SparseEchelon:
     """Echelonized span at the given degree of {monomial * relation} inside
     the degree-`degree` monomial space of Q[kappa_1..kappa_{g-2}]."""
-    gens = kappa_table(max(g - 2, 1))
-    monos = gens.monomials(degree)
-    index = {m: i for i, m in enumerate(monos)}
     ech = SparseEchelon()
-    for rel in relations:
-        r = rel.polynomial.degree()
-        if r > degree or rel.polynomial.is_zero():
-            continue
-        for cof in gens.monomials(degree - r):
-            row: Dict[int, Fraction] = {}
-            for mono, c in rel.polynomial.terms.items():
-                m = tuple(a + b for a, b in zip(mono, cof))
-                i = index[m]
-                row[i] = row.get(i, Fraction(0)) + c
-            ech.add_row(row)
+    for row in relation_rows(kappa_table(max(g - 2, 1)),
+                             [rel.polynomial for rel in relations], degree):
+        ech.add_row(row)
     return ech
 
 
 def ideal_equivalence_check(g: int, degree: int) -> bool:
     """Whether the FZ span and the stable-quotient span coincide in the
-    given degree (equal rank plus mutual containment).
+    given degree: both ranks equal the rank of their joint span.
 
     The SQ side is generated with increasing x-degree cap until two
     consecutive caps add no rank (the documented stabilization rule)."""
@@ -493,25 +475,5 @@ def ideal_equivalence_check(g: int, degree: int) -> bool:
         dmax += 2
         sq, sq_span = bigger, bigger_span
 
-    if fz_span.rank != sq_span.rank:
-        return False
-    gens = kappa_table(max(g - 2, 1))
-    monos = gens.monomials(degree)
-    index = {m: i for i, m in enumerate(monos)}
-
-    def rows_of(rels: Sequence[KappaRelation]) -> List[Dict[int, Fraction]]:
-        rows = []
-        for rel in rels:
-            r = rel.polynomial.degree()
-            if r > degree:
-                continue
-            for cof in gens.monomials(degree - r):
-                row: Dict[int, Fraction] = {}
-                for mono, c in rel.polynomial.terms.items():
-                    m = tuple(a + b for a, b in zip(mono, cof))
-                    row[index[m]] = row.get(index[m], Fraction(0)) + c
-                rows.append(row)
-        return rows
-
-    return (all(sq_span.contains(row) for row in rows_of(fz))
-            and all(fz_span.contains(row) for row in rows_of(sq)))
+    return (fz_span.rank == sq_span.rank
+            == relation_span(fz + sq, g, degree).rank)

@@ -150,10 +150,6 @@ class StableGraph:
                 best = cand
         return best
 
-    def is_isomorphic(self, other: "StableGraph") -> bool:
-        return (self.num_vertices == other.num_vertices
-                and self.canonical_form() == other.canonical_form())
-
     def export(self) -> dict:
         return {
             "vertices": [{"genus": g, "legs": list(ls)} for g, ls in self.vertices],

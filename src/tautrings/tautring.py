@@ -2,11 +2,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 from .exactmath import (GeneratorTable, GradedPolynomial, GradedQuotient,
-                        QuotientReport, SparseEchelon, partition_count)
-from .closedforms import hyperelliptic_coeff
+                        QuotientReport, exact_rank, partition_count)
+from .closedforms import hyperelliptic_coeff, kappa_table
 from .relationgen import KappaRelation, fz_relation_set, sq_relation_set
 
 __all__ = [
@@ -18,10 +18,6 @@ __all__ = [
     "generation_check",
     "vanishing_check",
 ]
-
-
-def _ring_generators(g: int) -> GeneratorTable:
-    return GeneratorTable([(f"kappa_{i}", i) for i in range(1, g - 1)])
 
 
 @dataclass
@@ -49,7 +45,7 @@ def build_ring(g: int, relations: Optional[Sequence[KappaRelation]] = None,
     selects the FZ or the stable-quotient generator."""
     if g < 2:
         raise ValueError("genus must be >= 2")
-    gens = _ring_generators(g)
+    gens = kappa_table(g - 2)
     if relations is None:
         relations = (fz_relation_set(g, g - 2) if source == "FZ"
                      else sq_relation_set(g, g - 2))
@@ -97,19 +93,15 @@ def generation_check(g: int) -> bool:
     for d in range(0, cut + 1):
         if model.quotient.dim(d) != partition_count(d):
             return False
-    # spanning test: low-index monomials fill each quotient piece
+    # spanning test: the residues of the low-index monomials span R^d
     for d in range(1, g - 1):
-        monos = model.gens.monomials(d)
-        index = {m: i for i, m in enumerate(monos)}
-        ech = SparseEchelon()
-        for row in _relation_rows(model, d, index):
-            ech.add_row(row)
-        base = ech.rank
-        for mono in monos:
-            if all(model.gens.degrees[i] <= cut or e == 0
-                   for i, e in enumerate(mono)):
-                ech.add_row({index[mono]: Fraction(1)})
-        if ech.rank != len(monos):
+        basis = model.quotient.basis(d)
+        low = [model.quotient.reduce(GradedPolynomial(model.gens, {m: Fraction(1)}))
+               for m in model.gens.monomials(d)
+               if all(model.gens.degrees[i] <= cut or e == 0
+                      for i, e in enumerate(m))]
+        residues = [[res.get(b, Fraction(0)) for b in basis] for res in low]
+        if exact_rank(residues) != model.quotient.dim(d):
             return False
     return True
 
@@ -122,27 +114,8 @@ def vanishing_check(g: int, beyond: int) -> bool:
         raise ValueError("genus must be >= 2")
     if beyond < g - 1:
         raise ValueError("`beyond` must be at least g-1")
-    gens = _ring_generators(g)
+    gens = kappa_table(g - 2)
     rels = [r.polynomial.map_to(gens) for r in fz_relation_set(g, beyond)
             if not r.polynomial.is_zero()]
     quotient = GradedQuotient(gens, rels, beyond)
     return all(quotient.dim(d) == 0 for d in range(g - 1, beyond + 1))
-
-
-def _relation_rows(model: RingModel, d: int,
-                   index: Dict[Tuple[int, ...], int]) -> List[Dict[int, Fraction]]:
-    rows: List[Dict[int, Fraction]] = []
-    for rel in model.relations:
-        poly = rel.polynomial.map_to(model.gens)
-        if poly.is_zero():
-            continue
-        r = poly.degree()
-        if r > d:
-            continue
-        for cof in model.gens.monomials(d - r):
-            row: Dict[int, Fraction] = {}
-            for mono, c in poly.terms.items():
-                m = tuple(a + b for a, b in zip(mono, cof))
-                row[index[m]] = row.get(index[m], Fraction(0)) + c
-            rows.append(row)
-    return rows

@@ -104,6 +104,36 @@ def test_cli_usage_errors(capsys):
     capsys.readouterr()
 
 
+def test_cli_seed_flag_rejected(capsys):
+    """No command draws random numbers, so there is no --seed flag."""
+    assert run(["euler", "1", "1", "--seed", "3"]) == 2
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv,key", [
+    (["presentation-dims", '{"relations": []}'], "generators"),
+    (["presentation-dims", '{"generators": [["l", 1]]}'], "max_degree"),
+    (["jac-apply", "D", "2", '[{"psi_power": 0, "factors": []}]'], "coeff"),
+])
+def test_cli_missing_input_key_is_usage_error(capsys, argv, key):
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and key in err
+
+
+def test_cli_internal_key_error_is_internal(capsys, monkeypatch):
+    """A KeyError raised inside the engine is an internal failure, not a
+    usage error."""
+    from tautrings import tautring
+
+    def broken(g):
+        raise KeyError("internal")
+
+    monkeypatch.setattr(tautring, "ring_dims", broken)
+    assert run(["ring-dims", "4"]) == 1
+    assert capsys.readouterr().err.startswith("internal error:")
+
+
 def test_cli_fz_json_schema(capsys):
     assert run(["fz", "4", "2", "--format", "json"]) == 0
     data = json.loads(capsys.readouterr().out)

@@ -5,14 +5,14 @@ from math import factorial
 
 import pytest
 
-from tautrings.closedforms import (chern_character_even_check, double_factorial,
+from tautrings.closedforms import (chern_character_even_check,
                                    euler_orbifold, hyperelliptic_class,
                                    hyperelliptic_coeff, kappa_table,
                                    lambda_from_kappa, lambda_g_base,
                                    lambda_g_eval, lambda_gm1_lambda_g_constant,
                                    lambda_gm1_lambda_g_eval, socle_constant,
                                    wl_class)
-from tautrings.correlators import psi_intersection
+from tautrings.correlators import odd_double_factorial, psi_intersection
 from tautrings.exactmath import GradedPolynomial, bernoulli
 
 
@@ -59,8 +59,8 @@ def test_lambda_pair_constant_and_eval():
     # prefactor (2g+n-3)!(2g-1)!!/((2g-1)! prod(2a_i-1)!!) = 3 at g=2, a=(1,1)
     assert lambda_gm1_lambda_g_eval(2, [1, 1]) == 3 * F(1, 2880) == F(1, 960)
     # degree condition sum(a) = g-2+n leaves (2,1) as the two-point g=3 case
-    pref = F(factorial(5) * double_factorial(5),
-             factorial(5) * double_factorial(3) * double_factorial(1))
+    pref = F(factorial(5) * odd_double_factorial(5),
+             factorial(5) * odd_double_factorial(3) * odd_double_factorial(1))
     assert pref == 5
     assert lambda_gm1_lambda_g_eval(3, [2, 1]) == pref * lambda_gm1_lambda_g_constant(3)
     assert lambda_gm1_lambda_g_eval(3, [1, 1]) == 0  # off-degree

@@ -170,6 +170,17 @@ def test_table_snapshot_round_trip():
     assert fresh.get(2, (4,)) == F(1, 1152)
 
 
+def test_table_load_rejects_divergent_value():
+    """A cache entry that disagrees with a value already in the memo is
+    rejected, as `put` rejects it, and the memo keeps the old value."""
+    table = CorrelatorTable()
+    table.put(0, (0, 0, 0), F(1))
+    with pytest.raises(RuntimeError, match="divergent"):
+        table.load({"0:0,0,0": "5/1"})
+    assert table.get(0, (0, 0, 0)) == F(1)
+    table.load({"0:0,0,0": "1/1"})  # an agreeing entry is accepted
+
+
 def test_canonical_key_sorting():
     k = CorrelatorKey(1, [0, 2, 1])
     assert k.exponents == (2, 1, 0)

@@ -155,7 +155,7 @@ def _socle_eval(g, kappa_indices, _memo={}):
 def _socle_rows(model):
     """The degree-(g-2) kappa monomials, their socle evaluations, and the
     monomial-times-relation rows of the model in that degree."""
-    from tautrings.tautring import _relation_rows
+    from tautrings.exactmath import relation_rows
     g = model.genus
     monos = model.gens.monomials(g - 2)
 
@@ -166,8 +166,8 @@ def _socle_rows(model):
         return out
 
     eps = {m: _socle_eval(g, indices_of(m)) for m in monos}
-    index = {m: i for i, m in enumerate(monos)}
-    return monos, eps, _relation_rows(model, g - 2, index)
+    polys = [rel.polynomial.map_to(model.gens) for rel in model.relations]
+    return monos, eps, relation_rows(model.gens, polys, g - 2)
 
 
 @pytest.mark.parametrize("g", [4, 5, 6, 7, 8])

@@ -34,6 +34,13 @@ def _parse_ints(text: str) -> List[int]:
     return [int(tok) for tok in text.split(",")]
 
 
+def _seconds(text: str) -> int:
+    n = int(text)
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {n}")
+    return n
+
+
 class _Output:
     def __init__(self, fmt: str) -> None:
         self.fmt = fmt
@@ -55,7 +62,7 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="path of the persistent value cache")
     common.add_argument("--no-cache", action="store_true",
                         help="ignore any cache file for this invocation")
-    common.add_argument("--max-seconds", type=int, default=None,
+    common.add_argument("--max-seconds", type=_seconds, default=None,
                         help="abort with exit code 1 after this wall-clock budget")
 
     ap = argparse.ArgumentParser(
@@ -235,12 +242,25 @@ def _field(obj: Any, key: str) -> Any:
     return obj[key]
 
 
+def _coefficient(value: Any) -> Fraction:
+    """An input coefficient: an int or a "num" / "num/den" string."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return Fraction(value)
+    if isinstance(value, str):
+        num, sep, den = value.partition("/")
+        try:
+            return Fraction(int(num), int(den) if sep else 1)
+        except (ValueError, ZeroDivisionError):
+            pass
+    raise ValueError(f"bad coefficient {value!r}: expected an integer or "
+                     f"a \"num/den\" string with den != 0")
+
+
 def _parse_jac_poly(text: str) -> jacobian.JacPolynomial:
     data = json.loads(text)
     acc = jacobian.JacPolynomial()
     for term in data:
-        num, _, den = _field(term, "coeff").partition("/")
-        coeff = Fraction(int(num), int(den or 1))
+        coeff = _coefficient(_field(term, "coeff"))
         mono = jacobian.jac_monomial(term.get("psi_power", 0),
                                      term.get("factors", []))
         acc = acc + mono * coeff
@@ -266,16 +286,18 @@ def _cmd_jac_apply(args, out: _Output) -> int:
 def _cmd_presentation_dims(args, out: _Output) -> int:
     text = args.presentation
     if text.startswith("@"):
-        with open(text[1:], "r", encoding="utf-8") as fh:
-            text = fh.read()
+        try:
+            with open(text[1:], "r", encoding="utf-8") as fh:
+                text = fh.read()
+        except OSError as exc:
+            raise ValueError(f"cannot read {text[1:]!r}: {exc.strerror}") from exc
     data = json.loads(text)
     gens = GeneratorTable([(n, int(d)) for n, d in _field(data, "generators")])
     rels = []
     for rel in data.get("relations", []):
         terms = {}
         for expvec, coeff in rel:
-            num, _, den = coeff.partition("/")
-            terms[tuple(int(e) for e in expvec)] = Fraction(int(num), int(den or 1))
+            terms[tuple(int(e) for e in expvec)] = _coefficient(coeff)
         rels.append(GradedPolynomial(gens, terms))
     report = graded_quotient(gens, rels, int(_field(data, "max_degree")),
                              with_pairings=bool(data.get("pairings", False)))

@@ -147,6 +147,14 @@ def kappa_table(max_index: int) -> GeneratorTable:
     return GeneratorTable([(f"kappa_{i}", i) for i in range(1, max_index + 1)])
 
 
+def mumford_terms(max_degree: int) -> List[Tuple[int, Fraction]]:
+    """(2i-1, B_{2i}/(2i(2i-1))) for 2i-1 <= max_degree: the coefficients of
+    kappa_{2i-1} t^{2i-1} in the log of the Hodge bundle's total Chern
+    class (Mumford's formula)."""
+    return [(k, bernoulli(k + 1) / Fraction(k * (k + 1)))
+            for k in range(1, max_degree + 1, 2)]
+
+
 def lambda_from_kappa(g: int, max_degree: int,
                       gens: Optional[GeneratorTable] = None) -> List[GradedPolynomial]:
     """Expand sum lambda_i t^i = exp(sum B_{2i} kappa_{2i-1} t^{2i-1} /
@@ -155,14 +163,9 @@ def lambda_from_kappa(g: int, max_degree: int,
     (lambda_i vanishes for i > g on the actual moduli space)."""
     if gens is None:
         gens = kappa_table(max(max_degree, 1))
-    arg = TruncatedSeries([("t", 1)], max_degree, None)
-    i = 1
-    while 2 * i - 1 <= max_degree:
-        coef = bernoulli(2 * i) / Fraction(2 * i * (2 * i - 1))
-        kap = GradedPolynomial.generator(gens, f"kappa_{2 * i - 1}") * coef
-        arg = arg + TruncatedSeries([("t", 1)], max_degree, {(2 * i - 1,): kap})
-        i += 1
-    expo = series_exp(arg)
+    expo = series_exp(TruncatedSeries([("t", 1)], max_degree, {
+        (k,): GradedPolynomial.generator(gens, f"kappa_{k}") * c
+        for k, c in mumford_terms(max_degree)}))
     out = []
     for d in range(max_degree + 1):
         c = expo.coefficient((d,))
@@ -210,17 +213,16 @@ def _lambda_kappa_table(g: int) -> GeneratorTable:
     return GeneratorTable(gens)
 
 
-def _complete_homogeneous(l: int, m: int) -> int:
-    """h_m(1, 2, ..., l), from the generating identity
+def complete_homogeneous(l: int, top: int) -> List[int]:
+    """[h_0(1..l), ..., h_top(1..l)], the complete homogeneous symmetric
+    polynomials at (1, 2, ..., l), from the generating identity
     prod_{k=1}^{l} (1 - k t)^{-1} = sum_m h_m(1..l) t^m."""
-    if m == 0:
-        return 1
-    # h_m(1..l) = sum over multisets; recursion h_m(1..l) = h_m(1..l-1) + l*h_{m-1}(1..l)
-    row = [1] + [0] * m
+    # h_m(1..l) = h_m(1..l-1) + l * h_{m-1}(1..l)
+    row = [1] + [0] * top
     for k in range(1, l + 1):
-        for j in range(1, m + 1):
+        for j in range(1, top + 1):
             row[j] = row[j] + k * row[j - 1]
-    return row[m]
+    return row
 
 
 def wl_class(g: int, l: int, substitute_lambda: bool = False) -> GradedPolynomial:
@@ -242,11 +244,11 @@ def wl_class(g: int, l: int, substitute_lambda: bool = False) -> GradedPolynomia
     gens = _lambda_kappa_table(g)
     target = g - l
     out = GradedPolynomial.zero(gens)
+    hs = complete_homogeneous(l, target + 1)
     for i in range(0, g + 1):
         m = target - i + 1  # kappa_{m-1} has degree m-1 = target - i
         if m < 1:
             continue
-        h = _complete_homogeneous(l, m)
         sign = (-1) ** i
         if i == 0:
             lam_part = GradedPolynomial.constant(gens, 1)
@@ -256,7 +258,7 @@ def wl_class(g: int, l: int, substitute_lambda: bool = False) -> GradedPolynomia
             kap_part = GradedPolynomial.constant(gens, 2 * g - 2)
         else:
             kap_part = GradedPolynomial.generator(gens, f"kappa_{m - 1}")
-        out = out + lam_part * kap_part * (sign * h)
+        out = out + lam_part * kap_part * (sign * hs[m])
     if substitute_lambda:
         out = _substitute_lambdas(out, g)
     return out

@@ -6,10 +6,10 @@ from functools import lru_cache
 from math import factorial
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .exactmath import (GeneratorTable, GradedPolynomial, Partition,
-                        SparseEchelon, TruncatedSeries, bernoulli, partitions,
-                        relation_rows, series_exp, series_log)
-from .closedforms import kappa_table
+from .exactmath import (GradedPolynomial, Partition, SparseEchelon,
+                        TruncatedSeries, partitions, relation_rows, series_exp,
+                        series_log)
+from .closedforms import complete_homogeneous, kappa_table, mumford_terms
 
 __all__ = [
     "KappaRelation",
@@ -133,6 +133,40 @@ def fz_coefficients(order: int) -> Dict[Tuple[int, Tuple[int, ...]], Fraction]:
 
 
 # ---------------------------------------------------------------------------
+# Relations as coefficients of exp(-gamma), shared by FZ and SQ
+# ---------------------------------------------------------------------------
+
+def _exp_minus_gamma(g: int, variables: Sequence[Tuple[str, int]], order: int,
+                     caps: Dict[str, int],
+                     gamma: Sequence[Tuple[int, Tuple[int, ...], Fraction]]
+                     ) -> TruncatedSeries:
+    """exp(-gamma) for gamma = sum c kappa_r m over the (r, exponent vector of
+    the monomial m, c) terms, truncated at weight `order` and the exponent
+    caps.  kappa_0 = 2g-2 is substituted, and kappa_r = 0 for r < 0 and for
+    r > g-2 (top-degree vanishing of the ring model)."""
+    gens = kappa_table(max(g - 2, 1))
+    coeffs: Dict[Tuple[int, ...], GradedPolynomial] = {}
+    for r, ev, c in gamma:
+        if r == 0:
+            kap = GradedPolynomial.constant(gens, 2 * g - 2)
+        elif 0 < r <= g - 2:
+            kap = GradedPolynomial.generator(gens, f"kappa_{r}")
+        else:
+            continue
+        coeffs[ev] = kap * (-c)
+    return series_exp(TruncatedSeries(variables, order, coeffs, caps=caps))
+
+
+def _relation(source: str, g: int, r: int, index: Tuple[int, ...],
+              expo: TruncatedSeries, ev: Tuple[int, ...]) -> KappaRelation:
+    """The coefficient of exp(-gamma) at the monomial `ev` as a relation."""
+    c = expo.coefficient(ev)
+    if isinstance(c, Fraction):
+        c = GradedPolynomial.constant(kappa_table(max(g - 2, 1)), c)
+    return KappaRelation(source, g, r, index, c)
+
+
+# ---------------------------------------------------------------------------
 # FZ relations
 # ---------------------------------------------------------------------------
 
@@ -145,40 +179,14 @@ def fz_admissible(g: int, r: int, sigma: Sequence[int]) -> bool:
     return (g - 1 + size < 3 * r) and ((g - r - size - 1) % 2 == 0)
 
 
-def _kappa_value(g: int, r: int, gens: GeneratorTable,
-                 kappa_ceiling: int) -> Optional[GradedPolynomial]:
-    """kappa_r as a coefficient: kappa_0 = 2g-2, indices above the ceiling
-    are zero (top-degree vanishing of the ring model)."""
-    if r == 0:
-        return GradedPolynomial.constant(gens, 2 * g - 2)
-    if r > kappa_ceiling:
-        return None
-    return GradedPolynomial.generator(gens, f"kappa_{r}")
-
-
-def _fz_exp_minus_gamma(g: int, rmax: int, smax: int,
-                        gens: GeneratorTable, kappa_ceiling: int) -> TruncatedSeries:
+def _fz_exp_minus_gamma(g: int, rmax: int, smax: int) -> TruncatedSeries:
     """exp(-gamma) with gamma = sum C_r(sigma) kappa_r t^r p^sigma, truncated
     to t-exponent <= rmax and total weight rmax + smax."""
-    order = rmax + smax
-    ctab = fz_coefficients(order)
-    variables = [("t", 1)] + _p_vars(order)
-    names = [n for n, _ in variables]
-    gamma_coeffs: Dict[Tuple[int, ...], GradedPolynomial] = {}
-    for (r, sigma), c in ctab.items():
-        if r > rmax or sum(sigma) > smax:
-            continue
-        kap = _kappa_value(g, r, gens, kappa_ceiling)
-        if kap is None:
-            continue
-        ev = [0] * len(names)
-        ev[0] = r
-        for part in sigma:
-            ev[names.index(f"p{part}")] += 1
-        gamma_coeffs[tuple(ev)] = kap * (-c)
-    minus_gamma = TruncatedSeries(variables, order, gamma_coeffs,
-                                  caps={"t": rmax})
-    return series_exp(minus_gamma)
+    log = _fz_log(rmax + smax)
+    gamma = [(ev[0], ev, c) for ev, c in log.coeffs.items()
+             if ev[0] <= rmax and log.weight(ev) - ev[0] <= smax]
+    return _exp_minus_gamma(g, list(zip(log.variables, log.weights)),
+                            log.order, {"t": rmax}, gamma)
 
 
 def fz_relation(g: int, r: int, sigma,
@@ -189,17 +197,13 @@ def fz_relation(g: int, r: int, sigma,
     sigma = Partition(sigma) if not isinstance(sigma, Partition) else sigma
     if not fz_admissible(g, r, sigma.parts):
         return None
-    gens = kappa_table(max(g - 2, 1))
     expo = _series if _series is not None else _fz_exp_minus_gamma(
-        g, r, sigma.size, gens, max(g - 2, 0))
+        g, r, sigma.size)
     ev = [0] * len(expo.variables)
     ev[0] = r
     for part in sigma.parts:
         ev[expo.var_index(f"p{part}")] += 1
-    c = expo.coefficient(tuple(ev))
-    poly = (GradedPolynomial.constant(gens, c) if isinstance(c, Fraction)
-            else c)
-    return KappaRelation("FZ", g, r, sigma.parts, poly)
+    return _relation("FZ", g, r, sigma.parts, expo, tuple(ev))
 
 
 def fz_relation_set(g: int, max_degree: int) -> List[KappaRelation]:
@@ -210,7 +214,6 @@ def fz_relation_set(g: int, max_degree: int) -> List[KappaRelation]:
     if max_degree < 1:
         return out
     smax = max(3 * max_degree - g, 0)
-    gens = kappa_table(max(g - 2, 1))
     expo = None
     for r in range(1, max_degree + 1):
         bound = 3 * r - g  # |sigma| < 3r - g + 1
@@ -221,8 +224,7 @@ def fz_relation_set(g: int, max_degree: int) -> List[KappaRelation]:
                 continue
             for sigma in partitions(size, part_ok=_part_ok):
                 if expo is None:
-                    expo = _fz_exp_minus_gamma(g, max_degree, smax, gens,
-                                               max(g - 2, 0))
+                    expo = _fz_exp_minus_gamma(g, max_degree, smax)
                 rel = fz_relation(g, r, sigma, _series=expo)
                 if rel is not None and not rel.polynomial.is_zero():
                     out.append(rel)
@@ -233,125 +235,43 @@ def fz_relation_set(g: int, max_degree: int) -> List[KappaRelation]:
 # Stable-quotient relations
 # ---------------------------------------------------------------------------
 
-class _Laurent:
-    """Minimal Laurent series in t with exact coefficients: dict exp -> Q."""
-
-    __slots__ = ("c",)
-
-    def __init__(self, c: Optional[Dict[int, Fraction]] = None) -> None:
-        self.c = {k: v for k, v in (c or {}).items() if v}
-
-    def __mul__(self, other: "_Laurent") -> "_Laurent":
-        out: Dict[int, Fraction] = {}
-        for e1, v1 in self.c.items():
-            for e2, v2 in other.c.items():
-                e = e1 + e2
-                s = out.get(e, Fraction(0)) + v1 * v2
-                if s:
-                    out[e] = s
-                else:
-                    out.pop(e, None)
-        return _Laurent(out)
-
-    def scale(self, f: Fraction) -> "_Laurent":
-        return _Laurent({e: v * f for e, v in self.c.items()})
-
-    def add_into(self, acc: Dict[int, Fraction], f: Fraction) -> None:
-        for e, v in self.c.items():
-            s = acc.get(e, Fraction(0)) + v * f
-            if s:
-                acc[e] = s
-            else:
-                acc.pop(e, None)
-
-    def truncate(self, tmax: int) -> "_Laurent":
-        return _Laurent({e: v for e, v in self.c.items() if e <= tmax})
-
-
-def _phi_x_slice(d: int, tmax: int) -> _Laurent:
-    """Coefficient of x^d in the stable-quotient series: the Laurent series
-    (-1)^d/(d! t^d) * prod_{i=1}^{d} (1 - i t)^{-1}, to t-precision tmax."""
-    if d == 0:
-        return _Laurent({0: Fraction(1)})
-    # prod (1 - i t)^{-1} up to t^{tmax + d}
-    prec = tmax + d
-    poly = [Fraction(1)] + [Fraction(0)] * prec
-    for i in range(1, d + 1):
-        # multiply by (1 - i t)^{-1}: y_k = x_k + i * y_{k-1}
-        for k in range(1, prec + 1):
-            poly[k] = poly[k] + i * poly[k - 1]
-    lead = Fraction((-1) ** d, factorial(d))
-    return _Laurent({k - d: lead * poly[k] for k in range(prec + 1) if poly[k]})
+_SQ_VARIABLES = (("t", 1), ("x", 2))
 
 
 def sq_phi_series(order: int) -> TruncatedSeries:
-    """The stable-quotient series in t (weight 1) and x (weight 2), with the
-    genuine negative t-powers per x-degree (bounded below by -d at x^d, so
-    all monomial weights stay non-negative)."""
+    """The stable-quotient series
+    Phi = sum_d (-1)^d x^d / (d! t^d) prod_{i=1}^{d} (1 - i t)^{-1}
+    in t (weight 1) and x (weight 2), truncated at total weight `order`.
+    Its t^e x^d coefficient is (-1)^d/d! h_{e+d}(1..d) for e >= -d, so every
+    monomial weight e + 2d stays non-negative."""
     if order < 0:
         raise ValueError("order must be >= 0")
-    variables = [("t", 1), ("x", 2)]
     coeffs: Dict[Tuple[int, int], Fraction] = {}
-    for d in range(0, order + 1):
-        if 2 * d - d > order:
-            break
-        sl = _phi_x_slice(d, order)
-        for e, v in sl.c.items():
-            if e + 2 * d <= order:
-                coeffs[(e, d)] = v
-    return TruncatedSeries(variables, order, coeffs)
+    for d in range(order + 1):
+        lead = Fraction((-1) ** d, factorial(d))
+        for m, h in enumerate(complete_homogeneous(d, order - d)):
+            coeffs[(m - d, d)] = lead * h
+    return TruncatedSeries(_SQ_VARIABLES, order, coeffs)
 
 
 @lru_cache(maxsize=None)
-def _sq_log_slices(dmax: int, tmax: int) -> Tuple[Tuple[Tuple[int, Fraction], ...], ...]:
-    """x-slices of log of the stable-quotient series, as tuples
-    (slice d=0, ..., slice d=dmax) of (t-exponent, coefficient) pairs."""
-    prec = tmax + dmax + 1
-    phi = [_phi_x_slice(d, prec) for d in range(dmax + 1)]
-    # log(1 + u), u = sum_{d>=1} phi_d x^d: accumulate powers of u
-    log_sl: List[Dict[int, Fraction]] = [dict() for _ in range(dmax + 1)]
-    # power[k][d] = x^d slice of u^k
-    power: List[List[_Laurent]] = [[_Laurent() for _ in range(dmax + 1)]]
-    unit = [_Laurent({0: Fraction(1)})] + [_Laurent() for _ in range(dmax)]
-    power[0] = unit
-    for k in range(1, dmax + 1):
-        prev = power[k - 1]
-        cur = [_Laurent() for _ in range(dmax + 1)]
-        for d1 in range(k - 1, dmax):      # u^{k-1} has x-order >= k-1
-            if not prev[d1].c:
-                continue
-            for d2 in range(1, dmax - d1 + 1):
-                if not phi[d2].c:
-                    continue
-                prod = prev[d1] * phi[d2]
-                acc = cur[d1 + d2].c
-                for e, v in prod.c.items():
-                    s = acc.get(e, Fraction(0)) + v
-                    if s:
-                        acc[e] = s
-                    else:
-                        acc.pop(e, None)
-        power.append(cur)
-        f = Fraction((-1) ** (k + 1), k)
-        for d in range(k, dmax + 1):
-            power[k][d] = power[k][d].truncate(prec)
-            power[k][d].add_into(log_sl[d], f)
-    return tuple(
-        tuple(sorted((e, v) for e, v in log_sl[d].items() if e <= tmax))
-        for d in range(dmax + 1))
+def _sq_log(dmax: int, rmax: int) -> TruncatedSeries:
+    """log Phi, exact at every t^r x^d with r <= rmax and d <= dmax: all
+    weights are non-negative and x-degree > dmax is an ideal, so both
+    truncations are quotients of the series ring."""
+    order = max(rmax + 2 * dmax, 0)
+    phi = sq_phi_series(order)
+    return series_log(TruncatedSeries(_SQ_VARIABLES, order, phi.coeffs,
+                                      caps={"x": dmax}))
 
 
 def sq_coefficients(dmax: int, rmax: int) -> Dict[Tuple[int, int], Fraction]:
     """Coefficients C_d^r of the log of the stable-quotient series
     (log Phi = sum C_d^r t^r x^d / d!), for 1 <= d <= dmax, r <= rmax.
     The t-order is -1 at every x-degree (deeper poles cancel)."""
-    slices = _sq_log_slices(dmax, rmax)
-    out: Dict[Tuple[int, int], Fraction] = {}
-    for d in range(1, dmax + 1):
-        for e, v in slices[d]:
-            if e <= rmax:
-                out[(d, e)] = v * factorial(d)
-    return out
+    return dict(sorted(((d, r), c * factorial(d))
+                       for (r, d), c in _sq_log(dmax, rmax).coeffs.items()
+                       if r <= rmax))
 
 
 def sq_admissible(g: int, r: int, d: int) -> bool:
@@ -359,38 +279,16 @@ def sq_admissible(g: int, r: int, d: int) -> bool:
     return d >= 1 and (g - 2 * d - 1 < r) and ((g - r - 1) % 2 == 0)
 
 
-def _sq_exp_minus_gamma(g: int, rmax: int, dmax: int,
-                        gens: GeneratorTable, kappa_ceiling: int) -> TruncatedSeries:
+def _sq_exp_minus_gamma(g: int, rmax: int, dmax: int) -> TruncatedSeries:
     """exp(-gamma) for the stable-quotient gamma:
     sum B_{2i} kappa_{2i-1} t^{2i-1}/(2i(2i-1))
       + sum C_d^r kappa_r t^r x^d / d!,
-    with kappa_{-1} = 0 and kappa_0 = 2g-2 substituted."""
-    order = rmax + 2 * dmax
-    variables = [("t", 1), ("x", 2)]
-    coeffs: Dict[Tuple[int, int], GradedPolynomial] = {}
-    i = 1
-    while 2 * i - 1 <= rmax:
-        kap = _kappa_value(g, 2 * i - 1, gens, kappa_ceiling)
-        if kap is not None:
-            c = bernoulli(2 * i) / Fraction(2 * i * (2 * i - 1))
-            coeffs[(2 * i - 1, 0)] = kap * (-c)
-        i += 1
-    ctab = sq_coefficients(dmax, rmax)
-    for (d, r), c in ctab.items():
-        if r < 0:
-            continue  # kappa_{-1} = 0
-        kap = _kappa_value(g, r, gens, kappa_ceiling)
-        if kap is None:
-            continue
-        val = kap * (-c / Fraction(factorial(d)))
-        key = (r, d)
-        if key in coeffs:
-            val = coeffs[key] + val
-        if val:
-            coeffs[key] = val
-    minus_gamma = TruncatedSeries(variables, order, coeffs,
-                                  caps={"t": rmax, "x": dmax})
-    return series_exp(minus_gamma)
+    truncated to t-exponent <= rmax and x-degree <= dmax."""
+    log = _sq_log(dmax, rmax)
+    gamma = [(r, (r, 0), c) for r, c in mumford_terms(rmax)]
+    gamma += [(ev[0], ev, c) for ev, c in log.coeffs.items() if ev[0] <= rmax]
+    return _exp_minus_gamma(g, _SQ_VARIABLES, log.order,
+                            {"t": rmax, "x": dmax}, gamma)
 
 
 def sq_relation(g: int, r: int, d: int,
@@ -398,17 +296,10 @@ def sq_relation(g: int, r: int, d: int,
     """The relation [exp(-gamma)]_{t^r x^d} as a homogeneous degree-r
     kappa-polynomial (kappa_{-1} = 0, kappa_0 = 2g-2 substituted), or None
     when (r, d) fails the side conditions."""
-    if r < 0:
+    if r < 0 or not sq_admissible(g, r, d):
         return None
-    if not sq_admissible(g, r, d):
-        return None
-    gens = kappa_table(max(g - 2, 1))
-    expo = _series if _series is not None else _sq_exp_minus_gamma(
-        g, r, d, gens, max(g - 2, 0))
-    c = expo.coefficient((r, d))
-    poly = (GradedPolynomial.constant(gens, c) if isinstance(c, Fraction)
-            else c)
-    return KappaRelation("SQ", g, r, (d,), poly)
+    expo = _series if _series is not None else _sq_exp_minus_gamma(g, r, d)
+    return _relation("SQ", g, r, (d,), expo, (r, d))
 
 
 def sq_relation_set(g: int, max_degree: int,
@@ -422,10 +313,9 @@ def sq_relation_set(g: int, max_degree: int,
     out: List[KappaRelation] = []
     if max_degree < 1:
         return out
-    gens = kappa_table(max(g - 2, 1))
     if dmax is None:
         dmax = max((g + 2) // 2, 1) + max_degree + 2
-    expo = _sq_exp_minus_gamma(g, max_degree, dmax, gens, max(g - 2, 0))
+    expo = _sq_exp_minus_gamma(g, max_degree, dmax)
     for r in range(1, max_degree + 1):
         for d in range(1, dmax + 1):
             if not sq_admissible(g, r, d):

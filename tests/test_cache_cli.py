@@ -170,6 +170,44 @@ def test_cli_presentation_dims(capsys):
     assert data["gorenstein"] is True
 
 
+def _presentation(coeff):
+    return json.dumps({"generators": [["l", 1]],
+                       "relations": [[[[2], coeff]]], "max_degree": 2})
+
+
+def test_cli_integer_coefficients_accepted(capsys):
+    """A coefficient may be a JSON integer as well as a "num/den" string."""
+    assert run(["presentation-dims", _presentation(3)]) == 0
+    assert capsys.readouterr().out.split() == ["1", "1", "0"]
+    poly = json.dumps([{"psi_power": 0, "factors": [[4, 0, 1]], "coeff": 1}])
+    assert run(["jac-apply", "D", "2", poly, "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["result"] == [
+        {"psi_power": 0, "factors": [[2, 0, 1]], "coeff": "1/1"}]
+
+
+@pytest.mark.parametrize("coeff", ["1/0", "1/", 1.5, True])
+def test_cli_bad_coefficient_is_usage_error(capsys, coeff):
+    assert run(["presentation-dims", _presentation(coeff)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and repr(coeff) in err
+    poly = json.dumps([{"psi_power": 0, "factors": [], "coeff": coeff}])
+    assert run(["jac-apply", "D", "2", poly]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and repr(coeff) in err
+
+
+def test_cli_unreadable_presentation_file_is_usage_error(tmp_path, capsys):
+    missing = tmp_path / "missing.json"
+    assert run(["presentation-dims", f"@{missing}"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and str(missing) in err
+
+
+def test_cli_negative_max_seconds_rejected(capsys):
+    assert run(["euler", "1", "1", "--max-seconds", "-1"]) == 2
+    assert "--max-seconds" in capsys.readouterr().err
+
+
 def test_cli_cache_equivalence(tmp_path, capsys):
     path = str(tmp_path / "c.json")
     assert run(["correlator", "2", "4", "--cache", path]) == 0

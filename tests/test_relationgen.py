@@ -125,9 +125,8 @@ def test_fz_truncation_stability():
     """The extracted polynomial is unchanged when computed from a series
     truncated far beyond the minimum order."""
     from tautrings.relationgen import _fz_exp_minus_gamma
-    gens = kappa_table(2)
     small = fz_relation(4, 2, [1])
-    big_series = _fz_exp_minus_gamma(4, 4, 6, gens, 2)
+    big_series = _fz_exp_minus_gamma(4, 4, 6)
     big = fz_relation(4, 2, [1], _series=big_series)
     assert small.polynomial == big.polynomial
 
@@ -161,6 +160,16 @@ def test_sq_coefficients():
     assert all(r >= -1 for (_, r) in c)
 
 
+def test_sq_coefficients_closed_forms():
+    """Oracle for the two lowest t-orders of log Phi:
+    C_d^{-1} = (-1)^d (2d-2)!/d! and C_d^0 = (-1)^d 4^{d-1} (d-1)!."""
+    c = sq_coefficients(15, 0)
+    assert min(r for (_, r) in c) == -1
+    for d in range(1, 16):
+        assert c[(d, -1)] == F((-1) ** d * factorial(2 * d - 2), factorial(d))
+        assert c[(d, 0)] == (-1) ** d * 4 ** (d - 1) * factorial(d - 1)
+
+
 def test_sq_admissibility():
     assert not sq_admissible(4, 2, 1)          # parity fails
     assert sq_admissible(3, 2, 1)
@@ -190,7 +199,7 @@ def test_sq_side_conditions_are_sharp_at_genus5():
         return {index[m]: c for m, c in poly.terms.items()}
 
     from tautrings.relationgen import _sq_exp_minus_gamma
-    expo = _sq_exp_minus_gamma(5, 2, 6, gens, 3)
+    expo = _sq_exp_minus_gamma(5, 2, 6)
     bad = expo.coefficient((2, 1))
     assert not span.contains(row_of(bad))
     for d in range(2, 7):

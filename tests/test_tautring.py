@@ -88,9 +88,7 @@ def test_dims_invariant_under_larger_truncation():
     bigger = fz_relation_set(g, g - 2)
     # recompute each admissible relation from an over-truncated series
     from tautrings.relationgen import _fz_exp_minus_gamma, fz_relation
-    from tautrings.closedforms import kappa_table
-    gens = kappa_table(g - 2)
-    expo = _fz_exp_minus_gamma(g, g, 3 * g, gens, g - 2)
+    expo = _fz_exp_minus_gamma(g, g, 3 * g)
     regenerated = []
     for rel in bigger:
         again = fz_relation(g, rel.r, rel.index, _series=expo)

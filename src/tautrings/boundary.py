@@ -2,10 +2,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
-from typing import Dict, FrozenSet, List, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Set, Tuple
 
 from .exactmath import (GeneratorTable, GradedPolynomial, GradedQuotient,
-                        SparseEchelon, exact_rank)
+                        SparseEchelon, relation_rows)
 
 __all__ = [
     "BoundaryDivisor",
@@ -86,8 +86,22 @@ def _divisor_table(n: int) -> Tuple[List[BoundaryDivisor], GeneratorTable]:
     return divs, gens
 
 
-def _divisor_poly(gens: GeneratorTable, div: BoundaryDivisor) -> GradedPolynomial:
-    return GradedPolynomial.generator(gens, div.name())
+def _separates(side: FrozenSet[int], comp: FrozenSet[int],
+               one: Set[int], other: Set[int]) -> bool:
+    """Whether the markings `one` lie on one branch of the partition
+    side | comp and the markings `other` on the other branch."""
+    return (one <= side and other <= comp) or (one <= comp and other <= side)
+
+
+def _linear(gens: GeneratorTable,
+            coeffs: Iterable[Tuple[str, int]]) -> GradedPolynomial:
+    """The degree-1 polynomial sum of c * name over (name, c) pairs of
+    degree-1 generators; repeated names add up and zero sums are dropped."""
+    terms: Dict[Tuple[int, ...], Fraction] = {}
+    for name, c in coeffs:
+        mono = gens.unit(name)
+        terms[mono] = terms.get(mono, Fraction(0)) + c
+    return GradedPolynomial(gens, terms)
 
 
 def keel_fourpoint_relations(n: int) -> List[GradedPolynomial]:
@@ -97,13 +111,8 @@ def keel_fourpoint_relations(n: int) -> List[GradedPolynomial]:
     divs, gens = _divisor_table(n)
 
     def separating_sum(a: int, b: int, c: int, d: int) -> GradedPolynomial:
-        acc = GradedPolynomial.zero(gens)
-        for div in divs:
-            s, sc = div.side, div.complement
-            if (a in s and b in s and c in sc and d in sc) or \
-               (a in sc and b in sc and c in s and d in s):
-                acc = acc + _divisor_poly(gens, div)
-        return acc
+        return _linear(gens, ((div.name(), 1) for div in divs
+                              if _separates(div.side, div.complement, {a, b}, {c, d})))
 
     rels = []
     for (i, j, k, l) in combinations(range(1, n + 1), 4):
@@ -129,7 +138,8 @@ def keel_incompatibility_relations(n: int) -> List[GradedPolynomial]:
     for i, a in enumerate(divs):
         for b in divs[i + 1:]:
             if not _compatible(a, b):
-                rels.append(_divisor_poly(gens, a) * _divisor_poly(gens, b))
+                rels.append(GradedPolynomial.generator(gens, a.name())
+                            * GradedPolynomial.generator(gens, b.name()))
     return rels
 
 
@@ -146,7 +156,8 @@ def keel_quotient(n: int) -> GradedQuotient:
 
 def keel_ring_dims(n: int) -> List[int]:
     """Graded dimensions (Betti numbers) of the genus-0 presentation,
-    degrees 0..n-3.  Desk-scale ceiling n <= 7."""
+    degrees 0..n-3.  n = 7 is accepted but does not finish today: degree 4
+    enumerates all 455,126 monomials in its 56 divisors."""
     if not (3 <= n <= 7):
         raise ValueError("keel_ring_dims supports 3 <= n <= 7")
     return keel_quotient(n).dims
@@ -166,12 +177,8 @@ def psi_in_boundary_basis(n: int, z: int, x: int, y: int) -> GradedPolynomial:
     if len({z, x, y}) != 3 or not {z, x, y} <= set(range(1, n + 1)):
         raise ValueError("markings z, x, y must be distinct and in 1..n")
     divs, gens = _divisor_table(n)
-    acc = GradedPolynomial.zero(gens)
-    for div in divs:
-        s, sc = div.side, div.complement
-        if (z in s and x in sc and y in sc) or (z in sc and x in s and y in s):
-            acc = acc + _divisor_poly(gens, div)
-    return acc
+    return _linear(gens, ((div.name(), 1) for div in divs
+                          if _separates(div.side, div.complement, {z}, {x, y})))
 
 
 def kappa1_in_boundary_basis(n: int, convention: str = "canonical") -> GradedPolynomial:
@@ -187,17 +194,12 @@ def kappa1_in_boundary_basis(n: int, convention: str = "canonical") -> GradedPol
     """
     if n < 4:
         raise ValueError("need n >= 4")
+    if convention not in ("canonical", "all-subsets"):
+        raise ValueError("convention must be 'canonical' or 'all-subsets'")
     divs, gens = _divisor_table(n)
-    acc = GradedPolynomial.zero(gens)
-    for div in divs:
-        if convention == "canonical":
-            w = len(div.side) - 1
-        elif convention == "all-subsets":
-            w = (len(div.side) - 1) + (len(div.complement) - 1)
-        else:
-            raise ValueError("convention must be 'canonical' or 'all-subsets'")
-        acc = acc + _divisor_poly(gens, div) * w
-    return acc
+    if convention == "canonical":
+        return _linear(gens, ((div.name(), len(div.side) - 1) for div in divs))
+    return _linear(gens, ((div.name(), n - 2) for div in divs))
 
 
 # ---------------------------------------------------------------------------
@@ -205,153 +207,84 @@ def kappa1_in_boundary_basis(n: int, convention: str = "canonical") -> GradedPol
 # ---------------------------------------------------------------------------
 
 class H2Presentation:
-    """Generators and relation rows for H^2 of the compactified n-pointed
-    genus-g space.
+    """Generators and degree-1 relations for H^2 of the compactified
+    n-pointed genus-g space.
 
     Generators: kappa_1, psi_1..psi_n, delta_irr, and the boundary classes
-    delta_{a,S} (canonical under delta_{a,S} = delta_{g-a,S^c}).  Relation
-    rows follow the genus-stratified lists; for g <= 1 the psi and kappa
-    expressions are instantiated for every admissible choice of auxiliary
-    markings.
+    delta_{a,S} (canonical under delta_{a,S} = delta_{g-a,S^c}: the pair
+    with the smaller (a, sorted S)).  Relations follow the
+    genus-stratified lists; for g <= 1 the psi and kappa expressions are
+    instantiated for every admissible choice of auxiliary markings.
     """
 
     def __init__(self, g: int, n: int) -> None:
         if 2 * g - 2 + n <= 0:
             raise ValueError(f"unstable pair ({g}, {n})")
         self.g, self.n = g, n
-        self.sep: List[Tuple[int, FrozenSet[int]]] = self._boundary_classes()
+        marks = frozenset(range(1, n + 1))
+        self.sep: List[Tuple[int, FrozenSet[int]]] = []
+        for a in range(0, g + 1):
+            for k in range(0, n + 1):
+                for S in map(frozenset, combinations(range(1, n + 1), k)):
+                    # admissible, and the canonical one of (a, S) ~ (g - a, S^c)
+                    if (2 * a - 2 + k >= 0 and 2 * (g - a) - 2 + n - k >= 0
+                            and (a, sorted(S)) <= (g - a, sorted(marks - S))):
+                        self.sep.append((a, S))
+        self.sep.sort(key=lambda p: (p[0], len(p[1]), sorted(p[1])))
         self.names: List[str] = (["kappa_1"]
                                  + [f"psi_{i}" for i in range(1, n + 1)]
                                  + ["delta_irr"]
-                                 + [self._sep_name(a, s) for a, s in self.sep])
-        self.index = {name: i for i, name in enumerate(self.names)}
-        self.rows = self._relation_rows()
+                                 + [f"delta_{a}{{{','.join(str(x) for x in sorted(S))}}}"
+                                    for a, S in self.sep])
+        self.gens = GeneratorTable([(name, 1) for name in self.names])
+        self.relations = self._relations(marks)
 
-    # -- generators -----------------------------------------------------
+    def _relations(self, marks: FrozenSet[int]) -> List[GradedPolynomial]:
+        g, n, gens = self.g, self.n, self.gens
+        psis = self.names[1:n + 1]
+        classes = [(a, S, name) for (a, S), name in zip(self.sep, self.names[n + 2:])]
 
-    def _canonical(self, a: int, S: FrozenSet[int]) -> Tuple[int, FrozenSet[int]]:
-        g, n = self.g, self.n
-        other = (g - a, frozenset(range(1, n + 1)) - S)
-        mine = (a, S)
-        return min(mine, other, key=lambda p: (p[0], sorted(p[1])))
+        def delta(a: int, c: int) -> List[Tuple[str, int]]:
+            """c times every class with a genus-a side, each class once."""
+            return [(name, c) for b, _, name in classes if a in (b, g - b)]
 
-    def _admissible(self, a: int, S: FrozenSet[int]) -> bool:
-        g, n = self.g, self.n
-        Sc = frozenset(range(1, n + 1)) - S
-        return 2 * a - 2 + len(S) >= 0 and 2 * (g - a) - 2 + len(Sc) >= 0
-
-    def _boundary_classes(self) -> List[Tuple[int, FrozenSet[int]]]:
-        g, n = self.g, self.n
-        seen = set()
-        out = []
-        for a in range(0, g + 1):
-            for k in range(0, n + 1):
-                for side in combinations(range(1, n + 1), k):
-                    S = frozenset(side)
-                    if not self._admissible(a, S):
-                        continue
-                    key = self._canonical(a, S)
-                    if key not in seen:
-                        seen.add(key)
-                        out.append(key)
-        return sorted(out, key=lambda p: (p[0], len(p[1]), sorted(p[1])))
-
-    @staticmethod
-    def _sep_name(a: int, S: FrozenSet[int]) -> str:
-        return f"delta_{a}{{{','.join(str(x) for x in sorted(S))}}}"
-
-    # -- relation rows ----------------------------------------------------
-
-    def _unit(self, name: str) -> Dict[int, Fraction]:
-        return {self.index[name]: Fraction(1)}
-
-    def _add(self, row: Dict[int, Fraction], other: Dict[int, Fraction],
-             scale: Fraction = Fraction(1)) -> None:
-        for c, v in other.items():
-            s = row.get(c, Fraction(0)) + v * scale
-            if s:
-                row[c] = s
-            else:
-                row.pop(c, None)
-
-    def _delta_a_row(self, a: int) -> Dict[int, Fraction]:
-        """Sum of all classes with a genus-a side (each unordered class
-        once, per the halving rule when g = 2a)."""
-        row: Dict[int, Fraction] = {}
-        for (b, S) in self.sep:
-            if b == a or self.g - b == a:
-                self._add(row, {self.index[self._sep_name(b, S)]: Fraction(1)})
-        return row
-
-    def _relation_rows(self) -> List[Dict[int, Fraction]]:
-        g, n = self.g, self.n
-        rows: List[Dict[int, Fraction]] = []
-        marks = range(1, n + 1)
         if g == 2:
-            row: Dict[int, Fraction] = {}
-            self._add(row, self._unit("kappa_1"), Fraction(5))
-            for i in marks:
-                self._add(row, self._unit(f"psi_{i}"), Fraction(-5))
-            self._add(row, self._unit("delta_irr"), Fraction(-1))
-            self._add(row, self._delta_a_row(0), Fraction(5))
-            self._add(row, self._delta_a_row(1), Fraction(-7))
-            rows.append(row)
-        elif g == 1:
-            row = {}
-            self._add(row, self._unit("kappa_1"))
-            for i in marks:
-                self._add(row, self._unit(f"psi_{i}"), Fraction(-1))
-            self._add(row, self._delta_a_row(0))
-            rows.append(row)
-            for p in marks:
-                row = {}
-                self._add(row, self._unit(f"psi_{p}"), Fraction(12))
-                self._add(row, self._unit("delta_irr"), Fraction(-1))
-                for (a, S) in self.sep:
-                    side = S if a == 0 else frozenset(range(1, n + 1)) - S
-                    if a == 0 or self.g - a == 0:
-                        if p in side and len(side) >= 2:
-                            self._add(row, {self.index[self._sep_name(a, S)]:
-                                            Fraction(1)}, Fraction(-12))
-                rows.append(row)
-        elif g == 0:
-            row = {}
-            self._add(row, self._unit("kappa_1"))
-            for (a, S) in self.sep:
-                # genus-0 classes: every class has a = 0 canonical side S
-                self._add(row, {self.index[self._sep_name(a, S)]: Fraction(1)},
-                          Fraction(-(len(S) - 1)))
-            rows.append(row)
-            rows.append(self._unit("delta_irr"))
-            for z in marks:
-                for x, y in combinations(sorted(set(marks) - {z}), 2):
-                    row = {}
-                    self._add(row, self._unit(f"psi_{z}"))
-                    for (a, S) in self.sep:
-                        Sc = frozenset(range(1, n + 1)) - S
-                        if (z in S and x in Sc and y in Sc) or \
-                           (z in Sc and x in S and y in S):
-                            self._add(row, {self.index[self._sep_name(a, S)]:
-                                            Fraction(1)}, Fraction(-1))
-                    rows.append(row)
-        return rows
+            return [_linear(gens, [("kappa_1", 5), ("delta_irr", -1)]
+                            + [(p, -5) for p in psis] + delta(0, 5) + delta(1, -7))]
+        if g == 1:
+            rels = [_linear(gens, [("kappa_1", 1)] + [(p, -1) for p in psis] + delta(0, 1))]
+            # every canonical class has a = 0, so S is its genus-0 side
+            for p in range(1, n + 1):
+                rels.append(_linear(gens, [(f"psi_{p}", 12), ("delta_irr", -1)]
+                                    + [(name, -12) for _, S, name in classes if p in S]))
+            return rels
+        if g == 0:
+            rels = [_linear(gens, [("kappa_1", 1)]
+                            + [(name, 1 - len(S)) for _, S, name in classes]),
+                    _linear(gens, [("delta_irr", 1)])]
+            for z in range(1, n + 1):
+                for x, y in combinations(sorted(marks - {z}), 2):
+                    rels.append(_linear(gens, [(f"psi_{z}", 1)] + [
+                        (name, -1) for _, S, name in classes
+                        if _separates(S, marks - S, {z}, {x, y})]))
+            return rels
+        return []
 
     def rank(self) -> int:
-        return len(self.names) - self._relation_rank()
-
-    def _relation_rank(self) -> int:
+        """Number of generators minus the rank of the relation span."""
         ech = SparseEchelon()
-        for row in self.rows:
-            ech.add_row(dict(row))
-        return ech.rank
+        for row in relation_rows(self.gens, self.relations, 1):
+            ech.add_row(row)
+        return len(self.names) - ech.rank
 
     def export(self) -> dict:
         return {
             "g": self.g,
             "n": self.n,
             "generators": list(self.names),
-            "relations": [sorted((self.names[c], f"{v.numerator}/{v.denominator}")
-                                 for c, v in row.items()) for row in self.rows],
+            "relations": [sorted((self.names[mono.index(1)], f"{c.numerator}/{c.denominator}")
+                                 for mono, c in rel.terms.items())
+                          for rel in self.relations],
         }
 
 
@@ -361,5 +294,5 @@ def h2_presentation(g: int, n: int) -> H2Presentation:
 
 def h2_rank(g: int, n: int) -> int:
     """Rank of H^2 of the compactified n-pointed genus-g space: number of
-    listed generators minus the rank of the listed relation rows."""
+    listed generators minus the rank of the listed relations."""
     return H2Presentation(g, n).rank()

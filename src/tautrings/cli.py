@@ -242,9 +242,31 @@ def _field(obj: Any, key: str) -> Any:
     return obj[key]
 
 
+def _list(what: str, value: Any, length: Optional[int] = None) -> list:
+    """An input JSON array (of the given length, if one is given); any
+    other value is a usage error that names `what`."""
+    if not isinstance(value, list) or length not in (None, len(value)):
+        shape = "an array" if length is None else f"an array of {length} entries"
+        raise ValueError(f"bad {what} {value!r}: expected {shape}")
+    return value
+
+
+def _is_integer(value: Any) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _integer(what: str, value: Any, least: Optional[int] = None) -> int:
+    """An input integer: a JSON integer, not a bool, float or string, and
+    at least `least` if that is given."""
+    if not _is_integer(value) or (least is not None and value < least):
+        bound = "" if least is None else f" >= {least}"
+        raise ValueError(f"bad {what} {value!r}: expected an integer{bound}")
+    return value
+
+
 def _coefficient(value: Any) -> Fraction:
     """An input coefficient: an int or a "num" / "num/den" string."""
-    if isinstance(value, int) and not isinstance(value, bool):
+    if _is_integer(value):
         return Fraction(value)
     if isinstance(value, str):
         num, sep, den = value.partition("/")
@@ -257,13 +279,13 @@ def _coefficient(value: Any) -> Fraction:
 
 
 def _parse_jac_poly(text: str) -> jacobian.JacPolynomial:
-    data = json.loads(text)
     acc = jacobian.JacPolynomial()
-    for term in data:
+    for term in _list("polynomial", json.loads(text)):
         coeff = _coefficient(_field(term, "coeff"))
-        mono = jacobian.jac_monomial(term.get("psi_power", 0),
-                                     term.get("factors", []))
-        acc = acc + mono * coeff
+        psi_power = _integer("psi_power", term.get("psi_power", 0))
+        factors = [[_integer("factor entry", v) for v in _list("factor", f, 3)]
+                   for f in _list("factors", term.get("factors", []))]
+        acc = acc + jacobian.jac_monomial(psi_power, factors) * coeff
     return acc
 
 
@@ -292,14 +314,18 @@ def _cmd_presentation_dims(args, out: _Output) -> int:
         except OSError as exc:
             raise ValueError(f"cannot read {text[1:]!r}: {exc.strerror}") from exc
     data = json.loads(text)
-    gens = GeneratorTable([(n, int(d)) for n, d in _field(data, "generators")])
+    pairs = [_list("generator", pair, 2)
+             for pair in _list("generators", _field(data, "generators"))]
+    gens = GeneratorTable([(name, _integer("generator degree", d)) for name, d in pairs])
     rels = []
-    for rel in data.get("relations", []):
+    for rel in _list("relations", data.get("relations", [])):
         terms = {}
-        for expvec, coeff in rel:
-            terms[tuple(int(e) for e in expvec)] = _coefficient(coeff)
+        for term in _list("relation", rel):
+            expvec, coeff = _list("relation term", term, 2)
+            mono = tuple(_integer("exponent", e, 0) for e in _list("exponent vector", expvec))
+            terms[mono] = _coefficient(coeff)
         rels.append(GradedPolynomial(gens, terms))
-    report = graded_quotient(gens, rels, int(_field(data, "max_degree")),
+    report = graded_quotient(gens, rels, _integer("max_degree", _field(data, "max_degree"), 0),
                              with_pairings=bool(data.get("pairings", False)))
     out.emit(report.export(), " ".join(str(d) for d in report.dims),
              ",".join(str(d) for d in report.dims))

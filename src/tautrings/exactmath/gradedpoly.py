@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import mul
 from typing import Dict, Iterable, List, Mapping, Optional, Tuple, Union
 
 __all__ = ["GeneratorTable", "GradedPolynomial"]
@@ -17,7 +18,7 @@ class GeneratorTable:
     used everywhere downstream (earlier generator = more significant).
     """
 
-    __slots__ = ("names", "degrees", "_index")
+    __slots__ = ("names", "degrees", "_index", "_units")
 
     def __init__(self, gens: Iterable[Tuple[str, int]]) -> None:
         gens = tuple((str(n), int(d)) for n, d in gens)
@@ -28,6 +29,7 @@ class GeneratorTable:
         self.names = tuple(n for n, _ in gens)
         self.degrees = tuple(d for _, d in gens)
         self._index = {n: i for i, n in enumerate(self.names)}
+        self._units: Dict[str, Monomial] = {}
 
     def __len__(self) -> int:
         return len(self.names)
@@ -36,23 +38,36 @@ class GeneratorTable:
         return self._index[name]
 
     def degree(self, mono: Monomial) -> int:
-        return sum(e * d for e, d in zip(mono, self.degrees))
+        return sum(map(mul, mono, self.degrees))
+
+    def unit(self, name: str) -> Monomial:
+        """Exponent tuple of one generator, built once per table so that
+        every polynomial using it shares the one tuple."""
+        mono = self._units.get(name)
+        if mono is None:
+            i = self._index[name]
+            mono = (0,) * i + (1,) + (0,) * (len(self.names) - i - 1)
+            self._units[name] = mono
+        return mono
 
     def monomials(self, degree: int) -> List[Monomial]:
         """All exponent tuples of the given weighted degree, graded-lex order
         (within the fixed degree: lexicographically decreasing exponents)."""
+        n = len(self.degrees)
         out: List[Monomial] = []
-
-        def rec(i: int, remaining: int, acc: Tuple[int, ...]) -> None:
-            if i == len(self.degrees):
-                if remaining == 0:
-                    out.append(acc)
-                return
-            d = self.degrees[i]
-            for e in range(remaining // d, -1, -1):
-                rec(i + 1, remaining - e * d, acc + (e,))
-
-        rec(0, degree, ())
+        # depth-first over (next generator, remaining degree, exponent
+        # prefix) with an explicit stack, so the generator count is not
+        # bounded by the recursion limit; exponents are pushed ascending so
+        # the largest is expanded first
+        stack = [(0, degree, ())]
+        while stack:
+            i, remaining, acc = stack.pop()
+            if remaining == 0:
+                out.append(acc + (0,) * (n - i))
+            elif i < n:
+                d = self.degrees[i]
+                for e in range(remaining // d + 1):
+                    stack.append((i + 1, remaining - e * d, acc + (e,)))
         return out
 
     def __eq__(self, other) -> bool:
@@ -87,7 +102,11 @@ class GradedPolynomial:
                 if c:
                     if len(mono) != len(gens):
                         raise ValueError("exponent tuple has wrong length")
-                    clean[tuple(int(e) for e in mono)] = c
+                    # an exact int tuple is kept as is, so shared unit
+                    # monomials are not copied
+                    if type(mono) is not tuple or not {int}.issuperset(map(type, mono)):
+                        mono = tuple(map(int, mono))
+                    clean[mono] = c
         self.terms = clean
 
     # ---- constructors -------------------------------------------------
@@ -102,9 +121,7 @@ class GradedPolynomial:
 
     @classmethod
     def generator(cls, gens: GeneratorTable, name: str) -> "GradedPolynomial":
-        mono = [0] * len(gens)
-        mono[gens.index(name)] = 1
-        return cls(gens, {tuple(mono): Fraction(1)})
+        return cls(gens, {gens.unit(name): Fraction(1)})
 
     # ---- structure ----------------------------------------------------
 

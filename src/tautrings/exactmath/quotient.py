@@ -2,6 +2,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .gradedpoly import GeneratorTable, GradedPolynomial, Monomial
@@ -54,7 +55,9 @@ def relation_rows(gens: GeneratorTable,
         for cof in gens.monomials(d - r):
             row: Dict[int, Fraction] = {}
             for mono, c in rel.terms.items():
-                i = index[tuple(a + b for a, b in zip(mono, cof))]
+                if r < d:
+                    mono = tuple(map(add, mono, cof))
+                i = index[mono]
                 row[i] = row.get(i, Fraction(0)) + c
             rows.append({k: v for k, v in row.items() if v})
     rows.sort(key=lambda row: (len(row), sorted(row.items())))

@@ -74,15 +74,9 @@ class JacPolynomial:
     def __add__(self, other):
         if isinstance(other, (int, Fraction)):
             other = JacPolynomial.constant(other)
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            s = out.get(m, Fraction(0)) + c
-            if s:
-                out[m] = s
-            else:
-                out.pop(m, None)
         res = JacPolynomial.__new__(JacPolynomial)
-        res.terms = out
+        res.terms = dict(self.terms)
+        _accumulate(res, other.terms)
         return res
 
     __radd__ = __add__
@@ -199,12 +193,8 @@ def normalize(x: JacPolynomial, ctx: JacContext) -> JacPolynomial:
                 coef *= Fraction(g) ** e
             else:
                 kept[(i, j)] = kept.get((i, j), 0) + e
-        if dead or not coef:
-            continue
-        m = (psi, tuple(sorted(kept.items())))
-        out.terms[m] = out.terms.get(m, Fraction(0)) + coef
-        if not out.terms[m]:
-            del out.terms[m]
+        if not dead:
+            _accumulate(out, {(psi, tuple(sorted(kept.items()))): coef})
     return out
 
 
@@ -262,10 +252,10 @@ def apply_D(x: JacPolynomial, ctx: JacContext) -> JacPolynomial:
         base = dict(factors)
         # first-order part
         for ((i, j), e) in factors:
-            rest = _decrement(base, (i, j), 1)
+            rest = _decrement(base, (i, j))
             term = JacPolynomial({(psi, rest): c * e})
             term = term * JacPolynomial.p(i - 2, j)
-            _accumulate(out, term)
+            _accumulate(out, term.terms)
         # second-order part over ordered slot pairs
         for ((i, j), e1) in factors:
             for ((k, l), e2) in factors:
@@ -273,38 +263,31 @@ def apply_D(x: JacPolynomial, ctx: JacContext) -> JacPolynomial:
                     mult = e1 * (e1 - 1)
                     if not mult:
                         continue
-                    rest = _decrement(base, (i, j), 2)
+                    rest = _decrement(base, (i, j), (i, j))
                 else:
                     mult = e1 * e2
-                    rest = _decrement(_dict_dec(base, (i, j), 1), (k, l), 1)
+                    rest = _decrement(base, (i, j), (k, l))
                 coef = Fraction(c * mult, 2)
                 term = JacPolynomial({(psi, rest): coef})
                 term = term * _second_order_coefficient((i, j), (k, l))
-                _accumulate(out, term)
+                _accumulate(out, term.terms)
     return normalize(out, ctx)
 
 
-def _dict_dec(base: Dict[Tuple[int, int], int], key: Tuple[int, int],
-              by: int) -> Dict[Tuple[int, int], int]:
+def _decrement(base: Dict[Tuple[int, int], int], *keys: Tuple[int, int]) -> Factors:
+    """The factors of `base` with one power of each key removed (a key may
+    repeat), as a sorted factor tuple."""
     d = dict(base)
-    d[key] -= by
-    if d[key] == 0:
-        del d[key]
-    return d
+    for key in keys:
+        d[key] -= 1
+        if d[key] < 0:
+            raise ArithmeticError("negative exponent in differentiation")
+    return tuple(sorted((k, e) for k, e in d.items() if e))
 
 
-def _decrement(base, key: Tuple[int, int], by: int) -> Factors:
-    d = dict(base)
-    d[key] -= by
-    if d[key] == 0:
-        del d[key]
-    elif d[key] < 0:
-        raise ArithmeticError("negative exponent in differentiation")
-    return tuple(sorted(d.items()))
-
-
-def _accumulate(acc: JacPolynomial, term: JacPolynomial) -> None:
-    for m, c in term.terms.items():
+def _accumulate(acc: JacPolynomial, terms: Dict[Monomial, Fraction]) -> None:
+    """Add the terms into acc in place, dropping zero sums."""
+    for m, c in terms.items():
         s = acc.terms.get(m, Fraction(0)) + c
         if s:
             acc.terms[m] = s

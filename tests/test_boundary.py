@@ -152,6 +152,12 @@ def test_h2_known_ranks():
     assert h2_rank(3, 1) == 5
 
 
+def test_h2_rank_past_recursion_limit():
+    # 1 + 10 + 1 + 1013 = 1025 generators, more than the default recursion
+    # limit: kappa_1 and the psi_i are eliminated, leaving 2^n - n classes
+    assert h2_rank(1, 10) == 2 ** 10 - 10
+
+
 def test_h2_generator_lists():
     pres = h2_presentation(1, 1)
     assert pres.names == ["kappa_1", "psi_1", "delta_irr"]
@@ -170,3 +176,57 @@ def test_h2_export_round_trip():
     assert data["g"] == 1 and data["n"] == 2
     assert set(data["generators"]) >= {"kappa_1", "psi_1", "psi_2", "delta_irr"}
     assert all(isinstance(row, list) for row in data["relations"])
+
+
+def test_h2_export_literals():
+    """Every generator and coefficient of two small presentations, and the
+    kappa_1 and delta_irr relations of (0, 4)."""
+    assert h2_presentation(1, 2).export() == {
+        "g": 1, "n": 2,
+        "generators": ["kappa_1", "psi_1", "psi_2", "delta_irr", "delta_0{1,2}"],
+        "relations": [
+            [("delta_0{1,2}", "1/1"), ("kappa_1", "1/1"),
+             ("psi_1", "-1/1"), ("psi_2", "-1/1")],
+            [("delta_0{1,2}", "-12/1"), ("delta_irr", "-1/1"), ("psi_1", "12/1")],
+            [("delta_0{1,2}", "-12/1"), ("delta_irr", "-1/1"), ("psi_2", "12/1")],
+        ],
+    }
+    assert h2_presentation(2, 1).export() == {
+        "g": 2, "n": 1,
+        "generators": ["kappa_1", "psi_1", "delta_irr", "delta_1{}"],
+        "relations": [[("delta_1{}", "-7/1"), ("delta_irr", "-1/1"),
+                       ("kappa_1", "5/1"), ("psi_1", "-5/1")]],
+    }
+    data = h2_presentation(0, 4).export()
+    assert data["relations"][:2] == [
+        [("delta_0{1,2}", "-1/1"), ("delta_0{1,3}", "-1/1"),
+         ("delta_0{1,4}", "-1/1"), ("kappa_1", "1/1")],
+        [("delta_irr", "1/1")],
+    ]
+
+
+def _partition(name, n):
+    """The unordered marking partition {S, S^c} of a divisor name such as
+    D{1,2} or delta_0{1,2}."""
+    S = frozenset(int(x) for x in name[name.index("{") + 1:-1].split(","))
+    return frozenset({S, frozenset(range(1, n + 1)) - S})
+
+
+@pytest.mark.parametrize("n", [4, 5, 6])
+def test_h2_genus0_psi_relations_match_psi_in_boundary_basis(n):
+    """The genus-0 H^2 relation psi_z = sum of delta over partitions that
+    separate z from {x, y} and psi_in_boundary_basis(n, z, x, y) name the
+    same partitions, whatever labelling each side uses."""
+    rows = iter(h2_presentation(0, n).export()["relations"][2:])  # after kappa_1, delta_irr
+    for z in range(1, n + 1):
+        for x, y in combinations(sorted(set(range(1, n + 1)) - {z}), 2):
+            row = dict(next(rows))
+            assert row.pop(f"psi_{z}") == "1/1"
+            assert set(row.values()) == {"-1/1"}
+            h2_parts = {_partition(name, n) for name in row}
+            for a, b in ((x, y), (y, x)):
+                psi = psi_in_boundary_basis(n, z, a, b)
+                keel_parts = {_partition(psi.gens.names[mono.index(1)], n)
+                              for mono in psi.terms}
+                assert h2_parts == keel_parts, (n, z, a, b)
+    assert next(rows, None) is None

@@ -196,6 +196,36 @@ def test_cli_bad_coefficient_is_usage_error(capsys, coeff):
     assert err.startswith("error:") and repr(coeff) in err
 
 
+@pytest.mark.parametrize("argv,field", [
+    (["presentation-dims", '{"generators": 5, "max_degree": 2}'], "generators"),
+    (["presentation-dims", '{"generators": [["l", 1]], '
+      '"relations": [[[2, "1"]]], "max_degree": 2}'], "exponent vector"),
+    (["presentation-dims", '{"generators": [["l", 1]], '
+      '"relations": [[[[2], "1", 3]]], "max_degree": 2}'], "relation term"),
+    (["presentation-dims", '{"generators": [["l", 1]], '
+      '"relations": {"a": 1}, "max_degree": 2}'], "relations"),
+    (["presentation-dims", '{"generators": [["l", 1.5]], "max_degree": 2}'],
+     "generator degree"),
+    (["presentation-dims", '{"generators": [["l", 1]], "max_degree": 2.9}'], "max_degree"),
+    (["presentation-dims", '{"generators": [["l", 1]], "max_degree": true}'], "max_degree"),
+    (["presentation-dims", '{"generators": [["l", 1]], '
+      '"relations": [[[["2"], "1"]]], "max_degree": 2}'], "exponent"),
+    (["presentation-dims", '{"generators": [["l", 1], ["m", 1]], '
+      '"relations": [[[[2, -1], "1"]]], "max_degree": 2}'], "exponent"),
+    (["presentation-dims", '{"generators": [["l", 1]], "max_degree": -1}'], "max_degree"),
+    (["jac-apply", "D", "2", "5"], "polynomial"),
+    (["jac-apply", "D", "2", '"x"'], "polynomial"),
+    (["jac-apply", "D", "2", '[{"coeff": 1, "factors": 5}]'], "factors"),
+    (["jac-apply", "D", "2", '[{"coeff": 1, "psi_power": 1.7}]'], "psi_power"),
+    (["jac-apply", "D", "2", '[{"coeff": 1, "factors": [[4.2, 0, 1]]}]'], "factor entry"),
+    (["jac-apply", "D", "2", '[{"coeff": 1, "factors": [[4, 0]]}]'], "factor"),
+])
+def test_cli_wrong_shape_json_is_usage_error(capsys, argv, field):
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and field in err
+
+
 def test_cli_unreadable_presentation_file_is_usage_error(tmp_path, capsys):
     missing = tmp_path / "missing.json"
     assert run(["presentation-dims", f"@{missing}"]) == 2

@@ -193,6 +193,21 @@ def test_echelon_residual_is_canonical():
 # Graded quotient engine
 # ---------------------------------------------------------------------------
 
+def test_monomials_graded_lex_order():
+    gens = GeneratorTable([("a", 1), ("b", 2), ("c", 1)])
+    assert gens.monomials(2) == [(2, 0, 0), (1, 0, 1), (0, 1, 0), (0, 0, 2)]
+    assert gens.monomials(0) == [(0, 0, 0)]
+    assert gens.monomials(-1) == []
+
+
+def test_monomials_past_recursion_limit():
+    # more generators than the default recursion limit
+    gens = GeneratorTable([(f"x{i}", 1) for i in range(3000)])
+    units = gens.monomials(1)
+    assert len(units) == 3000
+    assert units[0] == gens.unit("x0") and units[-1] == gens.unit("x2999")
+
+
 def _mbar2_presentation():
     gens = GeneratorTable([("l", 1), ("d", 1)])
     lam = GradedPolynomial.generator(gens, "l")

@@ -218,8 +218,9 @@ class H2Presentation:
     """
 
     def __init__(self, g: int, n: int) -> None:
-        if 2 * g - 2 + n <= 0:
-            raise ValueError(f"unstable pair ({g}, {n})")
+        if g < 0 or n < 0 or 2 * g - 2 + n <= 0:
+            raise ValueError(
+                f"(g, n) = ({g}, {n}): need g, n >= 0 and 2g - 2 + n > 0")
         self.g, self.n = g, n
         marks = frozenset(range(1, n + 1))
         self.sep: List[Tuple[int, FrozenSet[int]]] = []

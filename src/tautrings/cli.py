@@ -325,8 +325,11 @@ def _cmd_presentation_dims(args, out: _Output) -> int:
             mono = tuple(_integer("exponent", e, 0) for e in _list("exponent vector", expvec))
             terms[mono] = _coefficient(coeff)
         rels.append(GradedPolynomial(gens, terms))
+    pairings = data.get("pairings", False)
+    if not isinstance(pairings, bool):
+        raise ValueError(f"bad pairings {pairings!r}: expected true or false")
     report = graded_quotient(gens, rels, _integer("max_degree", _field(data, "max_degree"), 0),
-                             with_pairings=bool(data.get("pairings", False)))
+                             with_pairings=pairings)
     out.emit(report.export(), " ".join(str(d) for d in report.dims),
              ",".join(str(d) for d in report.dims))
     return EXIT_OK

@@ -161,6 +161,8 @@ def lambda_from_kappa(g: int, max_degree: int,
     (2i(2i-1))) and return lambda_0..lambda_max_degree as polynomials in the
     odd kappa classes.  The expansion is formal; `g` only documents intent
     (lambda_i vanishes for i > g on the actual moduli space)."""
+    if g < 0:
+        raise ValueError(f"genus must be >= 0, got {g}")
     if gens is None:
         gens = kappa_table(max(max_degree, 1))
     expo = series_exp(TruncatedSeries([("t", 1)], max_degree, {
@@ -309,8 +311,8 @@ def euler_orbifold(g: int, n: int) -> Fraction:
     """Orbifold Euler characteristic of the open moduli space of n-pointed
     genus-g curves: (-1)^n (2g+n-3)!/(2g(2g-2)!) B_{2g} for g > 0, and
     (-1)^{n+1} (n-3)! in genus 0."""
-    if 2 * g - 2 + n <= 0:
-        raise ValueError(f"unstable pair ({g}, {n})")
+    if g < 0 or n < 0 or 2 * g - 2 + n <= 0:
+        raise ValueError(f"(g, n) = ({g}, {n}): need g, n >= 0 and 2g - 2 + n > 0")
     if g == 0:
         return Fraction((-1) ** (n + 1) * factorial(n - 3))
     return (Fraction((-1) ** n * factorial(2 * g + n - 3),

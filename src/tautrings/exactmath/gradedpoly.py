@@ -142,9 +142,6 @@ class GradedPolynomial:
     def coefficient(self, mono: Monomial) -> Fraction:
         return self.terms.get(tuple(mono), Fraction(0))
 
-    def constant_term(self) -> Fraction:
-        return self.terms.get((0,) * len(self.gens), Fraction(0))
-
     # ---- arithmetic ---------------------------------------------------
 
     def _check(self, other: "GradedPolynomial") -> None:

@@ -66,23 +66,12 @@ class SparseEchelon:
     def residual(self, row: Row) -> Row:
         """Canonical representative of `row` modulo the span: every pivot
         column is eliminated, only pivot-free columns remain."""
-        row = {c: v for c, v in row.items() if v}
         out: Row = {}
+        row = self._forward(row)
         while row:
             lead = min(row)
-            coef = row.pop(lead)
-            pivot = self.pivot_rows.get(lead)
-            if pivot is None:
-                out[lead] = coef
-                continue
-            for c, v in pivot.items():
-                if c == lead:
-                    continue
-                s = row.get(c, Fraction(0)) - coef * v
-                if s:
-                    row[c] = s
-                else:
-                    row.pop(c, None)
+            out[lead] = row.pop(lead)
+            row = self._forward(row)
         return out
 
 

@@ -1,23 +1,30 @@
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, Mapping, Optional, Sequence, Tuple
+from operator import add, mul
+from typing import Callable, Dict, Mapping, Optional, Sequence, Tuple
 
 __all__ = ["TruncatedSeries", "series_log", "series_exp"]
 
 ExpVec = Tuple[int, ...]
+Caps = Tuple[Tuple[int, int], ...]
+Slices = Dict[int, Dict[ExpVec, object]]
 
 
 class TruncatedSeries:
     """Sparse multivariate power series truncated by total weighted degree.
+
+    A coefficient container for `series_exp` and `series_log`, which do
+    the multiplying; the only arithmetic on the series itself is adding
+    or subtracting a scalar, which shifts the constant term.
 
     Coefficients live in any exact commutative ring with +, *, == and
     division by Fraction: in practice Fraction itself or GradedPolynomial.
     Exponents may be negative (Laurent directions) as long as every stored
     monomial has non-negative weight and the only weight-0 monomial is the
     constant one; the truncation `order` then stays a multiplicative
-    quotient.  `var_caps` optionally bounds single exponents (terms beyond
-    a cap are discarded, a further quotient).
+    quotient.  `caps` optionally bounds single exponents (terms beyond a
+    cap are discarded, a further quotient).
     """
 
     __slots__ = ("variables", "weights", "order", "caps", "coeffs")
@@ -30,8 +37,9 @@ class TruncatedSeries:
         if any(w <= 0 for w in self.weights):
             raise ValueError("variable weights must be positive")
         self.order = int(order)
-        self.caps = None if caps is None else {
-            self.variables.index(n): int(c) for n, c in caps.items()}
+        # (variable index, largest exponent kept) pairs
+        self.caps: Caps = tuple(
+            (self.variables.index(n), int(c)) for n, c in (caps or {}).items())
         self.coeffs: Dict[ExpVec, object] = {}
         if coeffs:
             for ev, c in coeffs.items():
@@ -48,11 +56,7 @@ class TruncatedSeries:
             return False
         if w == 0 and any(ev):
             raise ValueError("weight-0 monomial other than the constant")
-        if self.caps:
-            for i, cap in self.caps.items():
-                if ev[i] > cap:
-                    return False
-        return True
+        return _within_caps(self.caps, ev)
 
     def _put(self, ev: ExpVec, c) -> None:
         if not self._keep(ev):
@@ -69,11 +73,6 @@ class TruncatedSeries:
         s.coeffs = {}
         return s
 
-    def _like(self, other: "TruncatedSeries") -> None:
-        if (self.variables != other.variables or self.weights != other.weights
-                or self.order != other.order):
-            raise ValueError("incompatible series")
-
     def coefficient(self, ev: ExpVec):
         return self.coeffs.get(tuple(ev), Fraction(0))
 
@@ -83,87 +82,23 @@ class TruncatedSeries:
     def var_index(self, name: str) -> int:
         return self.variables.index(name)
 
-    # ---- arithmetic ----------------------------------------------------
+    # ---- scalar shifts -------------------------------------------------
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
-            out = self._spawn()
-            out.coeffs = dict(self.coeffs)
-            zero_ev = (0,) * len(self.variables)
-            s = out.coeffs.get(zero_ev, Fraction(0)) + other
-            if s:
-                out.coeffs[zero_ev] = s
-            else:
-                out.coeffs.pop(zero_ev, None)
-            return out
-        self._like(other)
+        if not isinstance(other, (int, Fraction)):
+            return NotImplemented
         out = self._spawn()
         out.coeffs = dict(self.coeffs)
-        for ev, c in other.coeffs.items():
-            s = out.coeffs.get(ev, Fraction(0)) + c
-            if s:
-                out.coeffs[ev] = s
-            else:
-                out.coeffs.pop(ev, None)
-        return out
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        out = self._spawn()
-        out.coeffs = {ev: -c for ev, c in self.coeffs.items()}
+        zero_ev = (0,) * len(self.variables)
+        s = out.coeffs.get(zero_ev, Fraction(0)) + other
+        if s:
+            out.coeffs[zero_ev] = s
+        else:
+            out.coeffs.pop(zero_ev, None)
         return out
 
     def __sub__(self, other):
         return self + (-other)
-
-    def __mul__(self, other):
-        if not isinstance(other, TruncatedSeries):
-            out = self._spawn()
-            for ev, c in self.coeffs.items():
-                p = c * other
-                if p:
-                    out.coeffs[ev] = p
-            return out
-        self._like(other)
-        out = self._spawn()
-        acc = out.coeffs
-        for ev1, c1 in self.coeffs.items():
-            w1 = self.weight(ev1)
-            for ev2, c2 in other.coeffs.items():
-                if w1 + self.weight(ev2) > self.order:
-                    continue
-                ev = tuple(a + b for a, b in zip(ev1, ev2))
-                if not self._keep(ev):
-                    continue
-                p = c1 * c2
-                if not p:
-                    continue
-                s = acc.get(ev)
-                s = p if s is None else s + p
-                if s:
-                    acc[ev] = s
-                else:
-                    del acc[ev]
-        return out
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, TruncatedSeries):
-            return (self.variables == other.variables
-                    and self.weights == other.weights
-                    and self.order == other.order
-                    and self.coeffs == other.coeffs)
-        return NotImplemented
-
-    # ---- helpers for log/exp -------------------------------------------
-
-    def _by_weight(self) -> Dict[int, Dict[ExpVec, object]]:
-        grouped: Dict[int, Dict[ExpVec, object]] = {}
-        for ev, c in self.coeffs.items():
-            grouped.setdefault(self.weight(ev), {})[ev] = c
-        return grouped
 
     def __repr__(self) -> str:
         n = len(self.coeffs)
@@ -171,19 +106,36 @@ class TruncatedSeries:
                 f"order={self.order}, terms={n})")
 
 
-def _graded_convolve(series: TruncatedSeries,
-                     a: Dict[int, Dict[ExpVec, object]],
-                     b: Dict[int, Dict[ExpVec, object]],
-                     wa: int, wb: int, out: Dict[ExpVec, object]) -> None:
-    """out += (weight-wa slice of a) * (weight-wb slice of b), truncated."""
+def _within_caps(caps: Caps, ev: ExpVec) -> bool:
+    return all(ev[i] <= cap for i, cap in caps)
+
+
+def _slices(s: TruncatedSeries, scale: Callable[[object, int], object]) -> Slices:
+    """The positive-weight monomials of s grouped by weight w, each
+    coefficient c replaced by scale(c, w); scale = mul gives N(s), where
+    N scales each monomial by its weight."""
+    out: Slices = {}
+    for ev, c in s.coeffs.items():
+        w = s.weight(ev)
+        if w:
+            out.setdefault(w, {})[ev] = scale(c, w)
+    return out
+
+
+def _graded_convolve(caps: Caps, a: Slices, b: Slices, wa: int, wb: int,
+                     out: Dict[ExpVec, object]) -> None:
+    """out += (weight-wa slice of a) * (weight-wb slice of b).
+
+    Callers keep 0 < wa + wb <= order, so every product has an admissible
+    weight and only the exponent caps can reject it."""
     sa = a.get(wa)
     sb = b.get(wb)
     if not sa or not sb:
         return
     for ev1, c1 in sa.items():
         for ev2, c2 in sb.items():
-            ev = tuple(x + y for x, y in zip(ev1, ev2))
-            if not series._keep(ev):
+            ev = tuple(map(add, ev1, ev2))
+            if caps and not _within_caps(caps, ev):
                 continue
             p = c1 * c2
             if not p:
@@ -205,66 +157,40 @@ def series_exp(s: TruncatedSeries) -> TruncatedSeries:
     """
     if s.constant_term() != 0:
         raise ValueError("series_exp requires zero constant term")
-    theta = s._spawn()
-    for ev, c in s.coeffs.items():
-        w = s.weight(ev)
-        if w:
-            theta.coeffs[ev] = c * w
-    tslices = theta._by_weight()
-
+    ns = _slices(s, mul)
     out = s._spawn()
     zero_ev = (0,) * len(s.variables)
     out.coeffs[zero_ev] = Fraction(1)
-    eslices: Dict[int, Dict[ExpVec, object]] = {0: {zero_ev: Fraction(1)}}
+    eslices: Slices = {0: {zero_ev: Fraction(1)}}
     for w in range(1, s.order + 1):
         acc: Dict[ExpVec, object] = {}
-        for w1 in range(1, w + 1):
-            _graded_convolve(s, tslices, eslices, w1, w - w1, acc)
+        for v in range(1, w + 1):
+            _graded_convolve(s.caps, ns, eslices, v, w - v, acc)
         if acc:
-            slice_w = {ev: c / Fraction(w) for ev, c in acc.items()}
-            eslices[w] = slice_w
-            out.coeffs.update(slice_w)
+            eslices[w] = {ev: c / Fraction(w) for ev, c in acc.items()}
+            out.coeffs.update(eslices[w])
     return out
 
 
 def series_log(s: TruncatedSeries) -> TruncatedSeries:
     """Formal logarithm of a series with constant term 1.
 
-    Uses N(log s) = N(s)/s with the reciprocal built by the same graded
-    recursion, so exp(log s) == s to truncation order.
+    One pass over the weights, with no reciprocal of s: L = log s solves
+    s * N(L) = N(s), so since s_0 = 1,
+        N(L)_w = N(s)_w - sum_{0<v<w} s_v * N(L)_{w-v},   L_w = N(L)_w / w,
+    and exp(log s) == s to truncation order.
     """
     if s.constant_term() != 1:
         raise ValueError("series_log requires constant term 1")
-    zero_ev = (0,) * len(s.variables)
-
-    # reciprocal of s
-    inv = s._spawn()
-    inv.coeffs[zero_ev] = Fraction(1)
-    islices: Dict[int, Dict[ExpVec, object]] = {0: {zero_ev: Fraction(1)}}
-    sslices = s._by_weight()
-    for w in range(1, s.order + 1):
-        acc: Dict[ExpVec, object] = {}
-        for w1 in range(1, w + 1):
-            _graded_convolve(s, sslices, islices, w1, w - w1, acc)
-        if acc:
-            slice_w = {ev: -c for ev, c in acc.items()}
-            islices[w] = slice_w
-            inv.coeffs.update(slice_w)
-
-    theta = s._spawn()
-    for ev, c in s.coeffs.items():
-        w = s.weight(ev)
-        if w:
-            theta.coeffs[ev] = c * w
-    tslices = theta._by_weight()
-
+    ns = _slices(s, mul)
+    minus_s = _slices(s, lambda c, w: -c)
     out = s._spawn()
+    nlslices: Slices = {}
     for w in range(1, s.order + 1):
-        acc: Dict[ExpVec, object] = {}
-        for w1 in range(1, w + 1):
-            _graded_convolve(s, tslices, islices, w1, w - w1, acc)
-        for ev, c in acc.items():
-            v = c / Fraction(w)
-            if v:
-                out.coeffs[ev] = v
+        acc: Dict[ExpVec, object] = dict(ns.get(w, {}))
+        for v in range(1, w):
+            _graded_convolve(s.caps, minus_s, nlslices, v, w - v, acc)
+        if acc:
+            nlslices[w] = acc
+            out.coeffs.update((ev, c / Fraction(w)) for ev, c in acc.items())
     return out

@@ -210,6 +210,8 @@ def fz_relation_set(g: int, max_degree: int) -> List[KappaRelation]:
     """All admissible FZ relations of degree r <= max_degree, with kappa
     indices capped at g-2 (classes of higher degree vanish in the ring
     model, so their generators are substituted by zero)."""
+    if g < 0:
+        raise ValueError(f"genus must be >= 0, got {g}")
     out: List[KappaRelation] = []
     if max_degree < 1:
         return out
@@ -310,6 +312,8 @@ def sq_relation_set(g: int, max_degree: int,
     relations at fixed r stabilizes quickly, so d runs up to `dmax`
     (default: smallest admissible d plus max_degree + 2; see
     ideal_equivalence_check for the stabilization-controlled variant)."""
+    if g < 0:
+        raise ValueError(f"genus must be >= 0, got {g}")
     out: List[KappaRelation] = []
     if max_degree < 1:
         return out
@@ -353,17 +357,14 @@ def ideal_equivalence_check(g: int, degree: int) -> bool:
     fz_span = relation_span(fz, g, degree)
 
     dmax = max((g + 2) // 2, 1) + degree
-    sq = sq_relation_set(g, degree, dmax=dmax)
-    sq_span = relation_span(sq, g, degree)
+    sq_rank = None
     while True:
-        bigger = sq_relation_set(g, degree, dmax=dmax + 2)
-        bigger_span = relation_span(bigger, g, degree)
-        if bigger_span.rank == sq_span.rank:
-            sq = bigger
-            sq_span = bigger_span
+        sq = sq_relation_set(g, degree, dmax=dmax)
+        rank = relation_span(sq, g, degree).rank
+        if rank == sq_rank:
             break
+        sq_rank = rank
         dmax += 2
-        sq, sq_span = bigger, bigger_span
 
-    return (fz_span.rank == sq_span.rank
+    return (fz_span.rank == sq_rank
             == relation_span(fz + sq, g, degree).rank)

@@ -244,8 +244,8 @@ def enumerate_graphs(g: int, n: int) -> List[StableGraph]:
     """One representative per isomorphism class of stable graphs of type
     (g, n), sorted by edge count.  Generated by iterated one-edge
     degenerations from the smooth graph, deduplicated by canonical form."""
-    if 2 * g - 2 + n <= 0:
-        raise ValueError(f"unstable pair ({g}, {n})")
+    if g < 0 or n < 0 or 2 * g - 2 + n <= 0:
+        raise ValueError(f"(g, n) = ({g}, {n}): need g, n >= 0 and 2g - 2 + n > 0")
     if g > 3 or n > 6:
         raise ValueError("desk-scale ceiling: g <= 3 and n <= 6")
     smooth = StableGraph([(g, range(1, n + 1))], [])

@@ -219,11 +219,28 @@ def test_cli_bad_coefficient_is_usage_error(capsys, coeff):
     (["jac-apply", "D", "2", '[{"coeff": 1, "psi_power": 1.7}]'], "psi_power"),
     (["jac-apply", "D", "2", '[{"coeff": 1, "factors": [[4.2, 0, 1]]}]'], "factor entry"),
     (["jac-apply", "D", "2", '[{"coeff": 1, "factors": [[4, 0]]}]'], "factor"),
+    (["presentation-dims", '{"generators": [["a", 1]], "max_degree": 2, '
+      '"pairings": "no"}'], "pairings"),
+    (["presentation-dims", '{"generators": [["a", 1]], "max_degree": 2, '
+      '"pairings": 1}'], "pairings"),
 ])
 def test_cli_wrong_shape_json_is_usage_error(capsys, argv, field):
     assert run(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and field in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["h2", "-1", "5"], ["h2", "2", "-1"], ["graphs", "-1", "5"],
+    ["graphs", "2", "-1"], ["fz", "-1", "2"], ["sq", "-1", "2"],
+    ["lambda-in-kappa", "-1"], ["euler", "2", "-1"], ["euler", "-1", "5"],
+])
+def test_cli_negative_genus_or_markings_is_usage_error(capsys, argv):
+    """A negative genus or marking count is malformed input, reported
+    with the values, not an empty or nonsense answer."""
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "-1" in err
 
 
 def test_cli_unreadable_presentation_file_is_usage_error(tmp_path, capsys):

@@ -80,6 +80,9 @@ def test_mercator_series():
     assert log.coefficient((1,)) == 1
     assert log.coefficient((2,)) == F(-1, 2)
     assert log.coefficient((3,)) == F(1, 3)
+    # the cap x <= 2 cuts log(1 + x) at order 5 down to x - x^2/2
+    capped = TruncatedSeries([("x", 1)], 5, {(1,): F(1)}, caps={"x": 2}) + 1
+    assert series_log(capped).coeffs == {(1,): 1, (2,): F(-1, 2)}
 
 
 def test_log_of_unit_and_exp_of_zero():
@@ -94,6 +97,14 @@ def test_exp_examples():
     assert e.coefficient((0,)) == 1
     assert e.coefficient((1,)) == 1
     assert e.coefficient((2,)) == F(1, 2)
+    # under the cap x <= 2, exp(x) is 1 + x + x^2/2
+    e = series_exp(TruncatedSeries([("x", 1)], 5, {(1,): F(1)}, caps={"x": 2}))
+    assert e.coeffs == {(0,): 1, (1,): 1, (2,): F(1, 2)}
+    # a Laurent direction: exp(t^-1 x) with t of weight 1, x of weight 2
+    # and x <= 2 is 1 + t^-1 x + t^-2 x^2/2
+    e = series_exp(TruncatedSeries([("t", 1), ("x", 2)], 5, {(-1, 1): F(1)},
+                                   caps={"x": 2}))
+    assert e.coeffs == {(0, 0): 1, (-1, 1): 1, (-2, 2): F(1, 2)}
 
 
 def test_exp_requires_zero_constant_and_log_requires_one():
@@ -104,14 +115,16 @@ def test_exp_requires_zero_constant_and_log_requires_one():
         series_log(s - 1)
 
 
-def _random_series(rng, variables, order, constant):
+def _random_series(rng, variables, order, constant, low=None, caps=None):
+    """Up to 12 random terms of weight 1..order; exponents are drawn from
+    low[i]..2 (default 0..2), so a negative low gives a Laurent direction."""
     coeffs = {}
-    names = [v for v, _ in variables]
+    low = low or (0,) * len(variables)
     for _ in range(12):
-        ev = tuple(rng.randint(0, 2) for _ in names)
+        ev = tuple(rng.randint(lo, 2) for lo in low)
         if sum(e * w for e, w in zip(ev, [w for _, w in variables])) in range(1, order + 1):
             coeffs[ev] = F(rng.randint(-5, 5), rng.randint(1, 4))
-    s = TruncatedSeries(variables, order, coeffs)
+    s = TruncatedSeries(variables, order, coeffs, caps=caps)
     return s + constant
 
 
@@ -122,6 +135,12 @@ def test_exp_log_round_trip(seed):
     s = _random_series(rng, variables, 6, 1)
     assert series_exp(series_log(s)).coeffs == s.coeffs
     v = _random_series(rng, variables, 6, 0)
+    assert series_log(series_exp(v)).coeffs == v.coeffs
+    # the stable-quotient shape: t^-1 allowed, the x-degree capped
+    sq_variables, low, caps = [("t", 1), ("x", 2)], (-1, 0), {"x": 2}
+    s = _random_series(rng, sq_variables, 6, 1, low, caps)
+    assert series_exp(series_log(s)).coeffs == s.coeffs
+    v = _random_series(rng, sq_variables, 6, 0, low, caps)
     assert series_log(series_exp(v)).coeffs == v.coeffs
 
 
@@ -187,6 +206,20 @@ def test_echelon_residual_is_canonical():
     r2 = ech.residual({0: F(1), 1: F(0), 2: F(1)})
     assert r1 == r2
     assert all(c not in ech.pivot_rows for c in r1)
+    # seeded random rows: row - residual(row) lies in the span, and the
+    # residual holds no pivot column
+    rng = random.Random(0)
+    ech = SparseEchelon()
+    for _ in range(6):
+        ech.add_row({rng.randrange(12): F(rng.randint(-4, 4), rng.randint(1, 3))
+                     for _ in range(5)})
+    for _ in range(20):
+        row = {rng.randrange(12): F(rng.randint(-4, 4), rng.randint(1, 3))
+               for _ in range(6)}
+        res = ech.residual(row)
+        assert all(c not in ech.pivot_rows for c in res)
+        diff = {c: row.get(c, 0) - res.get(c, 0) for c in set(row) | set(res)}
+        assert ech.contains(diff)
 
 
 # ---------------------------------------------------------------------------

@@ -40,10 +40,15 @@ class CacheFile:
             return self
         with open(self.path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
+        if not isinstance(data, dict):
+            raise CacheError("cache file is not a JSON object")
         if data.get("version") != CACHE_VERSION:
             raise CacheError(
                 f"cache version {data.get('version')!r} != {CACHE_VERSION!r}")
         sections = data.get("sections", {})
+        if not (isinstance(sections, dict)
+                and all(isinstance(v, dict) for v in sections.values())):
+            raise CacheError("cache sections are not JSON objects")
         payload = _canonical_payload(sections)
         digest = hashlib.sha256(payload.encode("utf-8")).hexdigest()
         if data.get("checksum") != digest:

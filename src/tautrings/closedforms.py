@@ -160,21 +160,20 @@ def lambda_from_kappa(g: int, max_degree: int,
     """Expand sum lambda_i t^i = exp(sum B_{2i} kappa_{2i-1} t^{2i-1} /
     (2i(2i-1))) and return lambda_0..lambda_max_degree as polynomials in the
     odd kappa classes.  The expansion is formal; `g` only documents intent
-    (lambda_i vanishes for i > g on the actual moduli space)."""
+    (lambda_i vanishes for i > g on the actual moduli space).
+
+    The kappa generators are the series variables, weighted by degree, so
+    lambda_d is the weight-d part of the exponential."""
     if g < 0:
         raise ValueError(f"genus must be >= 0, got {g}")
     if gens is None:
         gens = kappa_table(max(max_degree, 1))
-    expo = series_exp(TruncatedSeries([("t", 1)], max_degree, {
-        (k,): GradedPolynomial.generator(gens, f"kappa_{k}") * c
-        for k, c in mumford_terms(max_degree)}))
-    out = []
-    for d in range(max_degree + 1):
-        c = expo.coefficient((d,))
-        if isinstance(c, Fraction):
-            c = GradedPolynomial.constant(gens, c)
-        out.append(c)
-    return out
+    expo = series_exp(TruncatedSeries(
+        list(zip(gens.names, gens.degrees)), max_degree,
+        {gens.unit(f"kappa_{k}"): c for k, c in mumford_terms(max_degree)}))
+    return [GradedPolynomial(gens, {mono: c for mono, c in expo.coeffs.items()
+                                    if gens.degree(mono) == d})
+            for d in range(max_degree + 1)]
 
 
 def _power_sums_from_chern(lams: List[GradedPolynomial], top: int) -> List[GradedPolynomial]:

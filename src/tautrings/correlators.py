@@ -122,10 +122,14 @@ class CorrelatorTable:
     def load(self, entries: Dict[str, str]) -> None:
         with self._lock:
             for key, val in entries.items():
-                ck = CorrelatorKey.deserialize(key)
-                num, _, den = val.partition("/")
-                self._store((ck.genus, ck.exponents),
-                            Fraction(int(num), int(den or 1)))
+                try:
+                    ck = CorrelatorKey.deserialize(key)
+                    num, _, den = val.partition("/")
+                    value = Fraction(int(num), int(den or 1))
+                except (AttributeError, ValueError, ZeroDivisionError):
+                    raise ValueError(
+                        f"bad cache entry {key!r}: {val!r}") from None
+                self._store((ck.genus, ck.exponents), value)
 
 
 default_table = CorrelatorTable()

@@ -149,8 +149,6 @@ class GradedPolynomial:
             raise ValueError("mixed generator tables")
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = GradedPolynomial.constant(self.gens, other)
         if not isinstance(other, GradedPolynomial):
             return NotImplemented
         self._check(other)
@@ -165,8 +163,6 @@ class GradedPolynomial:
         out.gens, out.terms = self.gens, terms
         return out
 
-    __radd__ = __add__
-
     def __neg__(self):
         out = GradedPolynomial.__new__(GradedPolynomial)
         out.gens = self.gens
@@ -174,11 +170,7 @@ class GradedPolynomial:
         return out
 
     def __sub__(self, other):
-        return self + (-other if isinstance(other, GradedPolynomial)
-                       else GradedPolynomial.constant(self.gens, -Fraction(other)))
-
-    def __rsub__(self, other):
-        return (-self) + other
+        return self + (-other)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -219,9 +211,6 @@ class GradedPolynomial:
                 return self.is_zero()
             return self.terms == {(0,) * len(self.gens): c}
         return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.gens, frozenset(self.terms.items())))
 
     def __bool__(self) -> bool:
         return bool(self.terms)

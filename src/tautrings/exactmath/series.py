@@ -8,7 +8,7 @@ __all__ = ["TruncatedSeries", "series_log", "series_exp"]
 
 ExpVec = Tuple[int, ...]
 Caps = Tuple[Tuple[int, int], ...]
-Slices = Dict[int, Dict[ExpVec, object]]
+Slices = Dict[int, Dict[ExpVec, Fraction]]
 
 
 class TruncatedSeries:
@@ -18,29 +18,29 @@ class TruncatedSeries:
     the multiplying; the only arithmetic on the series itself is adding
     or subtracting a scalar, which shifts the constant term.
 
-    Coefficients live in any exact commutative ring with +, *, == and
-    division by Fraction: in practice Fraction itself or GradedPolynomial.
-    Exponents may be negative (Laurent directions) as long as every stored
-    monomial has non-negative weight and the only weight-0 monomial is the
-    constant one; the truncation `order` then stays a multiplicative
-    quotient.  `caps` optionally bounds single exponents (terms beyond a
-    cap are discarded, a further quotient).
+    Coefficients are Fractions.  A variable may have weight 0 (a
+    parameter such as a kappa class, carried along by the weighted ones)
+    and exponents may be negative (Laurent directions), as long as every
+    stored monomial has non-negative weight and the only weight-0 monomial
+    is the constant one; the truncation `order` then stays a
+    multiplicative quotient.  `caps` optionally bounds single exponents
+    (terms beyond a cap are discarded, a further quotient).
     """
 
     __slots__ = ("variables", "weights", "order", "caps", "coeffs")
 
     def __init__(self, variables: Sequence[Tuple[str, int]], order: int,
-                 coeffs: Optional[Mapping[ExpVec, object]] = None,
+                 coeffs: Optional[Mapping[ExpVec, Fraction]] = None,
                  caps: Optional[Mapping[str, int]] = None) -> None:
         self.variables = tuple(str(n) for n, _ in variables)
         self.weights = tuple(int(w) for _, w in variables)
-        if any(w <= 0 for w in self.weights):
-            raise ValueError("variable weights must be positive")
+        if any(w < 0 for w in self.weights):
+            raise ValueError("variable weights must be non-negative")
         self.order = int(order)
         # (variable index, largest exponent kept) pairs
         self.caps: Caps = tuple(
             (self.variables.index(n), int(c)) for n, c in (caps or {}).items())
-        self.coeffs: Dict[ExpVec, object] = {}
+        self.coeffs: Dict[ExpVec, Fraction] = {}
         if coeffs:
             for ev, c in coeffs.items():
                 self._put(tuple(int(e) for e in ev), c)
@@ -61,8 +61,7 @@ class TruncatedSeries:
     def _put(self, ev: ExpVec, c) -> None:
         if not self._keep(ev):
             return
-        if isinstance(c, int):
-            c = Fraction(c)
+        c = Fraction(c)
         if c:
             self.coeffs[ev] = c
 
@@ -73,14 +72,11 @@ class TruncatedSeries:
         s.coeffs = {}
         return s
 
-    def coefficient(self, ev: ExpVec):
+    def coefficient(self, ev: ExpVec) -> Fraction:
         return self.coeffs.get(tuple(ev), Fraction(0))
 
-    def constant_term(self):
+    def constant_term(self) -> Fraction:
         return self.coeffs.get((0,) * len(self.variables), Fraction(0))
-
-    def var_index(self, name: str) -> int:
-        return self.variables.index(name)
 
     # ---- scalar shifts -------------------------------------------------
 
@@ -110,7 +106,7 @@ def _within_caps(caps: Caps, ev: ExpVec) -> bool:
     return all(ev[i] <= cap for i, cap in caps)
 
 
-def _slices(s: TruncatedSeries, scale: Callable[[object, int], object]) -> Slices:
+def _slices(s: TruncatedSeries, scale: Callable[[Fraction, int], Fraction]) -> Slices:
     """The positive-weight monomials of s grouped by weight w, each
     coefficient c replaced by scale(c, w); scale = mul gives N(s), where
     N scales each monomial by its weight."""
@@ -123,7 +119,7 @@ def _slices(s: TruncatedSeries, scale: Callable[[object, int], object]) -> Slice
 
 
 def _graded_convolve(caps: Caps, a: Slices, b: Slices, wa: int, wb: int,
-                     out: Dict[ExpVec, object]) -> None:
+                     out: Dict[ExpVec, Fraction]) -> None:
     """out += (weight-wa slice of a) * (weight-wb slice of b).
 
     Callers keep 0 < wa + wb <= order, so every product has an admissible
@@ -138,8 +134,6 @@ def _graded_convolve(caps: Caps, a: Slices, b: Slices, wa: int, wb: int,
             if caps and not _within_caps(caps, ev):
                 continue
             p = c1 * c2
-            if not p:
-                continue
             s = out.get(ev)
             s = p if s is None else s + p
             if s:
@@ -163,7 +157,7 @@ def series_exp(s: TruncatedSeries) -> TruncatedSeries:
     out.coeffs[zero_ev] = Fraction(1)
     eslices: Slices = {0: {zero_ev: Fraction(1)}}
     for w in range(1, s.order + 1):
-        acc: Dict[ExpVec, object] = {}
+        acc: Dict[ExpVec, Fraction] = {}
         for v in range(1, w + 1):
             _graded_convolve(s.caps, ns, eslices, v, w - v, acc)
         if acc:
@@ -187,7 +181,7 @@ def series_log(s: TruncatedSeries) -> TruncatedSeries:
     out = s._spawn()
     nlslices: Slices = {}
     for w in range(1, s.order + 1):
-        acc: Dict[ExpVec, object] = dict(ns.get(w, {}))
+        acc: Dict[ExpVec, Fraction] = dict(ns.get(w, {}))
         for v in range(1, w):
             _graded_convolve(s.caps, minus_s, nlslices, v, w - v, acc)
         if acc:

@@ -4,11 +4,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .exactmath import (GradedPolynomial, Partition, SparseEchelon,
-                        TruncatedSeries, partitions, relation_rows, series_exp,
-                        series_log)
+                        TruncatedSeries, relation_rows, series_exp, series_log)
 from .closedforms import complete_homogeneous, kappa_table, mumford_terms
 
 __all__ = [
@@ -26,10 +25,6 @@ __all__ = [
     "ideal_equivalence_check",
     "relation_span",
 ]
-
-
-def _part_ok(p: int) -> bool:
-    return p % 3 != 2
 
 
 @dataclass(frozen=True)
@@ -67,7 +62,7 @@ def _branch_b(i: int) -> Fraction:
 
 
 def _p_vars(order: int) -> List[Tuple[str, int]]:
-    return [(f"p{j}", j) for j in range(1, order + 1) if _part_ok(j)]
+    return [(f"p{j}", j) for j in range(1, order + 1) if j % 3 != 2]
 
 
 def psi_series(order: int) -> TruncatedSeries:
@@ -117,19 +112,24 @@ def _fz_log(order: int) -> TruncatedSeries:
     return series_log(psi_series(order))
 
 
-def fz_coefficients(order: int) -> Dict[Tuple[int, Tuple[int, ...]], Fraction]:
+Index = Tuple[int, Tuple[int, ...]]  # (r, sigma parts) or (r, (d,))
+RelationTable = Dict[Index, GradedPolynomial]
+
+
+def _fz_index(names: Sequence[str], ev: Tuple[int, ...]) -> Index:
+    """(r, sigma parts) of the monomial t^r p^sigma whose exponent vector
+    over the variables `names` ("t", "p1", "p3", ...) is ev."""
+    sigma: List[int] = []
+    for name, e in zip(names[1:], ev[1:]):
+        sigma.extend([int(name[1:])] * e)
+    return ev[0], tuple(sorted(sigma, reverse=True))
+
+
+def fz_coefficients(order: int) -> Dict[Index, Fraction]:
     """Coefficients C_r(sigma) of log of the branch series, keyed by
     (r, sigma parts), for r + |sigma| <= order."""
     log = _fz_log(order)
-    names = log.variables
-    out: Dict[Tuple[int, Tuple[int, ...]], Fraction] = {}
-    for ev, c in log.coeffs.items():
-        r = ev[0]
-        sigma: List[int] = []
-        for name, e in zip(names[1:], ev[1:]):
-            sigma.extend([int(name[1:])] * e)
-        out[(r, tuple(sorted(sigma, reverse=True)))] = c
-    return out
+    return {_fz_index(log.variables, ev): c for ev, c in log.coeffs.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -138,32 +138,51 @@ def fz_coefficients(order: int) -> Dict[Tuple[int, Tuple[int, ...]], Fraction]:
 
 def _exp_minus_gamma(g: int, variables: Sequence[Tuple[str, int]], order: int,
                      caps: Dict[str, int],
-                     gamma: Sequence[Tuple[int, Tuple[int, ...], Fraction]]
-                     ) -> TruncatedSeries:
+                     gamma: Sequence[Tuple[int, Tuple[int, ...], Fraction]],
+                     index: Callable[[Tuple[int, ...]], Index]) -> RelationTable:
     """exp(-gamma) for gamma = sum c kappa_r m over the (r, exponent vector of
     the monomial m, c) terms, truncated at weight `order` and the exponent
-    caps.  kappa_0 = 2g-2 is substituted, and kappa_r = 0 for r < 0 and for
-    r > g-2 (top-degree vanishing of the ring model)."""
+    caps, as {index(m): nonzero kappa-polynomial coefficient of m}.
+
+    kappa_1..kappa_{g-2} join the series as variables of weight 0 (every m
+    has positive weight), so the series is over Q and the kappa part of an
+    exponent vector is a monomial over kappa_table(max(g-2, 1)).
+    kappa_0 = 2g-2 is substituted, and kappa_r = 0 for r < 0 and for r > g-2
+    (top-degree vanishing of the ring model)."""
     gens = kappa_table(max(g - 2, 1))
-    coeffs: Dict[Tuple[int, ...], GradedPolynomial] = {}
+    constant = (0,) * len(gens)
+    coeffs: Dict[Tuple[int, ...], Fraction] = {}
     for r, ev, c in gamma:
         if r == 0:
-            kap = GradedPolynomial.constant(gens, 2 * g - 2)
+            coeffs[ev + constant] = -c * (2 * g - 2)
         elif 0 < r <= g - 2:
-            kap = GradedPolynomial.generator(gens, f"kappa_{r}")
-        else:
-            continue
-        coeffs[ev] = kap * (-c)
-    return series_exp(TruncatedSeries(variables, order, coeffs, caps=caps))
+            coeffs[ev + gens.unit(f"kappa_{r}")] = -c
+    n = len(variables)
+    terms = series_exp(TruncatedSeries(
+        list(variables) + [(name, 0) for name in gens.names], order, coeffs,
+        caps=caps)).coeffs
+    grouped: Dict[Tuple[int, ...], Dict[Tuple[int, ...], Fraction]] = {}
+    while terms:  # emptied as it is read, so the series and table never both peak
+        ev, c = terms.popitem()
+        grouped.setdefault(ev[:n], {})[ev[n:]] = c
+    return {index(m): GradedPolynomial(gens, poly) for m, poly in grouped.items()}
 
 
 def _relation(source: str, g: int, r: int, index: Tuple[int, ...],
-              expo: TruncatedSeries, ev: Tuple[int, ...]) -> KappaRelation:
-    """The coefficient of exp(-gamma) at the monomial `ev` as a relation."""
-    c = expo.coefficient(ev)
-    if isinstance(c, Fraction):
-        c = GradedPolynomial.constant(kappa_table(max(g - 2, 1)), c)
-    return KappaRelation(source, g, r, index, c)
+              table: RelationTable) -> KappaRelation:
+    """The table's coefficient at (r, index) as a relation; an index the
+    table lacks has the zero coefficient."""
+    poly = table.get((r, index))
+    if poly is None:
+        poly = GradedPolynomial.zero(kappa_table(max(g - 2, 1)))
+    return KappaRelation(source, g, r, index, poly)
+
+
+def _check_request(g: int, max_degree: int) -> None:
+    if g < 0:
+        raise ValueError(f"genus must be >= 0, got {g}")
+    if max_degree < 0:
+        raise ValueError(f"max degree must be >= 0, got {max_degree}")
 
 
 # ---------------------------------------------------------------------------
@@ -179,58 +198,44 @@ def fz_admissible(g: int, r: int, sigma: Sequence[int]) -> bool:
     return (g - 1 + size < 3 * r) and ((g - r - size - 1) % 2 == 0)
 
 
-def _fz_exp_minus_gamma(g: int, rmax: int, smax: int) -> TruncatedSeries:
-    """exp(-gamma) with gamma = sum C_r(sigma) kappa_r t^r p^sigma, truncated
-    to t-exponent <= rmax and total weight rmax + smax."""
+def _fz_exp_minus_gamma(g: int, rmax: int, smax: int) -> RelationTable:
+    """exp(-gamma) with gamma = sum C_r(sigma) kappa_r t^r p^sigma, exact on
+    the box r <= rmax, |sigma| <= smax, keyed by (r, sigma parts).
+
+    p_j gets weight j(rmax+1), so t^r p^sigma weighs r + (rmax+1)|sigma|;
+    with the cap t <= rmax, truncating at weight smax(rmax+1) + rmax keeps
+    exactly the box."""
     log = _fz_log(rmax + smax)
     gamma = [(ev[0], ev, c) for ev, c in log.coeffs.items()
              if ev[0] <= rmax and log.weight(ev) - ev[0] <= smax]
-    return _exp_minus_gamma(g, list(zip(log.variables, log.weights)),
-                            log.order, {"t": rmax}, gamma)
+    variables = [("t", 1)] + [(name, w * (rmax + 1)) for name, w
+                              in zip(log.variables[1:], log.weights[1:])]
+    return _exp_minus_gamma(g, variables, smax * (rmax + 1) + rmax,
+                            {"t": rmax}, gamma,
+                            lambda ev: _fz_index(log.variables, ev))
 
 
-def fz_relation(g: int, r: int, sigma,
-                _series: Optional[TruncatedSeries] = None) -> Optional[KappaRelation]:
+def fz_relation(g: int, r: int, sigma) -> Optional[KappaRelation]:
     """The relation [exp(-gamma)]_{t^r p^sigma} as a homogeneous degree-r
     kappa-polynomial, or None when the (r, sigma) index fails the side
     conditions."""
     sigma = Partition(sigma) if not isinstance(sigma, Partition) else sigma
     if not fz_admissible(g, r, sigma.parts):
         return None
-    expo = _series if _series is not None else _fz_exp_minus_gamma(
-        g, r, sigma.size)
-    ev = [0] * len(expo.variables)
-    ev[0] = r
-    for part in sigma.parts:
-        ev[expo.var_index(f"p{part}")] += 1
-    return _relation("FZ", g, r, sigma.parts, expo, tuple(ev))
+    return _relation("FZ", g, r, sigma.parts,
+                     _fz_exp_minus_gamma(g, r, sigma.size))
 
 
 def fz_relation_set(g: int, max_degree: int) -> List[KappaRelation]:
-    """All admissible FZ relations of degree r <= max_degree, with kappa
-    indices capped at g-2 (classes of higher degree vanish in the ring
-    model, so their generators are substituted by zero)."""
-    if g < 0:
-        raise ValueError(f"genus must be >= 0, got {g}")
-    out: List[KappaRelation] = []
-    if max_degree < 1:
-        return out
-    smax = max(3 * max_degree - g, 0)
-    expo = None
-    for r in range(1, max_degree + 1):
-        bound = 3 * r - g  # |sigma| < 3r - g + 1
-        if bound < 0:
-            continue
-        for size in range(0, bound + 1):
-            if (g - r - size - 1) % 2:
-                continue
-            for sigma in partitions(size, part_ok=_part_ok):
-                if expo is None:
-                    expo = _fz_exp_minus_gamma(g, max_degree, smax)
-                rel = fz_relation(g, r, sigma, _series=expo)
-                if rel is not None and not rel.polynomial.is_zero():
-                    out.append(rel)
-    return out
+    """All admissible nonzero FZ relations of degree r <= max_degree, with
+    kappa indices capped at g-2 (classes of higher degree vanish in the ring
+    model, so their generators are substituted by zero), ordered by r, then
+    |sigma|, then sigma in decreasing lexicographic order."""
+    _check_request(g, max_degree)
+    table = _fz_exp_minus_gamma(g, max_degree, max(3 * max_degree - g, 0))
+    keys = sorted((key for key in table if fz_admissible(g, *key)),
+                  key=lambda k: (k[0], sum(k[1]), tuple(-p for p in k[1])))
+    return [_relation("FZ", g, r, sigma, table) for r, sigma in keys]
 
 
 # ---------------------------------------------------------------------------
@@ -281,27 +286,26 @@ def sq_admissible(g: int, r: int, d: int) -> bool:
     return d >= 1 and (g - 2 * d - 1 < r) and ((g - r - 1) % 2 == 0)
 
 
-def _sq_exp_minus_gamma(g: int, rmax: int, dmax: int) -> TruncatedSeries:
+def _sq_exp_minus_gamma(g: int, rmax: int, dmax: int) -> RelationTable:
     """exp(-gamma) for the stable-quotient gamma:
     sum B_{2i} kappa_{2i-1} t^{2i-1}/(2i(2i-1))
       + sum C_d^r kappa_r t^r x^d / d!,
-    truncated to t-exponent <= rmax and x-degree <= dmax."""
+    truncated to t-exponent <= rmax and x-degree <= dmax, keyed by (r, (d,))."""
     log = _sq_log(dmax, rmax)
     gamma = [(r, (r, 0), c) for r, c in mumford_terms(rmax)]
     gamma += [(ev[0], ev, c) for ev, c in log.coeffs.items() if ev[0] <= rmax]
     return _exp_minus_gamma(g, _SQ_VARIABLES, log.order,
-                            {"t": rmax, "x": dmax}, gamma)
+                            {"t": rmax, "x": dmax}, gamma,
+                            lambda ev: (ev[0], ev[1:]))
 
 
-def sq_relation(g: int, r: int, d: int,
-                _series: Optional[TruncatedSeries] = None) -> Optional[KappaRelation]:
+def sq_relation(g: int, r: int, d: int) -> Optional[KappaRelation]:
     """The relation [exp(-gamma)]_{t^r x^d} as a homogeneous degree-r
     kappa-polynomial (kappa_{-1} = 0, kappa_0 = 2g-2 substituted), or None
     when (r, d) fails the side conditions."""
     if r < 0 or not sq_admissible(g, r, d):
         return None
-    expo = _series if _series is not None else _sq_exp_minus_gamma(g, r, d)
-    return _relation("SQ", g, r, (d,), expo, (r, d))
+    return _relation("SQ", g, r, (d,), _sq_exp_minus_gamma(g, r, d))
 
 
 def sq_relation_set(g: int, max_degree: int,
@@ -312,22 +316,12 @@ def sq_relation_set(g: int, max_degree: int,
     relations at fixed r stabilizes quickly, so d runs up to `dmax`
     (default: smallest admissible d plus max_degree + 2; see
     ideal_equivalence_check for the stabilization-controlled variant)."""
-    if g < 0:
-        raise ValueError(f"genus must be >= 0, got {g}")
-    out: List[KappaRelation] = []
-    if max_degree < 1:
-        return out
+    _check_request(g, max_degree)
     if dmax is None:
         dmax = max((g + 2) // 2, 1) + max_degree + 2
-    expo = _sq_exp_minus_gamma(g, max_degree, dmax)
-    for r in range(1, max_degree + 1):
-        for d in range(1, dmax + 1):
-            if not sq_admissible(g, r, d):
-                continue
-            rel = sq_relation(g, r, d, _series=expo)
-            if rel is not None and not rel.polynomial.is_zero():
-                out.append(rel)
-    return out
+    table = _sq_exp_minus_gamma(g, max_degree, dmax)
+    return [_relation("SQ", g, r, index, table) for r, index in sorted(table)
+            if r >= 1 and sq_admissible(g, r, index[0])]
 
 
 # ---------------------------------------------------------------------------

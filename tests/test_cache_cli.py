@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 from fractions import Fraction as F
 
@@ -234,6 +235,7 @@ def test_cli_wrong_shape_json_is_usage_error(capsys, argv, field):
     ["h2", "-1", "5"], ["h2", "2", "-1"], ["graphs", "-1", "5"],
     ["graphs", "2", "-1"], ["fz", "-1", "2"], ["sq", "-1", "2"],
     ["lambda-in-kappa", "-1"], ["euler", "2", "-1"], ["euler", "-1", "5"],
+    ["fz", "2", "-1"], ["sq", "2", "-1"],
 ])
 def test_cli_negative_genus_or_markings_is_usage_error(capsys, argv):
     """A negative genus or marking count is malformed input, reported
@@ -248,6 +250,27 @@ def test_cli_unreadable_presentation_file_is_usage_error(tmp_path, capsys):
     assert run(["presentation-dims", f"@{missing}"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and str(missing) in err
+
+
+def _checksummed(sections):
+    payload = json.dumps(sections, sort_keys=True, separators=(",", ":"))
+    return json.dumps({"version": "1", "sections": sections,
+                       "checksum": hashlib.sha256(payload.encode()).hexdigest()})
+
+
+@pytest.mark.parametrize("text, fragment", [
+    ("[]", "not a JSON object"),
+    (_checksummed([]), "sections"),
+    (_checksummed({"correlators": {"1:1": "1/0"}}), "'1:1'"),
+], ids=["top-level", "sections", "value"])
+def test_cli_malformed_cache_is_usage_error(tmp_path, capsys, text, fragment):
+    """A cache file of the wrong shape, or a checksummed entry that is not
+    a rational, is bad input (exit 2), not an internal failure."""
+    path = tmp_path / "cache.json"
+    path.write_text(text)
+    assert run(["correlator", "1", "1", "--cache", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and fragment in err
 
 
 def test_cli_negative_max_seconds_rejected(capsys):

@@ -145,15 +145,28 @@ def test_exp_log_round_trip(seed):
 
 
 def test_series_polynomial_coefficients():
-    """The engine is generic over the coefficient ring: kappa-valued
-    series exponentiate correctly (checked against a hand expansion)."""
-    gens = GeneratorTable([("k1", 1), ("k2", 2)])
-    k1 = GradedPolynomial.generator(gens, "k1")
-    k2 = GradedPolynomial.generator(gens, "k2")
-    s = TruncatedSeries([("t", 1)], 2, {(1,): k1, (2,): k2})
+    """Polynomial-valued coefficients are carried by weight-0 variables:
+    in exp(t k1 + t^2 k2) the t-coefficients are polynomials in k1, k2
+    (checked against a hand expansion)."""
+    s = TruncatedSeries([("t", 1), ("k1", 0), ("k2", 0)], 2,
+                        {(1, 1, 0): F(1), (2, 0, 1): F(1)})
     e = series_exp(s)
-    assert e.coefficient((1,)) == k1
-    assert e.coefficient((2,)) == k2 + k1 * k1 / 2
+    assert e.coefficient((1, 1, 0)) == 1
+    assert e.coefficient((2, 0, 1)) == 1
+    assert e.coefficient((2, 2, 0)) == F(1, 2)
+    assert len(e.coeffs) == 4
+
+
+def test_series_rejects_bad_weights_and_coefficients():
+    """Weights must be non-negative, the constant is the only weight-0
+    monomial, and coefficients are rationals."""
+    with pytest.raises(ValueError):
+        TruncatedSeries([("t", -1)], 2)
+    with pytest.raises(ValueError):
+        TruncatedSeries([("t", 1), ("k", 0)], 2, {(0, 1): F(1)})
+    k = GradedPolynomial.generator(GeneratorTable([("k", 1)]), "k")
+    with pytest.raises(TypeError):
+        TruncatedSeries([("t", 1)], 2, {(1,): k})
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,14 @@
 from __future__ import annotations
 
+import hashlib
+import json
 from fractions import Fraction as F
 from math import factorial
 
 import pytest
 
-from tautrings.closedforms import kappa_table, lambda_gm1_lambda_g_eval
+from tautrings.closedforms import (kappa_table, lambda_from_kappa,
+                                   lambda_gm1_lambda_g_eval)
 from tautrings.exactmath import GradedPolynomial, partitions
 from tautrings.relationgen import (fz_admissible, fz_coefficients, fz_relation,
                                    fz_relation_set, ideal_equivalence_check,
@@ -17,7 +20,7 @@ from tautrings.relationgen import (fz_admissible, fz_coefficients, fz_relation,
 def _coeff(series, **exps):
     ev = [0] * len(series.variables)
     for name, e in exps.items():
-        ev[series.var_index(name)] = e
+        ev[series.variables.index(name)] = e
     return series.coefficient(tuple(ev))
 
 
@@ -126,9 +129,30 @@ def test_fz_truncation_stability():
     truncated far beyond the minimum order."""
     from tautrings.relationgen import _fz_exp_minus_gamma
     small = fz_relation(4, 2, [1])
-    big_series = _fz_exp_minus_gamma(4, 4, 6)
-    big = fz_relation(4, 2, [1], _series=big_series)
-    assert small.polynomial == big.polynomial
+    big = _fz_exp_minus_gamma(4, 4, 6)[(2, (1,))]
+    assert small.polynomial == big
+
+
+def _digest(table):
+    return hashlib.sha256(json.dumps(table, sort_keys=True).encode()).hexdigest()
+
+
+def test_relation_exports_pinned():
+    """The FZ, SQ and lambda-in-kappa exports, order included, are pinned
+    by digest, so any change to the series engine that alters a single
+    coefficient or the order of the relations shows here."""
+    fz = {g: [r.export() for r in fz_relation_set(g, g - 2)]
+          for g in range(2, 9)}
+    sq = {g: [r.export() for r in sq_relation_set(g, g - 2)]
+          for g in range(3, 8)}
+    lam = {g: [p.export() for p in lambda_from_kappa(g, g)]
+           for g in range(0, 9)}
+    assert _digest(fz) == ("69edcd54eeaa419615ff3a135effa71b"
+                           "941918ab0cacc8ed92bdae6ffe990b0c")
+    assert _digest(sq) == ("50060ba4797b8f171bbcdd21afef3f8b"
+                           "60b675b1b6333e135c8cd7c0e9e42d6b")
+    assert _digest(lam) == ("feb4552e995b9d106382d59ca4e9d36b"
+                            "40df7643eb38a0fe41170c590ef7c23c")
 
 
 def test_kappa_relation_export():
@@ -199,13 +223,13 @@ def test_sq_side_conditions_are_sharp_at_genus5():
         return {index[m]: c for m, c in poly.terms.items()}
 
     from tautrings.relationgen import _sq_exp_minus_gamma
-    expo = _sq_exp_minus_gamma(5, 2, 6)
-    bad = expo.coefficient((2, 1))
+    table = _sq_exp_minus_gamma(5, 2, 6)
+    bad = table[(2, (1,))]
     assert not span.contains(row_of(bad))
     for d in range(2, 7):
-        rel = sq_relation(5, 2, d, _series=expo)
+        rel = table.get((2, (d,)))
         assert rel is not None
-        assert span.contains(row_of(rel.polynomial))
+        assert span.contains(row_of(rel))
 
 
 @pytest.mark.parametrize("g", range(3, 9))

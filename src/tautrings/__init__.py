@@ -16,10 +16,10 @@ from .closedforms import (HodgeEvalRequest, chern_character_even_check,
                           lambda_gm1_lambda_g_eval, socle_constant, wl_class)
 from .correlators import (CorrelatorKey, CorrelatorTable, genus0_closed_form,
                           psi_intersection, string_reduce)
-from .exactmath import (GeneratorTable, GradedPolynomial, Partition,
-                        QuotientReport, TruncatedSeries, bernoulli,
-                        exact_rank, graded_quotient, partition_count,
-                        partitions, series_exp, series_log)
+from .exactmath import (GeneratorTable, GradedPolynomial, QuotientReport,
+                        TruncatedSeries, bernoulli, exact_rank,
+                        graded_quotient, partition_count, series_exp,
+                        series_log)
 from .boundary import (BoundaryDivisor, h2_presentation, h2_rank,
                        kappa1_in_boundary_basis, keel_generators,
                        keel_pairing_check, keel_ring_dims,

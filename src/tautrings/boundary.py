@@ -206,6 +206,11 @@ def kappa1_in_boundary_basis(n: int, convention: str = "canonical") -> GradedPol
 # Second cohomology of the compactified pointed spaces
 # ---------------------------------------------------------------------------
 
+# Relation terms are full-length exponent tuples, so memory grows with the
+# square of the generator count: (2, 11) peaks near 171 MB, (5, 13) ~10 GB.
+_H2_MAX_GENERATORS = 3073
+
+
 class H2Presentation:
     """Generators and degree-1 relations for H^2 of the compactified
     n-pointed genus-g space.
@@ -232,6 +237,10 @@ class H2Presentation:
                             and (a, sorted(S)) <= (g - a, sorted(marks - S))):
                         self.sep.append((a, S))
         self.sep.sort(key=lambda p: (p[0], len(p[1]), sorted(p[1])))
+        count = len(self.sep) + n + 2
+        if count > _H2_MAX_GENERATORS:
+            raise ValueError(f"(g, n) = ({g}, {n}) has {count} H^2 generators, "
+                             f"over the ceiling of {_H2_MAX_GENERATORS}")
         self.names: List[str] = (["kappa_1"]
                                  + [f"psi_{i}" for i in range(1, n + 1)]
                                  + ["delta_irr"]

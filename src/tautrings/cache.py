@@ -6,7 +6,6 @@ import os
 from typing import Dict
 
 from .correlators import CorrelatorTable
-from .exactmath import bernoulli
 
 __all__ = ["CacheFile", "CACHE_VERSION", "CacheError"]
 
@@ -24,16 +23,15 @@ def _canonical_payload(sections: Dict[str, Dict[str, str]]) -> str:
 class CacheFile:
     """Single versioned, human-readable cache file.
 
-    Layout: {"version", "sections": {"correlators": {...}, "bernoulli":
-    {...}}, "checksum"}; all rationals are "num/den" strings, keys sorted,
-    so load-then-save is byte-identical when nothing was added.  A version
+    Layout: {"version", "sections": {"correlators": {...}}, "checksum"};
+    rationals are "num/den" strings, keys sorted, sections kept as read, so
+    load-then-save is byte-identical when nothing was added.  A version
     mismatch or checksum mismatch is rejected, never migrated.
     """
 
     def __init__(self, path: str) -> None:
         self.path = path
-        self.sections: Dict[str, Dict[str, str]] = {
-            "correlators": {}, "bernoulli": {}}
+        self.sections: Dict[str, Dict[str, str]] = {"correlators": {}}
 
     def load(self) -> "CacheFile":
         if not os.path.exists(self.path):
@@ -55,7 +53,6 @@ class CacheFile:
             raise CacheError("cache checksum mismatch")
         self.sections = {k: dict(v) for k, v in sections.items()}
         self.sections.setdefault("correlators", {})
-        self.sections.setdefault("bernoulli", {})
         return self
 
     def save(self) -> None:
@@ -75,8 +72,5 @@ class CacheFile:
     def attach_correlators(self, table: CorrelatorTable) -> None:
         table.load(self.sections["correlators"])
 
-    def collect(self, table: CorrelatorTable, bernoulli_upto: int = 0) -> None:
+    def collect(self, table: CorrelatorTable) -> None:
         self.sections["correlators"].update(table.snapshot())
-        for m in range(0, bernoulli_upto + 1):
-            b = bernoulli(m)
-            self.sections["bernoulli"][str(m)] = f"{b.numerator}/{b.denominator}"

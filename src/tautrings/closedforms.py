@@ -171,8 +171,8 @@ def lambda_from_kappa(g: int, max_degree: int,
     expo = series_exp(TruncatedSeries(
         list(zip(gens.names, gens.degrees)), max_degree,
         {gens.unit(f"kappa_{k}"): c for k, c in mumford_terms(max_degree)}))
-    return [GradedPolynomial(gens, {mono: c for mono, c in expo.coeffs.items()
-                                    if gens.degree(mono) == d})
+    return [GradedPolynomial._of(gens, {mono: c for mono, c in expo.coeffs.items()
+                                        if gens.degree(mono) == d})
             for d in range(max_degree + 1)]
 
 

@@ -1,6 +1,6 @@
-"""Exact arithmetic foundation: rationals, Bernoulli numbers, partitions,
-truncated multivariate series, sparse rational linear algebra and a generic
-graded-quotient engine.
+"""Exact arithmetic foundation: rationals, Bernoulli numbers, partition
+counts, truncated multivariate series, sparse rational linear algebra and a
+generic graded-quotient engine.
 
 Rationals are `fractions.Fraction` throughout; nothing in this package (or
 its consumers) touches floating point.
@@ -9,7 +9,7 @@ its consumers) touches floating point.
 from .bernoulli import bernoulli
 from .gradedpoly import GeneratorTable, GradedPolynomial
 from .linalg import SparseEchelon, exact_rank
-from .partitions import Partition, partition_count, partitions
+from .partitions import partition_count
 from .quotient import (GradedQuotient, QuotientReport, graded_quotient,
                        relation_rows)
 from .series import TruncatedSeries, series_exp, series_log
@@ -20,9 +20,7 @@ __all__ = [
     "GradedPolynomial",
     "SparseEchelon",
     "exact_rank",
-    "Partition",
     "partition_count",
-    "partitions",
     "GradedQuotient",
     "QuotientReport",
     "graded_quotient",

@@ -112,6 +112,15 @@ class GradedPolynomial:
     # ---- constructors -------------------------------------------------
 
     @classmethod
+    def _of(cls, gens: GeneratorTable,
+            terms: Dict[Monomial, Fraction]) -> "GradedPolynomial":
+        """Wrap terms that are already clean (full-length int tuples to
+        nonzero Fractions) without checking them again."""
+        out = cls.__new__(cls)
+        out.gens, out.terms = gens, terms
+        return out
+
+    @classmethod
     def zero(cls, gens: GeneratorTable) -> "GradedPolynomial":
         return cls(gens)
 
@@ -127,10 +136,6 @@ class GradedPolynomial:
 
     def is_zero(self) -> bool:
         return not self.terms
-
-    def is_homogeneous(self) -> bool:
-        degs = {self.gens.degree(m) for m in self.terms}
-        return len(degs) <= 1
 
     def degree(self) -> int:
         """Weighted degree of a homogeneous polynomial (0 for the zero one)."""
@@ -159,15 +164,10 @@ class GradedPolynomial:
                 terms[m] = s
             else:
                 terms.pop(m, None)
-        out = GradedPolynomial.__new__(GradedPolynomial)
-        out.gens, out.terms = self.gens, terms
-        return out
+        return GradedPolynomial._of(self.gens, terms)
 
     def __neg__(self):
-        out = GradedPolynomial.__new__(GradedPolynomial)
-        out.gens = self.gens
-        out.terms = {m: -c for m, c in self.terms.items()}
-        return out
+        return GradedPolynomial._of(self.gens, {m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other):
         return self + (-other)
@@ -177,10 +177,7 @@ class GradedPolynomial:
             c = Fraction(other)
             if not c:
                 return GradedPolynomial.zero(self.gens)
-            out = GradedPolynomial.__new__(GradedPolynomial)
-            out.gens = self.gens
-            out.terms = {m: v * c for m, v in self.terms.items()}
-            return out
+            return GradedPolynomial._of(self.gens, {m: v * c for m, v in self.terms.items()})
         if not isinstance(other, GradedPolynomial):
             return NotImplemented
         self._check(other)
@@ -193,9 +190,7 @@ class GradedPolynomial:
                     terms[m] = s
                 else:
                     terms.pop(m, None)
-        out = GradedPolynomial.__new__(GradedPolynomial)
-        out.gens, out.terms = self.gens, terms
-        return out
+        return GradedPolynomial._of(self.gens, terms)
 
     __rmul__ = __mul__
 
@@ -215,19 +210,7 @@ class GradedPolynomial:
     def __bool__(self) -> bool:
         return bool(self.terms)
 
-    # ---- conversion & export ------------------------------------------
-
-    def map_to(self, gens: GeneratorTable) -> "GradedPolynomial":
-        """Re-express over another generator table (by name); generators with
-        nonzero exponent must exist there."""
-        terms: Dict[Monomial, Fraction] = {}
-        for mono, c in self.terms.items():
-            new = [0] * len(gens)
-            for i, e in enumerate(mono):
-                if e:
-                    new[gens.index(self.gens.names[i])] = e
-            terms[tuple(new)] = terms.get(tuple(new), Fraction(0)) + c
-        return GradedPolynomial(gens, terms)
+    # ---- export -------------------------------------------------------
 
     def sorted_terms(self) -> List[Tuple[Monomial, Fraction]]:
         """Terms in graded-lex order (degree, then lexicographically

@@ -1,80 +1,9 @@
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Callable, Iterator, Optional, Tuple
+from typing import Optional
 
-__all__ = ["Partition", "partitions", "partition_count"]
-
-
-class Partition:
-    """A partition: non-increasing tuple of positive integers.
-
-    `Partition([])` is the empty partition.
-    """
-
-    __slots__ = ("parts",)
-
-    def __init__(self, parts) -> None:
-        ps = tuple(sorted((int(p) for p in parts), reverse=True))
-        if any(p < 1 for p in ps):
-            raise ValueError("partition parts must be positive")
-        object.__setattr__(self, "parts", ps)
-
-    @property
-    def size(self) -> int:
-        return sum(self.parts)
-
-    @property
-    def length(self) -> int:
-        return len(self.parts)
-
-    def __iter__(self):
-        return iter(self.parts)
-
-    def __len__(self) -> int:
-        return len(self.parts)
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, Partition):
-            return self.parts == other.parts
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self.parts)
-
-    def __lt__(self, other: "Partition") -> bool:
-        return (self.size, self.parts) < (other.size, other.parts)
-
-    def __repr__(self) -> str:
-        return f"Partition({list(self.parts)})"
-
-
-def partitions(
-    size: int,
-    *,
-    max_part: Optional[int] = None,
-    part_ok: Optional[Callable[[int], bool]] = None,
-) -> Iterator[Partition]:
-    """Yield all partitions of `size`, largest part first within each one.
-
-    `max_part` bounds every part; `part_ok` filters admissible part values
-    (e.g. the parts-not-2-mod-3 constraint of the relation generators).
-    """
-    if size < 0:
-        return
-    if max_part is None:
-        max_part = size
-
-    def gen(remaining: int, cap: int, acc: Tuple[int, ...]):
-        if remaining == 0:
-            yield Partition(acc)
-            return
-        for p in range(min(cap, remaining), 0, -1):
-            if part_ok is not None and not part_ok(p):
-                continue
-            yield from gen(remaining - p, p, acc + (p,))
-
-    yield from gen(size, max_part, ())
+__all__ = ["partition_count"]
 
 
 def partition_count(size: int, max_part: Optional[int] = None) -> int:

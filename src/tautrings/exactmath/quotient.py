@@ -83,9 +83,7 @@ class GradedQuotient:
             if rel.is_zero():
                 continue
             if rel.gens != gens:
-                rel = rel.map_to(gens)
-            if not rel.is_homogeneous():
-                raise ValueError("relations must be homogeneous")
+                raise ValueError("mixed generator tables")
             if rel.degree() == 0:
                 raise ValueError("nonzero constant relation collapses the ring")
             self.relations.append(rel)
@@ -128,7 +126,7 @@ class GradedQuotient:
         """Canonical representative of a homogeneous polynomial on the
         quotient basis of its degree."""
         if poly.gens != self.gens:
-            poly = poly.map_to(self.gens)
+            raise ValueError("mixed generator tables")
         if poly.is_zero():
             return {}
         d = poly.degree()

@@ -32,6 +32,7 @@ class TruncatedSeries:
     def __init__(self, variables: Sequence[Tuple[str, int]], order: int,
                  coeffs: Optional[Mapping[ExpVec, Fraction]] = None,
                  caps: Optional[Mapping[str, int]] = None) -> None:
+        variables = tuple(variables)  # may be an iterator; it is read twice
         self.variables = tuple(str(n) for n, _ in variables)
         self.weights = tuple(int(w) for _, w in variables)
         if any(w < 0 for w in self.weights):

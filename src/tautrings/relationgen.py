@@ -6,8 +6,8 @@ from functools import lru_cache
 from math import factorial
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from .exactmath import (GradedPolynomial, Partition, SparseEchelon,
-                        TruncatedSeries, relation_rows, series_exp, series_log)
+from .exactmath import (GradedPolynomial, SparseEchelon, TruncatedSeries,
+                        relation_rows, series_exp, series_log)
 from .closedforms import complete_homogeneous, kappa_table, mumford_terms
 
 __all__ = [
@@ -146,10 +146,10 @@ def _exp_minus_gamma(g: int, variables: Sequence[Tuple[str, int]], order: int,
 
     kappa_1..kappa_{g-2} join the series as variables of weight 0 (every m
     has positive weight), so the series is over Q and the kappa part of an
-    exponent vector is a monomial over kappa_table(max(g-2, 1)).
+    exponent vector is a monomial over kappa_table(g-2).
     kappa_0 = 2g-2 is substituted, and kappa_r = 0 for r < 0 and for r > g-2
     (top-degree vanishing of the ring model)."""
-    gens = kappa_table(max(g - 2, 1))
+    gens = kappa_table(g - 2)
     constant = (0,) * len(gens)
     coeffs: Dict[Tuple[int, ...], Fraction] = {}
     for r, ev, c in gamma:
@@ -165,7 +165,7 @@ def _exp_minus_gamma(g: int, variables: Sequence[Tuple[str, int]], order: int,
     while terms:  # emptied as it is read, so the series and table never both peak
         ev, c = terms.popitem()
         grouped.setdefault(ev[:n], {})[ev[n:]] = c
-    return {index(m): GradedPolynomial(gens, poly) for m, poly in grouped.items()}
+    return {index(m): GradedPolynomial._of(gens, poly) for m, poly in grouped.items()}
 
 
 def _relation(source: str, g: int, r: int, index: Tuple[int, ...],
@@ -174,7 +174,7 @@ def _relation(source: str, g: int, r: int, index: Tuple[int, ...],
     table lacks has the zero coefficient."""
     poly = table.get((r, index))
     if poly is None:
-        poly = GradedPolynomial.zero(kappa_table(max(g - 2, 1)))
+        poly = GradedPolynomial.zero(kappa_table(g - 2))
     return KappaRelation(source, g, r, index, poly)
 
 
@@ -219,11 +219,12 @@ def fz_relation(g: int, r: int, sigma) -> Optional[KappaRelation]:
     """The relation [exp(-gamma)]_{t^r p^sigma} as a homogeneous degree-r
     kappa-polynomial, or None when the (r, sigma) index fails the side
     conditions."""
-    sigma = Partition(sigma) if not isinstance(sigma, Partition) else sigma
-    if not fz_admissible(g, r, sigma.parts):
+    sigma = tuple(sorted(map(int, sigma), reverse=True))
+    if sigma and sigma[-1] < 1:
+        raise ValueError("partition parts must be positive")
+    if not fz_admissible(g, r, sigma):
         return None
-    return _relation("FZ", g, r, sigma.parts,
-                     _fz_exp_minus_gamma(g, r, sigma.size))
+    return _relation("FZ", g, r, sigma, _fz_exp_minus_gamma(g, r, sum(sigma)))
 
 
 def fz_relation_set(g: int, max_degree: int) -> List[KappaRelation]:
@@ -333,7 +334,7 @@ def relation_span(relations: Sequence[KappaRelation], g: int,
     """Echelonized span at the given degree of {monomial * relation} inside
     the degree-`degree` monomial space of Q[kappa_1..kappa_{g-2}]."""
     ech = SparseEchelon()
-    for row in relation_rows(kappa_table(max(g - 2, 1)),
+    for row in relation_rows(kappa_table(g - 2),
                              [rel.polynomial for rel in relations], degree):
         ech.add_row(row)
     return ech

@@ -49,9 +49,8 @@ def build_ring(g: int, relations: Optional[Sequence[KappaRelation]] = None,
     if relations is None:
         relations = (fz_relation_set(g, g - 2) if source == "FZ"
                      else sq_relation_set(g, g - 2))
-    polys = [rel.polynomial.map_to(gens) for rel in relations
-             if not rel.polynomial.is_zero()]
-    quotient = GradedQuotient(gens, polys, max(g - 2, 0))
+    quotient = GradedQuotient(gens, [rel.polynomial for rel in relations],
+                              max(g - 2, 0))
     return RingModel(g, gens, list(relations), quotient)
 
 
@@ -114,8 +113,7 @@ def vanishing_check(g: int, beyond: int) -> bool:
         raise ValueError("genus must be >= 2")
     if beyond < g - 1:
         raise ValueError("`beyond` must be at least g-1")
-    gens = kappa_table(g - 2)
-    rels = [r.polynomial.map_to(gens) for r in fz_relation_set(g, beyond)
-            if not r.polynomial.is_zero()]
-    quotient = GradedQuotient(gens, rels, beyond)
+    quotient = GradedQuotient(kappa_table(g - 2),
+                              [r.polynomial for r in fz_relation_set(g, beyond)],
+                              beyond)
     return all(quotient.dim(d) == 0 for d in range(g - 1, beyond + 1))

@@ -158,6 +158,16 @@ def test_h2_rank_past_recursion_limit():
     assert h2_rank(1, 10) == 2 ** 10 - 10
 
 
+def test_h2_generator_ceiling():
+    """Past 3073 generators H^2 is refused before any relation is built;
+    (0, 13) and (1, 12) have 4097."""
+    for g, n in ((0, 13), (1, 12)):
+        with pytest.raises(ValueError, match="4097"):
+            h2_presentation(g, n)
+        with pytest.raises(ValueError, match="4097"):
+            h2_rank(g, n)
+
+
 def test_h2_generator_lists():
     pres = h2_presentation(1, 1)
     assert pres.names == ["kappa_1", "psi_1", "delta_irr"]

@@ -20,12 +20,21 @@ def test_cache_round_trip_byte_identical(tmp_path):
     table = CorrelatorTable()
     psi_intersection(2, [4], table)
     cache = CacheFile(str(path))
-    cache.collect(table, bernoulli_upto=4)
+    cache.collect(table)
     cache.save()
     first = path.read_bytes()
 
     again = CacheFile(str(path)).load()
     again.save()
+    assert path.read_bytes() == first
+    assert list(json.loads(first)["sections"]) == ["correlators"]
+
+    # a section no adapter reads, such as the "bernoulli" table of older
+    # files, is kept as read
+    again.sections["bernoulli"] = {"0": "1/1", "2": "1/6"}
+    again.save()
+    first = path.read_bytes()
+    CacheFile(str(path)).load().save()
     assert path.read_bytes() == first
 
 
@@ -91,6 +100,21 @@ def test_cli_gorenstein_exit_codes(capsys):
 def test_cli_h2(capsys):
     assert run(["h2", "1", "1"]) == 0
     assert capsys.readouterr().out.strip() == "1"
+
+
+def test_cli_h2_over_ceiling_is_usage_error(capsys):
+    assert run(["h2", "5", "13"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "24577" in err
+
+
+def test_cli_inhomogeneous_relation_is_usage_error(capsys):
+    payload = json.dumps({"generators": [["a", 1], ["b", 2]],
+                          "relations": [[[[1, 0], "1"], [[0, 1], "-1"]]],
+                          "max_degree": 4})
+    assert run(["presentation-dims", payload]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "homogeneous" in err
 
 
 def test_cli_graphs(capsys):

@@ -6,10 +6,11 @@ from math import comb
 
 import pytest
 
-from tautrings.exactmath import (GeneratorTable, GradedPolynomial, Partition,
-                                 SparseEchelon, TruncatedSeries, bernoulli,
-                                 exact_rank, graded_quotient, partition_count,
-                                 partitions, series_exp, series_log)
+from tautrings.exactmath import (GeneratorTable, GradedPolynomial,
+                                 GradedQuotient, SparseEchelon,
+                                 TruncatedSeries, bernoulli, exact_rank,
+                                 graded_quotient, partition_count, series_exp,
+                                 series_log)
 
 
 # ---------------------------------------------------------------------------
@@ -51,22 +52,22 @@ def test_bernoulli_rejects_negative():
 # Partitions
 # ---------------------------------------------------------------------------
 
-def test_partition_normal_form():
-    p = Partition([1, 3, 1])
-    assert p.parts == (3, 1, 1)
-    assert p.size == 5 and p.length == 3
-    assert Partition([]) .size == 0
+def _parts_table(parts):
+    """Generators p_j of degree j: a degree-s monomial is a partition of s
+    with parts in `parts`."""
+    return GeneratorTable([(f"p{j}", j) for j in parts])
 
 
 def test_partition_enumeration_counts():
     for s in range(0, 12):
-        assert len(list(partitions(s))) == partition_count(s)
-    assert partition_count(8, 3) == len(list(partitions(8, max_part=3)))
+        assert len(_parts_table(range(1, 12)).monomials(s)) == partition_count(s)
+    assert partition_count(8, 3) == len(_parts_table([1, 2, 3]).monomials(8))
 
 
 def test_partition_part_filter():
-    ok = lambda p: p % 3 != 2
-    got = sorted(tuple(p) for p in partitions(4, part_ok=ok))
+    parts = [j for j in range(4, 0, -1) if j % 3 != 2]  # largest first
+    got = sorted(tuple(j for j, e in zip(parts, mono) for _ in range(e))
+                 for mono in _parts_table(parts).monomials(4))
     assert got == [(1, 1, 1, 1), (3, 1), (4,)]
 
 
@@ -167,6 +168,13 @@ def test_series_rejects_bad_weights_and_coefficients():
     k = GradedPolynomial.generator(GeneratorTable([("k", 1)]), "k")
     with pytest.raises(TypeError):
         TruncatedSeries([("t", 1)], 2, {(1,): k})
+
+
+def test_series_variables_may_be_an_iterator():
+    """Names and weights both come from `variables`, read once."""
+    s = TruncatedSeries(iter([("t", 1)]), 2, {(1,): 1})
+    assert s.variables == ("t",) and s.weights == (1,)
+    assert s.coefficient((1,)) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -285,6 +293,18 @@ def test_quotient_rejects_inhomogeneous():
     x = GradedPolynomial.generator(gens, "x")
     with pytest.raises(ValueError):
         graded_quotient(gens, [x + x * x], 2)
+
+
+def test_quotient_rejects_another_table():
+    """A polynomial over another table is an error, not re-mapped by name:
+    "a" has degree 2 in the relation and degree 1 in the quotient."""
+    other = GradedPolynomial.generator(GeneratorTable([("a", 2)]), "a")
+    gens = GeneratorTable([("a", 1)])
+    with pytest.raises(ValueError, match="mixed generator tables"):
+        GradedQuotient(gens, [other], 2)
+    quotient = GradedQuotient(gens, [], 2)
+    with pytest.raises(ValueError, match="mixed generator tables"):
+        quotient.reduce(other)
 
 
 @pytest.mark.parametrize("seed", range(5))

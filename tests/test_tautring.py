@@ -1,13 +1,16 @@
 from __future__ import annotations
 
+import hashlib
+import json
 import random
 from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
 
+from tautrings.boundary import keel_quotient
 from tautrings.closedforms import hyperelliptic_coeff
-from tautrings.exactmath import partition_count
+from tautrings.exactmath import GradedPolynomial, partition_count
 from tautrings.relationgen import fz_relation_set
 from tautrings.tautring import (build_ring, generation_check, gorenstein_check,
                                 ring_dims, socle_class_check, vanishing_check)
@@ -19,6 +22,35 @@ def test_ring_dims_golden():
     assert ring_dims(4) == [1, 1, 1]
     assert ring_dims(5) == [1, 1, 1, 1]
     assert ring_dims(6) == [1, 1, 2, 1, 1]
+
+
+def _digest(data):
+    return hashlib.sha256(json.dumps(data, sort_keys=True).encode()).hexdigest()
+
+
+def test_quotient_outputs_pinned():
+    """The ring reports, quotient bases and the reduction of every monomial
+    for g = 3..8, and the Keel reports and bases for n = 4, 5, are pinned
+    by digest."""
+    ring = {}
+    for g in range(3, 9):
+        m = build_ring(g)
+        q = m.quotient
+        reduced = [sorted([list(k), f"{c.numerator}/{c.denominator}"] for k, c
+                          in q.reduce(GradedPolynomial(m.gens, {mono: 1})).items())
+                   for d in range(g - 1) for mono in m.gens.monomials(d)]
+        ring[g] = [m.report(True).export(),
+                   [[list(b) for b in q.basis(d)] for d in range(g - 1)],
+                   reduced]
+    keel = {}
+    for n in (4, 5):
+        q = keel_quotient(n)
+        keel[n] = [q.report(True).export(),
+                   [[list(b) for b in q.basis(d)] for d in range(n - 2)]]
+    assert _digest(ring) == ("6327a36ba5040e0ae86765affb83509a"
+                             "02feb06c19889ab2a906a2ddd5686ae8")
+    assert _digest(keel) == ("1200fec0d6d19e7dacd4bc1852e5f6a3"
+                             "32d791794a33d2054a2578965a0d834e")
 
 
 def test_ring_dims_rejects_low_genus():
@@ -165,7 +197,7 @@ def _socle_rows(model):
         return out
 
     eps = {m: _socle_eval(g, indices_of(m)) for m in monos}
-    polys = [rel.polynomial.map_to(model.gens) for rel in model.relations]
+    polys = [rel.polynomial for rel in model.relations]
     return monos, eps, relation_rows(model.gens, polys, g - 2)
 
 

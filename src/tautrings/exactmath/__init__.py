@@ -12,7 +12,7 @@ from .linalg import SparseEchelon, exact_rank
 from .partitions import partition_count
 from .quotient import (GradedQuotient, QuotientReport, graded_quotient,
                        relation_rows)
-from .series import TruncatedSeries, series_exp, series_log
+from .series import TruncatedSeries, series_exp, series_log, series_mul
 
 __all__ = [
     "bernoulli",
@@ -28,4 +28,5 @@ __all__ = [
     "TruncatedSeries",
     "series_exp",
     "series_log",
+    "series_mul",
 ]

@@ -130,6 +130,9 @@ class GradedQuotient:
         if poly.is_zero():
             return {}
         d = poly.degree()
+        if d not in self._index:
+            raise ValueError(f"degree {d} is outside the quotient's degrees "
+                             f"0..{self.max_degree}")
         idx = self._index[d]
         row = {idx[m]: c for m, c in poly.terms.items()}
         res = self._echelons[d].residual(row)

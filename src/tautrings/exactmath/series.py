@@ -4,7 +4,7 @@ from fractions import Fraction
 from operator import add, mul
 from typing import Callable, Dict, Mapping, Optional, Sequence, Tuple
 
-__all__ = ["TruncatedSeries", "series_log", "series_exp"]
+__all__ = ["TruncatedSeries", "series_log", "series_exp", "series_mul"]
 
 ExpVec = Tuple[int, ...]
 Caps = Tuple[Tuple[int, int], ...]
@@ -14,9 +14,10 @@ Slices = Dict[int, Dict[ExpVec, Fraction]]
 class TruncatedSeries:
     """Sparse multivariate power series truncated by total weighted degree.
 
-    A coefficient container for `series_exp` and `series_log`, which do
-    the multiplying; the only arithmetic on the series itself is adding
-    or subtracting a scalar, which shifts the constant term.
+    A coefficient container for `series_exp`, `series_log` and
+    `series_mul`, which do the multiplying; the only arithmetic on the
+    series itself is adding or subtracting a scalar, which shifts the
+    constant term.
 
     Coefficients are Fractions.  A variable may have weight 0 (a
     parameter such as a kappa class, carried along by the weighted ones)
@@ -108,14 +109,13 @@ def _within_caps(caps: Caps, ev: ExpVec) -> bool:
 
 
 def _slices(s: TruncatedSeries, scale: Callable[[Fraction, int], Fraction]) -> Slices:
-    """The positive-weight monomials of s grouped by weight w, each
-    coefficient c replaced by scale(c, w); scale = mul gives N(s), where
-    N scales each monomial by its weight."""
+    """The monomials of s grouped by weight w, each coefficient c replaced
+    by scale(c, w); scale = mul gives N(s), where N scales each monomial by
+    its weight (`series_exp` and `series_log` read only positive weights)."""
     out: Slices = {}
     for ev, c in s.coeffs.items():
         w = s.weight(ev)
-        if w:
-            out.setdefault(w, {})[ev] = scale(c, w)
+        out.setdefault(w, {})[ev] = scale(c, w)
     return out
 
 
@@ -123,7 +123,7 @@ def _graded_convolve(caps: Caps, a: Slices, b: Slices, wa: int, wb: int,
                      out: Dict[ExpVec, Fraction]) -> None:
     """out += (weight-wa slice of a) * (weight-wb slice of b).
 
-    Callers keep 0 < wa + wb <= order, so every product has an admissible
+    Callers keep wa + wb <= order, so every product has an admissible
     weight and only the exponent caps can reject it."""
     sa = a.get(wa)
     sb = b.get(wb)
@@ -188,4 +188,19 @@ def series_log(s: TruncatedSeries) -> TruncatedSeries:
         if acc:
             nlslices[w] = acc
             out.coeffs.update((ev, c / Fraction(w)) for ev, c in acc.items())
+    return out
+
+
+def series_mul(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
+    """The product a * b, truncated at a's order and caps; b must be over
+    a's variables.  Pairs of weight slices past the order are never formed."""
+    if (a.variables, a.weights) != (b.variables, b.weights):
+        raise ValueError("series_mul needs series over the same variables")
+    sa = _slices(a, lambda c, w: c)
+    sb = _slices(b, lambda c, w: c)
+    out = a._spawn()
+    for wa in sa:
+        for wb in sb:
+            if wa + wb <= a.order:
+                _graded_convolve(a.caps, sa, sb, wa, wb, out.coeffs)
     return out

@@ -7,7 +7,7 @@ from math import factorial
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .exactmath import (GradedPolynomial, SparseEchelon, TruncatedSeries,
-                        relation_rows, series_exp, series_log)
+                        relation_rows, series_exp, series_log, series_mul)
 from .closedforms import complete_homogeneous, kappa_table, mumford_terms
 
 __all__ = [
@@ -114,58 +114,78 @@ def _fz_log(order: int) -> TruncatedSeries:
 
 Index = Tuple[int, Tuple[int, ...]]  # (r, sigma parts) or (r, (d,))
 RelationTable = Dict[Index, GradedPolynomial]
+ExpVec = Tuple[int, ...]
 
 
-def _fz_index(names: Sequence[str], ev: Tuple[int, ...]) -> Index:
-    """(r, sigma parts) of the monomial t^r p^sigma whose exponent vector
-    over the variables `names` ("t", "p1", "p3", ...) is ev."""
+def _sigma(names: Sequence[str], ev: ExpVec) -> Tuple[int, ...]:
+    """The parts of the partition sigma whose monomial p^sigma has
+    exponent vector ev over the variables `names` ("p1", "p3", ...)."""
     sigma: List[int] = []
-    for name, e in zip(names[1:], ev[1:]):
+    for name, e in zip(names, ev):
         sigma.extend([int(name[1:])] * e)
-    return ev[0], tuple(sorted(sigma, reverse=True))
+    return tuple(sorted(sigma, reverse=True))
 
 
 def fz_coefficients(order: int) -> Dict[Index, Fraction]:
     """Coefficients C_r(sigma) of log of the branch series, keyed by
     (r, sigma parts), for r + |sigma| <= order."""
     log = _fz_log(order)
-    return {_fz_index(log.variables, ev): c for ev, c in log.coeffs.items()}
+    return {(ev[0], _sigma(log.variables[1:], ev[1:])): c
+            for ev, c in log.coeffs.items()}
 
 
 # ---------------------------------------------------------------------------
 # Relations as coefficients of exp(-gamma), shared by FZ and SQ
 # ---------------------------------------------------------------------------
 
-def _exp_minus_gamma(g: int, variables: Sequence[Tuple[str, int]], order: int,
-                     caps: Dict[str, int],
-                     gamma: Sequence[Tuple[int, Tuple[int, ...], Fraction]],
-                     index: Callable[[Tuple[int, ...]], Index]) -> RelationTable:
-    """exp(-gamma) for gamma = sum c kappa_r m over the (r, exponent vector of
-    the monomial m, c) terms, truncated at weight `order` and the exponent
-    caps, as {index(m): nonzero kappa-polynomial coefficient of m}.
+def _exp_minus_gamma(g: int, rmax: int, variables: Sequence[Tuple[str, int]],
+                     order: int, gamma: Dict[int, Dict[ExpVec, Fraction]],
+                     index: Callable[[ExpVec], Tuple[int, ...]]) -> RelationTable:
+    """exp(-gamma) for gamma = sum_r kappa_r t^r A_r, where gamma[r] holds
+    the coefficients of A_r, a series over `variables` truncated at weight
+    `order`; kept up to t-degree rmax, as {(r, index(m)): nonzero
+    kappa-polynomial coefficient of t^r m}.
 
-    kappa_1..kappa_{g-2} join the series as variables of weight 0 (every m
-    has positive weight), so the series is over Q and the kappa part of an
-    exponent vector is a monomial over kappa_table(g-2).
-    kappa_0 = 2g-2 is substituted, and kappa_r = 0 for r < 0 and for r > g-2
-    (top-degree vanishing of the ring model)."""
+    kappa_0 = 2g-2 is substituted, and kappa_r = 0 for r < 0 and for
+    r > g-2 (top-degree vanishing of the ring model).  gamma is linear in
+    kappa_1..kappa_{g-2}, so the coefficient of the kappa monomial
+    kappa^m (which carries t^|m|) is
+
+        E_0 * prod_r (-A_r)^{m_r} / m_r!,   E_0 = exp(-(2g-2) A_0),
+
+    a series over Q.  A depth-first walk over the kappa monomials of degree
+    <= rmax builds them: a child appends one kappa_r, r at least its
+    parent's last index, so its series is the parent's times
+    -A_r/(m_r + 1), one truncated product."""
     gens = kappa_table(g - 2)
-    constant = (0,) * len(gens)
-    coeffs: Dict[Tuple[int, ...], Fraction] = {}
-    for r, ev, c in gamma:
-        if r == 0:
-            coeffs[ev + constant] = -c * (2 * g - 2)
-        elif 0 < r <= g - 2:
-            coeffs[ev + gens.unit(f"kappa_{r}")] = -c
-    n = len(variables)
-    terms = series_exp(TruncatedSeries(
-        list(variables) + [(name, 0) for name in gens.names], order, coeffs,
-        caps=caps)).coeffs
-    grouped: Dict[Tuple[int, ...], Dict[Tuple[int, ...], Fraction]] = {}
-    while terms:  # emptied as it is read, so the series and table never both peak
-        ev, c = terms.popitem()
-        grouped.setdefault(ev[:n], {})[ev[n:]] = c
-    return {index(m): GradedPolynomial._of(gens, poly) for m, poly in grouped.items()}
+    index = lru_cache(maxsize=None)(index)  # one ev recurs across the nodes
+
+    def series(coeffs: Dict[ExpVec, Fraction]) -> TruncatedSeries:
+        return TruncatedSeries(variables, order, coeffs)
+
+    factors: Dict[Tuple[int, int], TruncatedSeries] = {}  # (r, m_r + 1)
+    grouped: Dict[Index, Dict[ExpVec, Fraction]] = {}
+    e0 = series_exp(series({ev: -c * (2 * g - 2)
+                            for ev, c in gamma.get(0, {}).items()}))
+    # (degree, kappa monomial, least next index, series)
+    stack = [(0, (0,) * len(gens), 1, e0)]
+    while stack:
+        degree, mono, least, s = stack.pop()
+        for ev, c in s.coeffs.items():
+            grouped.setdefault((degree, index(ev)), {})[mono] = c
+        for r in range(least, min(g - 2, rmax - degree) + 1):
+            if not gamma.get(r):
+                continue
+            k = mono[r - 1] + 1
+            factor = factors.get((r, k))
+            if factor is None:
+                factor = factors[r, k] = series(
+                    {ev: -c / k for ev, c in gamma[r].items()})
+            child = series_mul(s, factor)
+            if child.coeffs:
+                stack.append((degree + r, mono[:r - 1] + (k,) + mono[r:], r,
+                              child))
+    return {key: GradedPolynomial._of(gens, poly) for key, poly in grouped.items()}
 
 
 def _relation(source: str, g: int, r: int, index: Tuple[int, ...],
@@ -200,19 +220,18 @@ def fz_admissible(g: int, r: int, sigma: Sequence[int]) -> bool:
 
 def _fz_exp_minus_gamma(g: int, rmax: int, smax: int) -> RelationTable:
     """exp(-gamma) with gamma = sum C_r(sigma) kappa_r t^r p^sigma, exact on
-    the box r <= rmax, |sigma| <= smax, keyed by (r, sigma parts).
-
-    p_j gets weight j(rmax+1), so t^r p^sigma weighs r + (rmax+1)|sigma|;
-    with the cap t <= rmax, truncating at weight smax(rmax+1) + rmax keeps
-    exactly the box."""
+    the box r <= rmax, |sigma| <= smax, keyed by (r, sigma parts)."""
     log = _fz_log(rmax + smax)
-    gamma = [(ev[0], ev, c) for ev, c in log.coeffs.items()
-             if ev[0] <= rmax and log.weight(ev) - ev[0] <= smax]
-    variables = [("t", 1)] + [(name, w * (rmax + 1)) for name, w
-                              in zip(log.variables[1:], log.weights[1:])]
-    return _exp_minus_gamma(g, variables, smax * (rmax + 1) + rmax,
-                            {"t": rmax}, gamma,
-                            lambda ev: _fz_index(log.variables, ev))
+    # the p_j with j <= smax come first in the log's variables
+    variables = _p_vars(smax)
+    n = len(variables)
+    gamma: Dict[int, Dict[ExpVec, Fraction]] = {}
+    for ev, c in log.coeffs.items():
+        if ev[0] <= rmax and log.weight(ev) - ev[0] <= smax:
+            gamma.setdefault(ev[0], {})[ev[1:n + 1]] = c
+    names = [name for name, _ in variables]
+    return _exp_minus_gamma(g, rmax, variables, smax, gamma,
+                            lambda ev: _sigma(names, ev))
 
 
 def fz_relation(g: int, r: int, sigma) -> Optional[KappaRelation]:
@@ -292,12 +311,12 @@ def _sq_exp_minus_gamma(g: int, rmax: int, dmax: int) -> RelationTable:
     sum B_{2i} kappa_{2i-1} t^{2i-1}/(2i(2i-1))
       + sum C_d^r kappa_r t^r x^d / d!,
     truncated to t-exponent <= rmax and x-degree <= dmax, keyed by (r, (d,))."""
-    log = _sq_log(dmax, rmax)
-    gamma = [(r, (r, 0), c) for r, c in mumford_terms(rmax)]
-    gamma += [(ev[0], ev, c) for ev, c in log.coeffs.items() if ev[0] <= rmax]
-    return _exp_minus_gamma(g, _SQ_VARIABLES, log.order,
-                            {"t": rmax, "x": dmax}, gamma,
-                            lambda ev: (ev[0], ev[1:]))
+    gamma: Dict[int, Dict[ExpVec, Fraction]] = {
+        r: {(0,): c} for r, c in mumford_terms(rmax)}
+    # log Phi has no x^0 term, so no log term meets a Mumford term
+    for (r, d), c in _sq_log(dmax, rmax).coeffs.items():
+        gamma.setdefault(r, {})[(d,)] = c
+    return _exp_minus_gamma(g, rmax, [("x", 1)], dmax, gamma, lambda ev: ev)
 
 
 def sq_relation(g: int, r: int, d: int) -> Optional[KappaRelation]:

@@ -328,6 +328,6 @@ def test_cli_rationals_are_exact_strings(capsys):
 
 def test_cli_max_seconds_budget(capsys):
     """A command that exceeds its wall-clock budget exits 1."""
-    assert run(["gorenstein", "10", "--max-seconds", "1", "--no-cache"]) == 1
+    assert run(["gorenstein", "12", "--max-seconds", "1", "--no-cache"]) == 1
     err = capsys.readouterr().err
     assert "max-seconds" in err

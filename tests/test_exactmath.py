@@ -10,7 +10,7 @@ from tautrings.exactmath import (GeneratorTable, GradedPolynomial,
                                  GradedQuotient, SparseEchelon,
                                  TruncatedSeries, bernoulli, exact_rank,
                                  graded_quotient, partition_count, series_exp,
-                                 series_log)
+                                 series_log, series_mul)
 
 
 # ---------------------------------------------------------------------------
@@ -143,6 +143,25 @@ def test_exp_log_round_trip(seed):
     assert series_exp(series_log(s)).coeffs == s.coeffs
     v = _random_series(rng, sq_variables, 6, 0, low, caps)
     assert series_log(series_exp(v)).coeffs == v.coeffs
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_series_mul_adds_exponents(seed):
+    """exp(u) * exp(v) == exp(u + v), also in the capped Laurent shape;
+    factors over different variables are refused."""
+    rng = random.Random(seed)
+    for variables, low, caps in (([("t", 1), ("u", 2)], None, None),
+                                 ([("t", 1), ("x", 2)], (-1, 0), {"x": 2})):
+        u = _random_series(rng, variables, 6, 0, low, caps)
+        v = _random_series(rng, variables, 6, 0, low, caps)
+        both = dict(u.coeffs)
+        for ev, c in v.coeffs.items():
+            both[ev] = both.get(ev, 0) + c
+        w = TruncatedSeries(variables, 6, both, caps=caps)
+        assert (series_mul(series_exp(u), series_exp(v)).coeffs
+                == series_exp(w).coeffs)
+    with pytest.raises(ValueError):
+        series_mul(TruncatedSeries([("t", 1)], 2), TruncatedSeries([("s", 1)], 2))
 
 
 def test_series_polynomial_coefficients():
@@ -305,6 +324,18 @@ def test_quotient_rejects_another_table():
     quotient = GradedQuotient(gens, [], 2)
     with pytest.raises(ValueError, match="mixed generator tables"):
         quotient.reduce(other)
+
+
+def test_quotient_reduce_rejects_degree_out_of_range():
+    """A polynomial above max_degree has no quotient basis to reduce onto:
+    the error names its degree and the quotient's range."""
+    gens = GeneratorTable([("a", 1), ("b", 2)])
+    a = GradedPolynomial.generator(gens, "a")
+    b = GradedPolynomial.generator(gens, "b")
+    quotient = GradedQuotient(gens, [a * a], 3)
+    with pytest.raises(ValueError, match=r"degree 4 .*0\.\.3"):
+        quotient.reduce(b * b)
+    assert quotient.reduce(a * b) == {(1, 1): 1}
 
 
 @pytest.mark.parametrize("seed", range(5))

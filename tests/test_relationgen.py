@@ -150,8 +150,9 @@ def _digest(table):
 
 def test_relation_exports_pinned():
     """The FZ, SQ and lambda-in-kappa exports, order included, are pinned
-    by digest, so any change to the series engine that alters a single
-    coefficient or the order of the relations shows here."""
+    by digest, so any change to the series engine or the kappa-monomial
+    walk that alters a single coefficient or the order of the relations
+    shows here."""
     fz = {g: [r.export() for r in fz_relation_set(g, g - 2)]
           for g in range(2, 9)}
     sq = {g: [r.export() for r in sq_relation_set(g, g - 2)]
@@ -164,6 +165,19 @@ def test_relation_exports_pinned():
                            "60b675b1b6333e135c8cd7c0e9e42d6b")
     assert _digest(lam) == ("feb4552e995b9d106382d59ca4e9d36b"
                             "40df7643eb38a0fe41170c590ef7c23c")
+    # wider sets: FZ at degree g-2 for g = 9, 10, and FZ and SQ at degree g
+    fz_wide = {g: [r.export() for r in fz_relation_set(g, g - 2)]
+               for g in (9, 10)}
+    fz_top = {g: [r.export() for r in fz_relation_set(g, g)]
+              for g in range(2, 9)}
+    sq_top = {g: [r.export() for r in sq_relation_set(g, g)]
+              for g in range(3, 9)}
+    assert _digest(fz_wide) == ("eca6f438c5b3251111fcfef81ac61dd4"
+                                "871982cc80747190b2f8bf5f9e4ad1aa")
+    assert _digest(fz_top) == ("adcaf258a4908505ea818d70b449301c"
+                               "b9d63206f80cd1436288f227c021a610")
+    assert _digest(sq_top) == ("ab185b62eda34ef2341e3c4bd3428e99"
+                               "8df2239faead4ba019b5a4d21fca3eee")
 
 
 def test_kappa_relation_export():

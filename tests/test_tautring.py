@@ -183,20 +183,21 @@ def _socle_eval(g, kappa_indices, _memo={}):
     return total
 
 
+def _kappa_indices(gens, mono):
+    """The kappa indices of a monomial, one per factor."""
+    out = []
+    for i, e in enumerate(mono):
+        out.extend([gens.degrees[i]] * e)
+    return out
+
+
 def _socle_rows(model):
     """The degree-(g-2) kappa monomials, their socle evaluations, and the
     monomial-times-relation rows of the model in that degree."""
     from tautrings.exactmath import relation_rows
     g = model.genus
     monos = model.gens.monomials(g - 2)
-
-    def indices_of(mono):
-        out = []
-        for i, e in enumerate(mono):
-            out.extend([model.gens.degrees[i]] * e)
-        return out
-
-    eps = {m: _socle_eval(g, indices_of(m)) for m in monos}
+    eps = {m: _socle_eval(g, _kappa_indices(model.gens, m)) for m in monos}
     polys = [rel.polynomial for rel in model.relations]
     return monos, eps, relation_rows(model.gens, polys, g - 2)
 
@@ -240,3 +241,23 @@ def test_sq_relations_are_killed_by_socle_evaluation(g):
     for row in rows:
         pairing = sum(c * eps[monos[i]] for i, c in row.items())
         assert pairing == 0, (g, row)
+
+
+def test_socle_pairing_ranks_match_ring_dims_at_genus11():
+    """An oracle independent of the relations, at a genus no table pins:
+    the two-lambda functional kills the FZ relations and the pairing
+    (a, b) -> eps(a b) factors through R*(M_g), so its rank between
+    degree-d and degree-(g-2-d) kappa monomials is at most dim R^d of the
+    model; equality (known for g <= 23) is the check."""
+    from tautrings.closedforms import kappa_table
+    from tautrings.exactmath import exact_rank
+    g = 11
+    gens = kappa_table(g - 2)
+    dims = ring_dims(g)
+    ranks = []
+    for d in range(g - 1):
+        mat = [[_socle_eval(g, _kappa_indices(gens, a) + _kappa_indices(gens, b))
+                for b in gens.monomials(g - 2 - d)]
+               for a in gens.monomials(d)]
+        ranks.append(exact_rank(mat))
+    assert ranks == dims == [1, 1, 2, 3, 4, 4, 3, 2, 1, 1]

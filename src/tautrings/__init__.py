@@ -9,8 +9,7 @@ Everything is computed over Q with `fractions.Fraction`; no floating point
 anywhere.
 """
 
-from .closedforms import (HodgeEvalRequest, chern_character_even_check,
-                          euler_orbifold,
+from .closedforms import (chern_character_even_check, euler_orbifold,
                           hyperelliptic_class, hyperelliptic_coeff,
                           lambda_from_kappa, lambda_g_base, lambda_g_eval,
                           lambda_gm1_lambda_g_eval, socle_constant, wl_class)

@@ -323,7 +323,8 @@ def _cmd_presentation_dims(args, out: _Output) -> int:
         for term in _list("relation", rel):
             expvec, coeff = _list("relation term", term, 2)
             mono = tuple(_integer("exponent", e, 0) for e in _list("exponent vector", expvec))
-            terms[mono] = _coefficient(coeff)
+            # a repeated exponent vector adds up
+            terms[mono] = terms.get(mono, Fraction(0)) + _coefficient(coeff)
         rels.append(GradedPolynomial(gens, terms))
     pairings = data.get("pairings", False)
     if not isinstance(pairings, bool):

@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 from typing import List, Optional, Sequence, Tuple
@@ -10,7 +9,6 @@ from .exactmath import (GeneratorTable, GradedPolynomial, TruncatedSeries,
                         bernoulli, series_exp)
 
 __all__ = [
-    "HodgeEvalRequest",
     "lambda_g_base",
     "lambda_g_eval",
     "lambda_gm1_lambda_g_eval",
@@ -38,36 +36,6 @@ def multinomial(top: int, parts: Sequence[int]) -> int:
 # ---------------------------------------------------------------------------
 # Hodge integrals with one or two lambda insertions
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class HodgeEvalRequest:
-    """A closed-form Hodge-integral request: genus, psi exponents, and the
-    flavor ("lambda_g" or "lambda_gm1_lambda_g").  Off-degree requests
-    evaluate to 0; the two-lambda flavor additionally needs every exponent
-    positive."""
-
-    genus: int
-    alpha: Tuple[int, ...]
-    flavor: str = "lambda_g"
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "alpha", tuple(int(a) for a in self.alpha))
-        if self.flavor not in ("lambda_g", "lambda_gm1_lambda_g"):
-            raise ValueError(f"unknown flavor {self.flavor!r}")
-        if self.genus < (1 if self.flavor == "lambda_g" else 2):
-            raise ValueError("genus too small for this flavor")
-
-    def degree_matches(self) -> bool:
-        n = len(self.alpha)
-        target = (2 * self.genus - 3 + n if self.flavor == "lambda_g"
-                  else self.genus - 2 + n)
-        return sum(self.alpha) == target
-
-    def evaluate(self) -> Fraction:
-        if self.flavor == "lambda_g":
-            return lambda_g_eval(self.genus, self.alpha)
-        return lambda_gm1_lambda_g_eval(self.genus, self.alpha)
-
 
 def lambda_g_base(g: int) -> Fraction:
     """The one-point integral of psi^{2g-2} against the top Chern class of
@@ -168,9 +136,8 @@ def lambda_from_kappa(g: int, max_degree: int,
         raise ValueError(f"genus must be >= 0, got {g}")
     if gens is None:
         gens = kappa_table(max(max_degree, 1))
-    expo = series_exp(TruncatedSeries(
-        list(zip(gens.names, gens.degrees)), max_degree,
-        {gens.unit(f"kappa_{k}"): c for k, c in mumford_terms(max_degree)}))
+    expo = series_exp(TruncatedSeries(gens, max_degree, {
+        gens.unit(f"kappa_{k}"): c for k, c in mumford_terms(max_degree)}))
     return [GradedPolynomial._of(gens, {mono: c for mono, c in expo.coeffs.items()
                                         if gens.degree(mono) == d})
             for d in range(max_degree + 1)]
@@ -208,12 +175,6 @@ def chern_character_even_check(max_k: int) -> bool:
 # Jet-bundle classes of the special-linear-system loci
 # ---------------------------------------------------------------------------
 
-def _lambda_kappa_table(g: int) -> GeneratorTable:
-    gens = [(f"lambda_{i}", i) for i in range(1, g + 1)]
-    gens += [(f"kappa_{i}", i) for i in range(1, max(g - 1, 1) + 1)]
-    return GeneratorTable(gens)
-
-
 def complete_homogeneous(l: int, top: int) -> List[int]:
     """[h_0(1..l), ..., h_top(1..l)], the complete homogeneous symmetric
     polynomials at (1, 2, ..., l), from the generating identity
@@ -237,67 +198,39 @@ def wl_class(g: int, l: int, substitute_lambda: bool = False) -> GradedPolynomia
     x with h^0(l x) >= 2, pushed down with its generic fiber multiplicity.
     For l = 2 that multiplicity is the 2g+2 Weierstrass points; see
     `hyperelliptic_class` for the normalized divisor-free class.
-    With `substitute_lambda`, lambdas are replaced by their odd-kappa
-    polynomials.
+    The result is over lambda_1..lambda_g, kappa_1..kappa_{g-1}; with
+    `substitute_lambda` it is over kappa_1..kappa_{g-1} alone, each lambda
+    written as its odd-kappa polynomial (`lambda_from_kappa`).
     """
     if not (2 <= l <= g):
         raise ValueError("need 2 <= l <= g")
-    gens = _lambda_kappa_table(g)
     target = g - l
+    if substitute_lambda:
+        gens = kappa_table(g - 1)
+        lams = lambda_from_kappa(g, target, gens)
+    else:
+        gens = GeneratorTable([(f"lambda_{i}", i) for i in range(1, g + 1)]
+                              + [(f"kappa_{i}", i) for i in range(1, g)])
+        lams = [GradedPolynomial.constant(gens, 1)] + [
+            GradedPolynomial.generator(gens, f"lambda_{i}")
+            for i in range(1, target + 1)]
     out = GradedPolynomial.zero(gens)
     hs = complete_homogeneous(l, target + 1)
-    for i in range(0, g + 1):
+    for i in range(target + 1):
         m = target - i + 1  # kappa_{m-1} has degree m-1 = target - i
-        if m < 1:
-            continue
-        sign = (-1) ** i
-        if i == 0:
-            lam_part = GradedPolynomial.constant(gens, 1)
-        else:
-            lam_part = GradedPolynomial.generator(gens, f"lambda_{i}")
         if m - 1 == 0:
             kap_part = GradedPolynomial.constant(gens, 2 * g - 2)
         else:
             kap_part = GradedPolynomial.generator(gens, f"kappa_{m - 1}")
-        out = out + lam_part * kap_part * (sign * hs[m])
-    if substitute_lambda:
-        out = _substitute_lambdas(out, g)
-    return out
-
-
-def _substitute_lambdas(poly: GradedPolynomial, g: int) -> GradedPolynomial:
-    """Rewrite lambda generators through their odd-kappa expansions."""
-    gens = poly.gens
-    max_lam = max((i for i in range(1, g + 1)
-                   if any(m[gens.index(f"lambda_{i}")] for m in poly.terms)),
-                  default=0)
-    if not max_lam:
-        return poly
-    kgens = GeneratorTable([(n, d) for n, d in zip(gens.names, gens.degrees)
-                            if n.startswith("kappa_")])
-    lams = lambda_from_kappa(g, max_lam, kgens)
-    out = GradedPolynomial.zero(kgens)
-    for mono, c in poly.terms.items():
-        term = GradedPolynomial.constant(kgens, c)
-        for idx, e in enumerate(mono):
-            if not e:
-                continue
-            name = gens.names[idx]
-            if name.startswith("lambda_"):
-                base = lams[int(name.split("_")[1])]
-            else:
-                base = GradedPolynomial.generator(kgens, name)
-            for _ in range(e):
-                term = term * base
-        out = out + term
+        out = out + lams[i] * kap_part * ((-1) ** i * hs[m])
     return out
 
 
 def hyperelliptic_class(g: int) -> GradedPolynomial:
     """The hyperelliptic-locus class [H] (in the convention where it equals
     twice the Q-stack class), from the jet-bundle expansion: the l = 2 case
-    of `wl_class`, with lambdas rewritten in kappas, divided by the g+1
-    half-count of Weierstrass points."""
+    of `wl_class` over kappa_1..kappa_{g-1}, divided by the g+1 half-count
+    of Weierstrass points."""
     raw = wl_class(g, 2, substitute_lambda=True)
     return raw / Fraction(g + 1)
 

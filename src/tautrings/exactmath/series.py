@@ -2,7 +2,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 from operator import add, mul
-from typing import Callable, Dict, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, Mapping, Optional, Tuple
+
+from .gradedpoly import GeneratorTable
 
 __all__ = ["TruncatedSeries", "series_log", "series_exp", "series_mul"]
 
@@ -12,36 +14,32 @@ Slices = Dict[int, Dict[ExpVec, Fraction]]
 
 
 class TruncatedSeries:
-    """Sparse multivariate power series truncated by total weighted degree.
+    """Sparse multivariate power series over the generators of a
+    `GeneratorTable`, truncated by total weighted degree.
 
     A coefficient container for `series_exp`, `series_log` and
     `series_mul`, which do the multiplying; the only arithmetic on the
     series itself is adding or subtracting a scalar, which shifts the
     constant term.
 
-    Coefficients are Fractions.  A variable may have weight 0 (a
-    parameter such as a kappa class, carried along by the weighted ones)
-    and exponents may be negative (Laurent directions), as long as every
-    stored monomial has non-negative weight and the only weight-0 monomial
-    is the constant one; the truncation `order` then stays a
-    multiplicative quotient.  `caps` optionally bounds single exponents
-    (terms beyond a cap are discarded, a further quotient).
+    Coefficients are Fractions.  Exponents may be negative (Laurent
+    directions), as long as every stored monomial has non-negative weight
+    and the only weight-0 monomial is the constant one; the truncation
+    `order` then stays a multiplicative quotient.  `caps` optionally bounds
+    single exponents (terms beyond a cap are discarded, a further
+    quotient).
     """
 
-    __slots__ = ("variables", "weights", "order", "caps", "coeffs")
+    __slots__ = ("gens", "order", "caps", "coeffs")
 
-    def __init__(self, variables: Sequence[Tuple[str, int]], order: int,
+    def __init__(self, gens: GeneratorTable, order: int,
                  coeffs: Optional[Mapping[ExpVec, Fraction]] = None,
                  caps: Optional[Mapping[str, int]] = None) -> None:
-        variables = tuple(variables)  # may be an iterator; it is read twice
-        self.variables = tuple(str(n) for n, _ in variables)
-        self.weights = tuple(int(w) for _, w in variables)
-        if any(w < 0 for w in self.weights):
-            raise ValueError("variable weights must be non-negative")
+        self.gens = gens
         self.order = int(order)
-        # (variable index, largest exponent kept) pairs
+        # (generator index, largest exponent kept) pairs
         self.caps: Caps = tuple(
-            (self.variables.index(n), int(c)) for n, c in (caps or {}).items())
+            (gens.index(n), int(c)) for n, c in (caps or {}).items())
         self.coeffs: Dict[ExpVec, Fraction] = {}
         if coeffs:
             for ev, c in coeffs.items():
@@ -49,11 +47,8 @@ class TruncatedSeries:
 
     # ---- bookkeeping ---------------------------------------------------
 
-    def weight(self, ev: ExpVec) -> int:
-        return sum(e * w for e, w in zip(ev, self.weights))
-
     def _keep(self, ev: ExpVec) -> bool:
-        w = self.weight(ev)
+        w = self.gens.degree(ev)
         if w < 0 or w > self.order:
             return False
         if w == 0 and any(ev):
@@ -69,8 +64,7 @@ class TruncatedSeries:
 
     def _spawn(self) -> "TruncatedSeries":
         s = TruncatedSeries.__new__(TruncatedSeries)
-        s.variables, s.weights, s.order, s.caps = (
-            self.variables, self.weights, self.order, self.caps)
+        s.gens, s.order, s.caps = self.gens, self.order, self.caps
         s.coeffs = {}
         return s
 
@@ -78,7 +72,7 @@ class TruncatedSeries:
         return self.coeffs.get(tuple(ev), Fraction(0))
 
     def constant_term(self) -> Fraction:
-        return self.coeffs.get((0,) * len(self.variables), Fraction(0))
+        return self.coeffs.get((0,) * len(self.gens), Fraction(0))
 
     # ---- scalar shifts -------------------------------------------------
 
@@ -87,7 +81,7 @@ class TruncatedSeries:
             return NotImplemented
         out = self._spawn()
         out.coeffs = dict(self.coeffs)
-        zero_ev = (0,) * len(self.variables)
+        zero_ev = (0,) * len(self.gens)
         s = out.coeffs.get(zero_ev, Fraction(0)) + other
         if s:
             out.coeffs[zero_ev] = s
@@ -99,9 +93,8 @@ class TruncatedSeries:
         return self + (-other)
 
     def __repr__(self) -> str:
-        n = len(self.coeffs)
-        return (f"TruncatedSeries({list(zip(self.variables, self.weights))}, "
-                f"order={self.order}, terms={n})")
+        return (f"TruncatedSeries({self.gens!r}, order={self.order}, "
+                f"terms={len(self.coeffs)})")
 
 
 def _within_caps(caps: Caps, ev: ExpVec) -> bool:
@@ -114,7 +107,7 @@ def _slices(s: TruncatedSeries, scale: Callable[[Fraction, int], Fraction]) -> S
     its weight (`series_exp` and `series_log` read only positive weights)."""
     out: Slices = {}
     for ev, c in s.coeffs.items():
-        w = s.weight(ev)
+        w = s.gens.degree(ev)
         out.setdefault(w, {})[ev] = scale(c, w)
     return out
 
@@ -154,7 +147,7 @@ def series_exp(s: TruncatedSeries) -> TruncatedSeries:
         raise ValueError("series_exp requires zero constant term")
     ns = _slices(s, mul)
     out = s._spawn()
-    zero_ev = (0,) * len(s.variables)
+    zero_ev = (0,) * len(s.gens)
     out.coeffs[zero_ev] = Fraction(1)
     eslices: Slices = {0: {zero_ev: Fraction(1)}}
     for w in range(1, s.order + 1):
@@ -193,9 +186,10 @@ def series_log(s: TruncatedSeries) -> TruncatedSeries:
 
 def series_mul(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
     """The product a * b, truncated at a's order and caps; b must be over
-    a's variables.  Pairs of weight slices past the order are never formed."""
-    if (a.variables, a.weights) != (b.variables, b.weights):
-        raise ValueError("series_mul needs series over the same variables")
+    a's generator table.  Pairs of weight slices past the order are never
+    formed."""
+    if a.gens != b.gens:
+        raise ValueError("series_mul needs series over the same generators")
     sa = _slices(a, lambda c, w: c)
     sb = _slices(b, lambda c, w: c)
     out = a._spawn()

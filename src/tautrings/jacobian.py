@@ -53,7 +53,13 @@ class JacPolynomial:
                             raise ValueError(f"p_({i},{j}) has odd i+j")
                         if e <= 0:
                             raise ValueError("factor powers must be positive")
-                    self.terms[(int(psi), tuple(sorted(factors)))] = c
+                    # repeated factor keys multiply, repeated monomials add
+                    key = (int(psi), _merge_factors(tuple(factors), ()))
+                    s = self.terms.get(key, Fraction(0)) + c
+                    if s:
+                        self.terms[key] = s
+                    else:
+                        self.terms.pop(key, None)
 
     # -- construction helpers ---------------------------------------------
 

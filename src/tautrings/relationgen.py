@@ -4,10 +4,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
-from .exactmath import (GradedPolynomial, SparseEchelon, TruncatedSeries,
-                        relation_rows, series_exp, series_log, series_mul)
+from .exactmath import (GeneratorTable, GradedPolynomial, SparseEchelon,
+                        TruncatedSeries, relation_rows, series_exp, series_log,
+                        series_mul)
 from .closedforms import complete_homogeneous, kappa_table, mumford_terms
 
 __all__ = [
@@ -76,15 +77,13 @@ def psi_series(order: int) -> TruncatedSeries:
     """
     if order < 0:
         raise ValueError("order must be >= 0")
-    variables = [("t", 1)] + _p_vars(order)
-    names = [n for n, _ in variables]
-    nvars = len(names)
+    gens = GeneratorTable([("t", 1)] + _p_vars(order))
 
     def mono(t_exp: int, p_name: Optional[str] = None) -> Tuple[int, ...]:
-        ev = [0] * nvars
+        ev = [0] * len(gens)
         ev[0] = t_exp
         if p_name is not None:
-            ev[names.index(p_name)] = 1
+            ev[gens.index(p_name)] = 1
         return tuple(ev)
 
     coeffs: Dict[Tuple[int, ...], Fraction] = {}
@@ -104,12 +103,17 @@ def psi_series(order: int) -> TruncatedSeries:
             ev = mono(k + i, f"p{3 * k + 1}")
             coeffs[ev] = coeffs.get(ev, Fraction(0)) + b_i
             k += 1
-    return TruncatedSeries(variables, order, coeffs)
+    return TruncatedSeries(gens, order, coeffs)
 
 
 @lru_cache(maxsize=None)
-def _fz_log(order: int) -> TruncatedSeries:
-    return series_log(psi_series(order))
+def _fz_log(order: int, tmax: int) -> TruncatedSeries:
+    """log of the branch series, exact at every t^r p^sigma with
+    r + |sigma| <= order and r <= tmax: t-degree > tmax is an ideal, so
+    the cap is a quotient of the series ring."""
+    psi = psi_series(order)
+    return series_log(TruncatedSeries(psi.gens, order, psi.coeffs,
+                                      caps={"t": tmax}))
 
 
 Index = Tuple[int, Tuple[int, ...]]  # (r, sigma parts) or (r, (d,))
@@ -129,8 +133,8 @@ def _sigma(names: Sequence[str], ev: ExpVec) -> Tuple[int, ...]:
 def fz_coefficients(order: int) -> Dict[Index, Fraction]:
     """Coefficients C_r(sigma) of log of the branch series, keyed by
     (r, sigma parts), for r + |sigma| <= order."""
-    log = _fz_log(order)
-    return {(ev[0], _sigma(log.variables[1:], ev[1:])): c
+    log = _fz_log(order, order)
+    return {(ev[0], _sigma(log.gens.names[1:], ev[1:])): c
             for ev, c in log.coeffs.items()}
 
 
@@ -138,13 +142,13 @@ def fz_coefficients(order: int) -> Dict[Index, Fraction]:
 # Relations as coefficients of exp(-gamma), shared by FZ and SQ
 # ---------------------------------------------------------------------------
 
-def _exp_minus_gamma(g: int, rmax: int, variables: Sequence[Tuple[str, int]],
-                     order: int, gamma: Dict[int, Dict[ExpVec, Fraction]],
-                     index: Callable[[ExpVec], Tuple[int, ...]]) -> RelationTable:
+def _exp_minus_gamma(g: int, rmax: int, variables: GeneratorTable,
+                     order: int, gamma: Dict[int, Dict[ExpVec, Fraction]]
+                     ) -> RelationTable:
     """exp(-gamma) for gamma = sum_r kappa_r t^r A_r, where gamma[r] holds
     the coefficients of A_r, a series over `variables` truncated at weight
-    `order`; kept up to t-degree rmax, as {(r, index(m)): nonzero
-    kappa-polynomial coefficient of t^r m}.
+    `order`; kept up to t-degree rmax, as {(r, exponent vector of m):
+    nonzero kappa-polynomial coefficient of t^r m}.
 
     kappa_0 = 2g-2 is substituted, and kappa_r = 0 for r < 0 and for
     r > g-2 (top-degree vanishing of the ring model).  gamma is linear in
@@ -158,7 +162,6 @@ def _exp_minus_gamma(g: int, rmax: int, variables: Sequence[Tuple[str, int]],
     parent's last index, so its series is the parent's times
     -A_r/(m_r + 1), one truncated product."""
     gens = kappa_table(g - 2)
-    index = lru_cache(maxsize=None)(index)  # one ev recurs across the nodes
 
     def series(coeffs: Dict[ExpVec, Fraction]) -> TruncatedSeries:
         return TruncatedSeries(variables, order, coeffs)
@@ -172,7 +175,7 @@ def _exp_minus_gamma(g: int, rmax: int, variables: Sequence[Tuple[str, int]],
     while stack:
         degree, mono, least, s = stack.pop()
         for ev, c in s.coeffs.items():
-            grouped.setdefault((degree, index(ev)), {})[mono] = c
+            grouped.setdefault((degree, ev), {})[mono] = c
         for r in range(least, min(g - 2, rmax - degree) + 1):
             if not gamma.get(r):
                 continue
@@ -221,17 +224,17 @@ def fz_admissible(g: int, r: int, sigma: Sequence[int]) -> bool:
 def _fz_exp_minus_gamma(g: int, rmax: int, smax: int) -> RelationTable:
     """exp(-gamma) with gamma = sum C_r(sigma) kappa_r t^r p^sigma, exact on
     the box r <= rmax, |sigma| <= smax, keyed by (r, sigma parts)."""
-    log = _fz_log(rmax + smax)
+    log = _fz_log(rmax + smax, rmax)
     # the p_j with j <= smax come first in the log's variables
-    variables = _p_vars(smax)
+    variables = GeneratorTable(_p_vars(smax))
     n = len(variables)
     gamma: Dict[int, Dict[ExpVec, Fraction]] = {}
     for ev, c in log.coeffs.items():
-        if ev[0] <= rmax and log.weight(ev) - ev[0] <= smax:
+        if log.gens.degree(ev) - ev[0] <= smax:
             gamma.setdefault(ev[0], {})[ev[1:n + 1]] = c
-    names = [name for name, _ in variables]
-    return _exp_minus_gamma(g, rmax, variables, smax, gamma,
-                            lambda ev: _sigma(names, ev))
+    table = _exp_minus_gamma(g, rmax, variables, smax, gamma)
+    sigma = {ev: _sigma(variables.names, ev) for _, ev in table}
+    return {(r, sigma[ev]): poly for (r, ev), poly in table.items()}
 
 
 def fz_relation(g: int, r: int, sigma) -> Optional[KappaRelation]:
@@ -262,7 +265,8 @@ def fz_relation_set(g: int, max_degree: int) -> List[KappaRelation]:
 # Stable-quotient relations
 # ---------------------------------------------------------------------------
 
-_SQ_VARIABLES = (("t", 1), ("x", 2))
+_SQ_GENS = GeneratorTable([("t", 1), ("x", 2)])
+_X = GeneratorTable([("x", 1)])  # x alone, as the scalar series of the walk
 
 
 def sq_phi_series(order: int) -> TruncatedSeries:
@@ -278,7 +282,7 @@ def sq_phi_series(order: int) -> TruncatedSeries:
         lead = Fraction((-1) ** d, factorial(d))
         for m, h in enumerate(complete_homogeneous(d, order - d)):
             coeffs[(m - d, d)] = lead * h
-    return TruncatedSeries(_SQ_VARIABLES, order, coeffs)
+    return TruncatedSeries(_SQ_GENS, order, coeffs)
 
 
 @lru_cache(maxsize=None)
@@ -288,7 +292,7 @@ def _sq_log(dmax: int, rmax: int) -> TruncatedSeries:
     truncations are quotients of the series ring."""
     order = max(rmax + 2 * dmax, 0)
     phi = sq_phi_series(order)
-    return series_log(TruncatedSeries(_SQ_VARIABLES, order, phi.coeffs,
+    return series_log(TruncatedSeries(_SQ_GENS, order, phi.coeffs,
                                       caps={"x": dmax}))
 
 
@@ -316,7 +320,7 @@ def _sq_exp_minus_gamma(g: int, rmax: int, dmax: int) -> RelationTable:
     # log Phi has no x^0 term, so no log term meets a Mumford term
     for (r, d), c in _sq_log(dmax, rmax).coeffs.items():
         gamma.setdefault(r, {})[(d,)] = c
-    return _exp_minus_gamma(g, rmax, [("x", 1)], dmax, gamma, lambda ev: ev)
+    return _exp_minus_gamma(g, rmax, _X, dmax, gamma)
 
 
 def sq_relation(g: int, r: int, d: int) -> Optional[KappaRelation]:

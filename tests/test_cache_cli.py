@@ -195,6 +195,18 @@ def test_cli_presentation_dims(capsys):
     assert data["gorenstein"] is True
 
 
+def test_cli_presentation_repeated_exponent_vectors_add_up(capsys):
+    """Terms with one exponent vector add up: a - a is the zero relation,
+    and a + a = 2a still kills the degree-1 class."""
+    def relation(*coeffs):
+        return json.dumps({"generators": [["a", 1]], "max_degree": 1,
+                           "relations": [[[[1], c] for c in coeffs]]})
+    assert run(["presentation-dims", relation("1/1", "-1/1")]) == 0
+    assert capsys.readouterr().out.split() == ["1", "1"]
+    assert run(["presentation-dims", relation("1/1", "1/1")]) == 0
+    assert capsys.readouterr().out.split() == ["1", "0"]
+
+
 def _presentation(coeff):
     return json.dumps({"generators": [["l", 1]],
                        "relations": [[[[2], coeff]]], "max_degree": 2})

@@ -181,6 +181,20 @@ def test_wl_class_range_check():
         wl_class(3, 4)
 
 
+def test_wl_class_substituted_is_over_the_kappa_table():
+    """With lambdas substituted, every l (l = g included, where no lambda
+    occurs) gives a polynomial over kappa_1..kappa_{g-1}, so it adds to
+    the kappa classes of that ring."""
+    for g in range(2, 7):
+        kappas = tuple(f"kappa_{i}" for i in range(1, g))
+        for l in range(2, g + 1):
+            assert wl_class(g, l, True).gens.names == kappas
+    h2 = hyperelliptic_class(2)
+    assert h2.gens.names == ("kappa_1",)
+    k1 = GradedPolynomial.generator(h2.gens, "kappa_1")
+    assert h2 + k1 == k1 + GradedPolynomial.constant(h2.gens, 2)
+
+
 def test_hyperelliptic_class_cross_formula():
     h3 = hyperelliptic_class(3)
     k1 = GradedPolynomial.generator(h3.gens, "kappa_1")
@@ -216,18 +230,3 @@ def test_euler_orbifold_unstable():
         euler_orbifold(0, 2)
     with pytest.raises(ValueError):
         euler_orbifold(1, 0)
-
-
-def test_hodge_eval_request_type():
-    from tautrings.closedforms import HodgeEvalRequest
-    req = HodgeEvalRequest(2, (2, 1), "lambda_g")
-    assert req.degree_matches()
-    assert req.evaluate() == F(7, 1920)
-    pair = HodgeEvalRequest(2, (1,), "lambda_gm1_lambda_g")
-    assert pair.degree_matches() and pair.evaluate() == F(1, 2880)
-    off = HodgeEvalRequest(1, (1,), "lambda_g")
-    assert not off.degree_matches() and off.evaluate() == 0
-    with pytest.raises(ValueError):
-        HodgeEvalRequest(2, (1,), "bogus")
-    with pytest.raises(ValueError):
-        HodgeEvalRequest(1, (1,), "lambda_gm1_lambda_g")

@@ -95,6 +95,19 @@ def test_D_worked_example():
     assert got == expected
 
 
+def test_repeated_factor_keys_merge():
+    """A factor listed twice is its square, so split and merged inputs are
+    one polynomial and D agrees on them."""
+    ctx = JacContext(3)
+    split = jac_monomial(0, [[3, 1, 1], [3, 1, 1]])
+    merged = jac_monomial(0, [[3, 1, 2]])
+    assert split == merged == P(3, 1) * P(3, 1)
+    assert apply_D(split, ctx) == apply_D(merged, ctx)
+    both = JacPolynomial({(0, (((3, 1), 1), ((3, 1), 1))): F(1),
+                          (0, (((3, 1), 2),)): F(-1)})
+    assert both.is_zero()
+
+
 def test_D_bidegree_bookkeeping():
     """codim -1, weight preserved, on a large random sample."""
     rng = random.Random(5)

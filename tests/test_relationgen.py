@@ -18,9 +18,9 @@ from tautrings.relationgen import (fz_admissible, fz_coefficients, fz_relation,
 
 
 def _coeff(series, **exps):
-    ev = [0] * len(series.variables)
+    ev = [0] * len(series.gens)
     for name, e in exps.items():
-        ev[series.variables.index(name)] = e
+        ev[series.gens.index(name)] = e
     return series.coefficient(tuple(ev))
 
 

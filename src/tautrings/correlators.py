@@ -2,8 +2,8 @@ from __future__ import annotations
 
 import threading
 from fractions import Fraction
-from math import factorial
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from math import comb, factorial, lcm
+from typing import Dict, Generator, Iterable, List, Optional, Sequence, Tuple
 
 __all__ = [
     "CorrelatorKey",
@@ -31,15 +31,20 @@ class CorrelatorKey:
     """Genus plus sorted multiset of psi-exponents.
 
     Exponents are stored non-increasing, so permuted inputs collide to a
-    single key.  Stability 2g - 2 + n > 0 is enforced; the degree condition
-    sum(k_i) = 3g - 3 + n is *not* (off-degree correlators evaluate to 0).
+    single key.  The genus and exponents must be `int`s (not `bool`s), so
+    that 1.5 or 1.9 is refused rather than truncated.  Stability
+    2g - 2 + n > 0 is enforced; the degree condition sum(k_i) = 3g - 3 + n
+    is *not* (off-degree correlators evaluate to 0).
     """
 
     __slots__ = ("genus", "exponents")
 
     def __init__(self, genus: int, exponents: Iterable[int]) -> None:
-        exps = tuple(sorted((int(k) for k in exponents), reverse=True))
-        genus = int(genus)
+        exps = tuple(exponents)
+        for x in (genus,) + exps:
+            if not isinstance(x, int) or isinstance(x, bool):
+                raise ValueError(f"genus and psi-exponents must be ints, got {x!r}")
+        exps = tuple(sorted(exps, reverse=True))
         if genus < 0:
             raise ValueError("genus must be non-negative")
         if any(k < 0 for k in exps):
@@ -153,6 +158,30 @@ def genus0_closed_form(exponents: Sequence[int]) -> Fraction:
     return Fraction(factorial(n - 3), den)
 
 
+def _runs(exps: Tuple[int, ...]) -> List[Tuple[int, int, int]]:
+    """(k, multiplicity, index of the last copy) for each distinct k of a
+    sorted exponent tuple, in order."""
+    runs = []
+    start = 0
+    for i, k in enumerate(exps):
+        if i + 1 == len(exps) or exps[i + 1] != k:
+            runs.append((k, i + 1 - start, i))
+            start = i + 1
+    return runs
+
+
+def _string_terms(exps: Tuple[int, ...]) -> List[Tuple[Tuple[int, ...], int]]:
+    """The string equation on a sorted exponent tuple that ends in 0:
+    <tau_0 X> = sum over k in X, k > 0, of <X with one k lowered by one>.
+
+    Returns one (reduced exponents, multiplicity) pair per distinct positive
+    k.  Lowering the last copy of k keeps the tuple sorted.
+    """
+    rest = exps[:-1]
+    return [(rest[:i] + (k - 1,) + rest[i + 1:], c)
+            for k, c, i in _runs(rest) if k]
+
+
 def string_reduce(key: CorrelatorKey) -> List[Tuple[CorrelatorKey, Fraction]]:
     """One application of the string equation.
 
@@ -164,16 +193,9 @@ def string_reduce(key: CorrelatorKey) -> List[Tuple[CorrelatorKey, Fraction]]:
         raise ValueError("base case is terminal")
     if 0 not in key.exponents:
         raise ValueError("string equation needs a zero exponent")
-    rest = list(key.exponents)
-    rest.remove(0)
-    acc: Dict[CorrelatorKey, Fraction] = {}
-    for i, k in enumerate(rest):
-        if k == 0:
-            continue
-        reduced = rest[:i] + [k - 1] + rest[i + 1:]
-        rk = CorrelatorKey(key.genus, reduced)
-        acc[rk] = acc.get(rk, Fraction(0)) + 1
-    return sorted(acc.items(), key=lambda kv: (kv[0].genus, kv[0].exponents))
+    return sorted(((CorrelatorKey(key.genus, reduced), Fraction(mult))
+                   for reduced, mult in _string_terms(key.exponents)),
+                  key=lambda kv: kv[0].exponents)
 
 
 def psi_intersection(g: int, exponents: Sequence[int],
@@ -184,80 +206,129 @@ def psi_intersection(g: int, exponents: Sequence[int],
     string equation, and the KdV equation for the generating function of
     these numbers, coefficient-matched into the recursion on the largest
     exponent (see docs/correlator_recursion.md for the derivation).
-    Off-degree queries return 0; unstable (g, n) raise.
+    Off-degree queries return 0; unstable (g, n) and exponents or a genus
+    that are not ints raise `ValueError`.
     """
     key = CorrelatorKey(g, exponents)
     return _value(key.genus, key.exponents, table if table is not None else default_table)
 
 
+# Yields (genus, exponents) keys, is sent their values, returns a value.
+_Steps = Generator[Tuple[int, Tuple[int, ...]], Fraction, Fraction]
+
+
 def _value(g: int, exps: Tuple[int, ...], table: CorrelatorTable) -> Fraction:
-    n = len(exps)
-    if 2 * g - 2 + n <= 0:
+    """Evaluate a stable key on an explicit work stack.
+
+    Each frame holds a `_steps` generator, which yields the keys its value
+    depends on and is sent their values.  A key that is neither the base
+    case nor in the memo gets a frame of its own, so the depth of the
+    recursion is bounded by memory, not by the interpreter's recursion
+    limit.  Every key the recursion yields is stable and degree-matching.
+    """
+    if sum(exps) != 3 * g - 3 + len(exps):
         return Fraction(0)
-    if sum(exps) != 3 * g - 3 + n:
-        return Fraction(0)
-    if g == 0 and n == 3:
+    value = _known(g, exps, table)
+    if value is not None:
+        return value
+    stack = [(g, exps, _steps(g, exps))]
+    while stack:
+        g, exps, steps = stack[-1]
+        try:
+            need = steps.send(value)
+        except StopIteration as done:
+            value = done.value
+            table.put(g, exps, value)
+            stack.pop()
+            continue
+        value = _known(need[0], need[1], table)
+        if value is None:
+            stack.append((need[0], need[1], _steps(*need)))
+    return value
+
+
+def _known(g: int, exps: Tuple[int, ...], table: CorrelatorTable) -> Optional[Fraction]:
+    if g == 0 and len(exps) == 3:
         return Fraction(1)
-    cached = table.get(g, exps)
-    if cached is not None:
-        return cached
+    return table.get(g, exps)
 
-    if 0 in exps:
-        # string equation
+
+def _steps(g: int, exps: Tuple[int, ...]) -> _Steps:
+    """One reduction step of <tau_exps>_g, tried in this order:
+
+    - a zero exponent: the string equation;
+    - <tau_1>_1: the KdV equation at its base point gives
+      6 <tau_1>_1 = (1/4) <tau_2 tau_0^4>_0;
+    - an exponent 1: the dilaton equation <tau_1 X>_g = (2g-2+|X|) <X>_g;
+    - otherwise (every exponent >= 2): the DVV recursion `_dvv`.
+    """
+    if exps[-1] == 0:
         total = Fraction(0)
-        for rk, coef in string_reduce(CorrelatorKey(g, exps)):
-            total += coef * _value(rk.genus, rk.exponents, table)
-    elif n == 1 and exps[0] == 1:
-        # <tau_1>_1: the KdV equation at its base point gives
-        # 6 <tau_1>_1 = (1/4) <tau_2 tau_0^4>_0.
-        total = _value(0, (2, 0, 0, 0, 0), table) / 24
-    else:
-        total = _dvv(g, exps, table)
-
-    table.put(g, exps, total)
-    return total
+        for reduced, mult in _string_terms(exps):
+            total += mult * (yield g, reduced)
+        return total
+    if exps[-1] == 1:
+        if len(exps) == 1:
+            return (yield 0, (2, 0, 0, 0, 0)) / 24
+        return (2 * g - 3 + len(exps)) * (yield g, exps[:-1])
+    return (yield from _dvv(g, exps))
 
 
-def _dvv(g: int, exps: Tuple[int, ...], table: CorrelatorTable) -> Fraction:
-    """Recursion on the largest exponent (exps sorted non-increasing, all
-    >= 1 here, and (g, exps) is not <tau_1>_1):
+def _dvv(g: int, exps: Tuple[int, ...]) -> _Steps:
+    """Recursion on the largest exponent d (exps sorted non-increasing, all
+    >= 2 here), with X the remaining multiset:
 
     (2d+1)!! <tau_d X>_g =
-        sum_{j in X} (2d+2k_j-1)!!/(2k_j-1)!! <tau_{d+k_j-1} X\\j>_g
+        sum_{k in X} (2d+2k-1)!!/(2k-1)!! <tau_{d+k-1} X\\k>_g
       + 1/2 sum_{a+b=d-2} (2a+1)!!(2b+1)!! [ <tau_a tau_b X>_{g-1}
-          + sum_{g1+g2=g, I sqcup J = X} <tau_a I>_{g1} <tau_b J>_{g2} ]
+          + sum_{I + J = X} prod_k C(c_k, i_k) <tau_a I>_{g1} <tau_b J>_{g-g1} ]
+
+    The first sum runs over the distinct k in X, times their multiplicity;
+    the last over sub-multisets I of X (i_k copies of each k that occurs
+    c_k times), where the degree fixes g1 = (a + sum(I) - |I| + 2) / 3.
+    Each term is kept as an integer numerator and denominator, and the
+    value is one Fraction over their lcm.
     """
     d = exps[0]
     rest = exps[1:]
     m = len(rest)
-    total = Fraction(0)
+    odd = [1]  # odd[i] = (2i-1)!!
+    for i in range(1, 2 * d + 1):
+        odd.append(odd[-1] * (2 * i - 1))
+    terms = []  # (numerator, denominator): the sum is 2 (2d+1)!! <tau_d X>_g
 
-    for j, k in enumerate(rest):
-        coef = Fraction(odd_double_factorial(2 * d + 2 * k - 1),
-                        odd_double_factorial(2 * k - 1))
-        reduced = tuple(sorted(rest[:j] + (d + k - 1,) + rest[j + 1:], reverse=True))
-        total += coef * _value(g, reduced, table)
+    runs = _runs(rest)
+    for k, c, last in runs:
+        merged = (d + k - 1,) + rest[:last] + rest[last + 1:]
+        v = yield g, merged
+        terms.append((2 * c * (odd[d + k] // odd[k]) * v.numerator, v.denominator))
 
-    for a in range(d - 1):
-        b = d - 2 - a
-        w = Fraction(odd_double_factorial(2 * a + 1) * odd_double_factorial(2 * b + 1), 2)
-        # non-separating term
-        if g >= 1:
-            joined = tuple(sorted((a, b) + rest, reverse=True))
-            if 2 * (g - 1) - 2 + (m + 2) > 0 and sum(joined) == 3 * (g - 1) - 3 + m + 2:
-                total += w * _value(g - 1, joined, table)
-        # separating terms over ordered (subset, genus) splits
-        for mask in range(1 << m):
-            left = tuple(rest[i] for i in range(m) if mask >> i & 1)
-            right = tuple(rest[i] for i in range(m) if not mask >> i & 1)
-            kl = tuple(sorted((a,) + left, reverse=True))
-            kr = tuple(sorted((b,) + right, reverse=True))
-            for g1 in range(g + 1):
-                g2 = g - g1
-                if 2 * g1 - 2 + len(kl) <= 0 or 2 * g2 - 2 + len(kr) <= 0:
-                    continue
-                if sum(kl) != 3 * g1 - 3 + len(kl) or sum(kr) != 3 * g2 - 3 + len(kr):
-                    continue
-                total += w * _value(g1, kl, table) * _value(g2, kr, table)
+    splits = [((), (), 0, 0, 1)]  # (I, J, sum(I), |I|, binomial weight)
+    for k, c, _ in runs:
+        splits = [(left + (k,) * i, right + (k,) * (c - i), s + k * i, n + i,
+                   wt * comb(c, i))
+                  for left, right, s, n, wt in splits for i in range(c + 1)]
 
-    return total / odd_double_factorial(2 * d + 1)
+    # a + b = d - 2, and swapping a with b (and I with J) permutes the
+    # terms, so only a <= b is summed, a < b twice.
+    pair = [odd[a + 1] * odd[d - 1 - a] * (1 if 2 * a == d - 2 else 2)
+            for a in range(d // 2)]
+    if g >= 1 and 2 * g - 2 + m > 0:
+        for a, w in enumerate(pair):
+            v = yield g - 1, tuple(sorted((a, d - 2 - a) + rest, reverse=True))
+            terms.append((w * v.numerator, v.denominator))
+
+    for left, right, s, n, wt in splits:
+        for a in range((n - s - 2) % 3, d // 2, 3):  # g1 is an integer
+            g1 = (a + s - n + 2) // 3
+            if g1 > g:
+                break
+            if 2 * g1 - 1 + n <= 0 or 2 * (g - g1) - 1 + m - n <= 0:
+                continue
+            v = yield g1, tuple(sorted((a,) + left, reverse=True))
+            u = yield g - g1, tuple(sorted((d - 2 - a,) + right, reverse=True))
+            terms.append((pair[a] * wt * v.numerator * u.numerator,
+                          v.denominator * u.denominator))
+
+    den = lcm(*(q for _, q in terms))
+    return Fraction(sum(p * (den // q) for p, q in terms), 2 * odd[d + 1] * den)

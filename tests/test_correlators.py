@@ -1,8 +1,10 @@
 from __future__ import annotations
 
 import random
+import sys
 from fractions import Fraction as F
 from itertools import combinations_with_replacement
+from math import factorial
 
 import pytest
 
@@ -82,6 +84,17 @@ def test_unstable_and_negative_raise():
         psi_intersection(0, [1, -1, 0])
 
 
+@pytest.mark.parametrize("g,exps", [(1, [1.5]), (1.9, [1]), (1, [F(1)]),
+                                    (True, [1]), (1, [True]), (0, [1, 0, False]),
+                                    (1, ["1"])])
+def test_non_int_genus_or_exponent_raises(g, exps):
+    """No truncation through int(): 1.5 and 1.9 used to give <tau_1>_1."""
+    with pytest.raises(ValueError, match="must be ints"):
+        psi_intersection(g, exps)
+    with pytest.raises(ValueError, match="must be ints"):
+        CorrelatorKey(g, exps)
+
+
 def test_genus0_closed_form_examples():
     assert genus0_closed_form([0, 0, 0]) == 1
     assert genus0_closed_form([1, 0, 0, 0]) == 1
@@ -117,9 +130,10 @@ def _keys_of_degree(g, n):
 
 
 def test_dilaton_cross_check():
-    """<tau_1 X>_g = (2g-2+n) <X>_g, a standard consequence used purely as
-    an oracle (never as a computation path); checked on every stable key
-    with g <= 3 and n <= 6."""
+    """<tau_1 X>_g = (2g-2+n) <X>_g on every stable key with g <= 3 and
+    n <= 6.  The engine reduces a tau_1 by this equation, so this is a
+    consistency check of the public API; `test_matches_reference_dvv`
+    checks the values against a recursion that never uses it."""
     for g in range(0, 4):
         for n in range(1, 7):
             for exps in _keys_of_degree(g, n):
@@ -226,3 +240,83 @@ def test_one_point_tower_closed_form():
     for g in range(1, 6):
         assert psi_intersection(g, [3 * g - 2]) == F(1, 24 ** g * factorial(g))
         assert one_point_pde_oracle(g) == F(1, 24 ** g * factorial(g))
+
+
+# ---------------------------------------------------------------------------
+# Reference recursion: the plain DVV evaluation the engine replaced, with
+# ordered subsets, a loop over every g1 and no dilaton step.  Slow, but it
+# shares no code with the engine.
+# ---------------------------------------------------------------------------
+
+def _odd_df(m):
+    r = 1
+    while m > 1:
+        r *= m
+        m -= 2
+    return r
+
+
+def _reference_value(g, exps, memo):
+    exps = tuple(sorted(exps, reverse=True))
+    n = len(exps)
+    if 2 * g - 2 + n <= 0 or sum(exps) != 3 * g - 3 + n:
+        return F(0)
+    if g == 0 and n == 3:
+        return F(1)
+    if (g, exps) in memo:
+        return memo[g, exps]
+    if 0 in exps:
+        rest = list(exps)
+        rest.remove(0)
+        total = F(0)
+        for i, k in enumerate(rest):
+            if k:
+                total += _reference_value(g, rest[:i] + [k - 1] + rest[i + 1:], memo)
+    elif exps == (1,):
+        total = _reference_value(0, (2, 0, 0, 0, 0), memo) / 24
+    else:
+        d, rest = exps[0], exps[1:]
+        m = len(rest)
+        total = F(0)
+        for j, k in enumerate(rest):
+            coef = F(_odd_df(2 * d + 2 * k - 1), _odd_df(2 * k - 1))
+            total += coef * _reference_value(
+                g, rest[:j] + (d + k - 1,) + rest[j + 1:], memo)
+        for a in range(d - 1):
+            b = d - 2 - a
+            w = F(_odd_df(2 * a + 1) * _odd_df(2 * b + 1), 2)
+            if g >= 1:
+                total += w * _reference_value(g - 1, (a, b) + rest, memo)
+            for mask in range(1 << m):
+                left = (a,) + tuple(rest[i] for i in range(m) if mask >> i & 1)
+                right = (b,) + tuple(rest[i] for i in range(m) if not mask >> i & 1)
+                for g1 in range(g + 1):
+                    total += w * (_reference_value(g1, left, memo)
+                                  * _reference_value(g - g1, right, memo))
+        total /= _odd_df(2 * d + 1)
+    memo[g, exps] = total
+    return total
+
+
+def test_matches_reference_dvv():
+    """Every degree-matching stable key with g <= 4 and n <= 6 equals the
+    reference recursion, from an empty memo."""
+    table, memo = CorrelatorTable(), {}
+    count = 0
+    for g in range(5):
+        for n in range(1, 7):
+            for exps in _keys_of_degree(g, n):
+                assert psi_intersection(g, exps, table) == \
+                    _reference_value(g, exps, memo), (g, exps)
+                count += 1
+    assert count == 483
+
+
+def test_deep_chains_at_default_recursion_limit():
+    """A string chain of depth 1998 and a dilaton chain of depth 1499 run
+    on the work stack, with the interpreter's recursion limit untouched."""
+    limit = sys.getrecursionlimit()
+    table = CorrelatorTable()
+    assert psi_intersection(0, [1998] + [0] * 2000, table) == 1
+    assert psi_intersection(1, [1] * 1500, table) == F(factorial(1499), 24)
+    assert sys.getrecursionlimit() == limit

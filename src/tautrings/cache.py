@@ -26,7 +26,9 @@ class CacheFile:
     Layout: {"version", "sections": {"correlators": {...}}, "checksum"};
     rationals are "num/den" strings, keys sorted, sections kept as read, so
     load-then-save is byte-identical when nothing was added.  A version
-    mismatch or checksum mismatch is rejected, never migrated.
+    mismatch or checksum mismatch is rejected, never migrated.  `collect`
+    adds only keys the section lacks and says whether it added any, so a
+    caller saves only when the file would change.
     """
 
     def __init__(self, path: str) -> None:
@@ -51,8 +53,8 @@ class CacheFile:
         digest = hashlib.sha256(payload.encode("utf-8")).hexdigest()
         if data.get("checksum") != digest:
             raise CacheError("cache checksum mismatch")
-        self.sections = {k: dict(v) for k, v in sections.items()}
-        self.sections.setdefault("correlators", {})
+        self.sections = sections
+        sections.setdefault("correlators", {})
         return self
 
     def save(self) -> None:
@@ -70,7 +72,13 @@ class CacheFile:
     # -- section adapters ---------------------------------------------------
 
     def attach_correlators(self, table: CorrelatorTable) -> None:
+        """Hand the correlator section to `table`, which checks every
+        entry now and parses each one when it is first read."""
         table.load(self.sections["correlators"])
 
-    def collect(self, table: CorrelatorTable) -> None:
-        self.sections["correlators"].update(table.snapshot())
+    def collect(self, table: CorrelatorTable) -> bool:
+        """Add the table's entries that the section lacks; True if any."""
+        section = self.sections["correlators"]
+        added = {k: v for k, v in table.snapshot().items() if k not in section}
+        section.update(added)
+        return bool(added)

@@ -135,8 +135,7 @@ def _cmd_correlator(args, out: _Output) -> int:
         cache.attach_correlators(table)
     value = correlators.psi_intersection(args.genus, _parse_ints(args.exponents),
                                          table)
-    if cache is not None:
-        cache.collect(table)
+    if cache is not None and cache.collect(table):
         cache.save()
     out.emit({"genus": args.genus, "exponents": _parse_ints(args.exponents),
               "value": _frac_str(value)},

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import re
 import threading
 from fractions import Fraction
 from math import comb, factorial, lcm
@@ -54,21 +55,8 @@ class CorrelatorKey:
         self.genus = genus
         self.exponents = exps
 
-    @property
-    def n(self) -> int:
-        return len(self.exponents)
-
-    def degree_matches(self) -> bool:
-        return sum(self.exponents) == 3 * self.genus - 3 + self.n
-
     def serialize(self) -> str:
-        return f"{self.genus}:" + ",".join(str(k) for k in self.exponents)
-
-    @classmethod
-    def deserialize(cls, s: str) -> "CorrelatorKey":
-        g, _, rest = s.partition(":")
-        exps = [int(x) for x in rest.split(",")] if rest else []
-        return cls(int(g), exps)
+        return _key_text(self.genus, self.exponents)
 
     def __eq__(self, other) -> bool:
         if isinstance(other, CorrelatorKey):
@@ -82,59 +70,118 @@ class CorrelatorKey:
         return f"CorrelatorKey({self.genus}, {list(self.exponents)})"
 
 
+def _key_text(g: int, exps: Tuple[int, ...]) -> str:
+    """The cache-file form "g:k1,k2,..." of a sorted key."""
+    return f"{g}:" + ",".join(map(str, exps))
+
+
+# The cache-entry grammar, the shape `snapshot` writes (though a value
+# need not be in lowest terms): decimal ints with no sign, spaces,
+# underscores or leading zeros; keys stable (n >= 3 in genus 0, n >= 1 in
+# genus 1); values "num/den" with den > 0.
+_INT = "(?:0|[1-9][0-9]*)"
+_KEY = (rf"0:{_INT}(?:,{_INT}){{2,}}|1:{_INT}(?:,{_INT})*"
+        rf"|(?:[2-9]|[1-9][0-9]+):(?:{_INT}(?:,{_INT})*)?")
+_VALUE = "(?:0|-?[1-9][0-9]*)/[1-9][0-9]*"
+# A newline that does not start one well-formed item, ended by the next
+# newline or the end of the string.  Left to `re`'s cache to compile on
+# first use, so that a process that reads no cache file compiles nothing.
+_BAD_KEY = rf"\n(?!(?:{_KEY})(?:\n|\Z))"
+_BAD_VALUE = rf"\n(?!{_VALUE}(?:\n|\Z))"
+
+
+def _grammatical(entries: Dict[str, str]) -> bool:
+    """Whether every entry is in the grammar.  The keys, each after a
+    newline, form one string and the values another, and one search of
+    each finds any item that is not well formed.  The newline counts show
+    that no key or value holds a newline, so the items are the entries."""
+    try:
+        keys = "\n" + "\n".join(entries)
+        values = "\n" + "\n".join(entries.values())
+    except TypeError:
+        return False
+    return (keys.count("\n") == values.count("\n") == len(entries)
+            and re.search(_BAD_KEY, keys) is None
+            and re.search(_BAD_VALUE, values) is None)
+
+
 class CorrelatorTable:
     """Memo table of correlator values, safe for concurrent readers.
 
     The table is transparent: clearing it and recomputing reproduces every
     value exactly.  `snapshot`/`load` exchange the content with the cache
-    file layer (keys in the "g:k1,k2,..." form, values "num/den").
+    file layer, keys "g:k1,k2,..." with the exponents non-increasing and
+    values "num/den".  `load` checks every entry against that grammar at
+    once but parses none: `get` parses an entry the first time its key
+    misses the memo.  A key whose exponents are not sorted is never looked
+    up, so such an entry is kept as read and never used.
     """
 
     def __init__(self) -> None:
         self._data: Dict[Tuple[int, Tuple[int, ...]], Fraction] = {}
+        self._raw: Dict[str, str] = {}  # loaded entries, checked, unparsed
         self._lock = threading.Lock()
 
     def get(self, g: int, exps: Tuple[int, ...]) -> Optional[Fraction]:
-        return self._data.get((g, exps))
+        value = self._data.get((g, exps))
+        if value is None and self._raw:
+            value = self._read(g, exps)
+        return value
 
     def put(self, g: int, exps: Tuple[int, ...], value: Fraction) -> None:
         with self._lock:
-            self._store((g, exps), value)
+            prev = self._data.get((g, exps))
+            if prev is None and self._raw:
+                prev = self._read(g, exps)
+            if prev is not None and prev != value:
+                raise RuntimeError("divergent correlator values for one key")
+            self._data[(g, exps)] = value
 
-    def _store(self, key: Tuple[int, Tuple[int, ...]], value: Fraction) -> None:
-        """The one write path into the memo; callers hold `_lock`."""
-        prev = self._data.get(key)
-        if prev is not None and prev != value:
-            raise RuntimeError("divergent correlator values for one key")
-        self._data[key] = value
+    def _read(self, g: int, exps: Tuple[int, ...]) -> Optional[Fraction]:
+        """Parse the loaded entry of a key that missed the memo."""
+        text = self._raw.get(_key_text(g, exps))
+        if text is None:
+            return None
+        return self._data.setdefault((g, exps), Fraction(text))
 
     def clear(self) -> None:
         with self._lock:
             self._data.clear()
+            self._raw = {}
 
     def __len__(self) -> int:
+        """The number of values in the memo: computed, put or read."""
         return len(self._data)
 
     def snapshot(self) -> Dict[str, str]:
+        """The content in cache-file form; loaded entries are passed on
+        as read."""
         with self._lock:
             items = list(self._data.items())
-        out = {}
+            out = dict(self._raw)
         for (g, exps), v in items:
-            key = CorrelatorKey(g, exps).serialize()
-            out[key] = f"{v.numerator}/{v.denominator}"
+            out.setdefault(_key_text(g, exps), f"{v.numerator}/{v.denominator}")
         return out
 
     def load(self, entries: Dict[str, str]) -> None:
+        """Take in cache entries, keeping `entries` itself unless the table
+        already holds loaded entries.  A malformed entry raises `ValueError` and an entry
+        that disagrees with a value the table holds raises `RuntimeError`;
+        either way the table is left unchanged."""
+        if entries and not _grammatical(entries):
+            bad = next(k for k in entries if not _grammatical({k: entries[k]}))
+            raise ValueError(f"bad cache entry {bad!r}: {entries[bad]!r}")
         with self._lock:
-            for key, val in entries.items():
-                try:
-                    ck = CorrelatorKey.deserialize(key)
-                    num, _, den = val.partition("/")
-                    value = Fraction(int(num), int(den or 1))
-                except (AttributeError, ValueError, ZeroDivisionError):
-                    raise ValueError(
-                        f"bad cache entry {key!r}: {val!r}") from None
-                self._store((ck.genus, ck.exponents), value)
+            # The values held that `entries` may contradict: the memo's,
+            # and unread entries whose text `entries` changes.
+            held = [(_key_text(g, exps), v) for (g, exps), v in self._data.items()]
+            held += [(key, Fraction(text)) for key, text in self._raw.items()
+                     if entries.get(key, text) != text]
+            for key, v in held:
+                text = entries.get(key)
+                if text is not None and Fraction(text) != v:
+                    raise RuntimeError(f"divergent correlator values for {key}")
+            self._raw = {**self._raw, **entries} if self._raw else entries
 
 
 default_table = CorrelatorTable()
@@ -146,7 +193,9 @@ def genus0_closed_form(exponents: Sequence[int]) -> Fraction:
     Independent of the recursion below (it follows by induction on the
     string equation); used only for cross-validation.
     """
-    exps = [int(k) for k in exponents]
+    exps = list(exponents)
+    if not all(isinstance(k, int) and not isinstance(k, bool) for k in exps):
+        raise ValueError(f"psi-exponents must be ints, got {exps!r}")
     n = len(exps)
     if n < 3 or any(k < 0 for k in exps):
         raise ValueError("need n >= 3 non-negative exponents")

@@ -2,13 +2,22 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 from fractions import Fraction as F
 
 import pytest
 
 from tautrings.cache import CacheError, CacheFile
 from tautrings.cli import run
-from tautrings.correlators import CorrelatorTable, psi_intersection
+from tautrings.correlators import CorrelatorTable, default_table, psi_intersection
+
+
+@pytest.fixture
+def empty_memo():
+    """Start the CLI's memo empty, as a fresh process starts it."""
+    default_table.clear()
+    yield
+    default_table.clear()
 
 
 # ---------------------------------------------------------------------------
@@ -294,14 +303,35 @@ def _checksummed(sections):
                        "checksum": hashlib.sha256(payload.encode()).hexdigest()})
 
 
+def _beside_good_entry(key, value):
+    """A checksummed file holding `key` next to the entry that the query
+    `1 1` reads, so `key` is never read."""
+    return _checksummed({"correlators": {"1:1": "1/24", key: value}})
+
+
+# An entry is "g:k1,...,kn" (ints without sign, spaces, underscores or
+# leading zeros; a stable key) mapped to "num/den" (den > 0).  Forms that
+# int() also reads are refused, since the file never holds them.
+_BAD_ENTRIES = [
+    ("2:4", 5), ("2:4", "1/0"), ("2:x", "1/1152"), ("2:4", "a/1152"),
+    ("1:-1", "1/24"), ("2:4,-1", "0/1"), ("0:0,0", "1/1"), ("1:", "0/1"),
+    ("2:4", "1152"), ("2:4", " 1/1152"), ("2:4", "+1/1152"),
+    ("2:4", "1_0/2_40"), ("1: 1", "1/24"), ("2:4", "01/1152"),
+    ("2:4", "1/-1152"), ("02:4", "1/1152"), ("2:4\n1:1", "1/1152"),
+    ("2:4", "1/1152\n1/24"),
+]
+
+
 @pytest.mark.parametrize("text, fragment", [
     ("[]", "not a JSON object"),
     (_checksummed([]), "sections"),
     (_checksummed({"correlators": {"1:1": "1/0"}}), "'1:1'"),
-], ids=["top-level", "sections", "value"])
+] + [(_beside_good_entry(k, v), repr(k)) for k, v in _BAD_ENTRIES],
+    ids=["top-level", "sections", "value"] + [f"{k!r}={v!r}" for k, v in _BAD_ENTRIES])
 def test_cli_malformed_cache_is_usage_error(tmp_path, capsys, text, fragment):
-    """A cache file of the wrong shape, or a checksummed entry that is not
-    a rational, is bad input (exit 2), not an internal failure."""
+    """A cache file of the wrong shape, or a checksummed entry outside the
+    entry grammar, is bad input (exit 2), not an internal failure, even
+    when the query never reads that entry."""
     path = tmp_path / "cache.json"
     path.write_text(text)
     assert run(["correlator", "1", "1", "--cache", str(path)]) == 2
@@ -328,6 +358,58 @@ def test_cli_cache_equivalence(tmp_path, capsys):
     assert run(["correlator", "2", "4", "--cache", path]) == 0
     capsys.readouterr()
     assert open(path, "rb").read() == before
+
+
+def test_cli_unsorted_cache_key_is_kept_and_never_read(tmp_path, capsys,
+                                                      empty_memo):
+    """A key whose exponents are not non-increasing is never looked up, so
+    its value, right or wrong, is not used; the entry stays as written."""
+    path = tmp_path / "c.json"
+    path.write_text(_checksummed({"correlators": {"0:0,1,0,0": "7/1"}}))
+    assert run(["correlator", "0", "1,0,0,0", "--cache", str(path)]) == 0
+    assert capsys.readouterr().out.strip() == "1"
+    assert json.loads(path.read_text())["sections"]["correlators"] == {
+        "0:0,1,0,0": "7/1", "0:1,0,0,0": "1/1"}
+
+
+def test_cli_cache_untouched_when_nothing_is_added(tmp_path, capsys, empty_memo):
+    """A cached call whose values are all in the file, or that computes
+    none, does not write: same bytes, same mtime, no temporary file."""
+    path = tmp_path / "c.json"
+    assert run(["correlator", "2", "4", "--cache", str(path)]) == 0
+    os.utime(path, ns=(10**9, 10**9))
+    before = path.read_bytes()
+    for g, exps in [("2", "4"), ("1", "1"), ("2", "3"), ("0", "0,0,0")]:
+        default_table.clear()
+        assert run(["correlator", g, exps, "--cache", str(path)]) == 0
+        assert path.read_bytes() == before
+        assert path.stat().st_mtime_ns == 10**9
+        assert os.listdir(tmp_path) == ["c.json"]
+    missing = tmp_path / "new.json"
+    default_table.clear()
+    assert run(["correlator", "0", "0,0,0", "--cache", str(missing)]) == 0
+    assert not missing.exists()
+    capsys.readouterr()
+
+
+def test_cli_cache_after_adding_calls_matches_one_save(tmp_path, capsys,
+                                                       empty_memo):
+    """Cached calls that each add entries leave the file that one `collect`
+    and `save` of a table which computed the same keys writes."""
+    queries = [("1", "1"), ("2", "3,2"), ("2", "4"), ("3", "7"), ("2", "4")]
+    path = tmp_path / "c.json"
+    for g, exps in queries:
+        default_table.clear()
+        assert run(["correlator", g, exps, "--cache", str(path)]) == 0
+    capsys.readouterr()
+    table = CorrelatorTable()
+    for g, exps in queries:
+        psi_intersection(int(g), [int(k) for k in exps.split(",")], table)
+    fresh = CacheFile(str(tmp_path / "fresh.json"))
+    assert fresh.collect(table) is True
+    assert fresh.collect(table) is False
+    fresh.save()
+    assert path.read_bytes() == (tmp_path / "fresh.json").read_bytes()
 
 
 def test_cli_rationals_are_exact_strings(capsys):

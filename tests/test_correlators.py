@@ -103,6 +103,14 @@ def test_genus0_closed_form_examples():
     assert genus0_closed_form([2, 1, 0, 0]) == 0  # degree mismatch
 
 
+@pytest.mark.parametrize("exps", [[1.9, 0, 0, 0], [True, False, False, False],
+                                  [1, 0, 0, F(0)], [1, 0, 0, "0"]])
+def test_genus0_closed_form_refuses_non_int_exponents(exps):
+    """No truncation through int(): [1.9, 0, 0, 0] used to give 1."""
+    with pytest.raises(ValueError, match="must be ints"):
+        genus0_closed_form(exps)
+
+
 def test_genus0_agreement_up_to_eight_markings():
     for n in range(3, 9):
         deg = n - 3
@@ -195,11 +203,48 @@ def test_table_load_rejects_divergent_value():
     table.load({"0:0,0,0": "1/1"})  # an agreeing entry is accepted
 
 
+def test_table_parses_an_entry_when_first_read():
+    """`load` parses no entry; `get` parses one when its key first misses
+    the memo, and `len` counts only the entries read so far."""
+    table = CorrelatorTable()
+    table.load({"1:1": "1/24", "2:4": "1/1152"})
+    assert len(table) == 0
+    assert table.get(1, (1,)) == F(1, 24)
+    assert len(table) == 1
+    assert table.snapshot() == {"1:1": "1/24", "2:4": "1/1152"}
+    assert psi_intersection(2, [4], table) == F(1, 1152)
+
+
+def test_table_load_accepts_the_written_grammar():
+    """Two-digit genera, stable keys with no markings and fractions not in
+    lowest terms are entries too."""
+    table = CorrelatorTable()
+    table.load({"0:0,0,0": "1/1", "2:": "0/1", "10:28": "1/2", "3:7": "-2/4"})
+    assert table.get(3, (7,)) == F(-1, 2)
+    assert table.get(10, (28,)) == F(1, 2)
+
+
+def test_table_unread_entries_keep_the_divergence_rule():
+    """An entry not yet read still counts as held: `put` and a second
+    `load` that disagree with it are rejected."""
+    table = CorrelatorTable()
+    table.load({"1:1": "1/24"})
+    with pytest.raises(RuntimeError, match="divergent"):
+        table.put(1, (1,), F(1, 25))
+    with pytest.raises(RuntimeError, match="divergent"):
+        table.load({"1:1": "1/25"})
+    table.load({"1:1": "2/48", "2:4": "1/1152"})  # the same value
+    table.put(1, (1,), F(1, 24))
+    assert table.get(2, (4,)) == F(1, 1152)
+
+
 def test_canonical_key_sorting():
     k = CorrelatorKey(1, [0, 2, 1])
     assert k.exponents == (2, 1, 0)
     assert k.serialize() == "1:2,1,0"
-    assert CorrelatorKey.deserialize("1:2,1,0") == k
+    table = CorrelatorTable()
+    table.load({k.serialize(): "1/12"})
+    assert table.get(k.genus, k.exponents) == F(1, 12)
 
 
 def test_concurrent_queries_are_consistent():

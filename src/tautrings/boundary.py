@@ -5,7 +5,7 @@ from itertools import combinations
 from typing import Dict, FrozenSet, Iterable, List, Set, Tuple
 
 from .exactmath import (GeneratorTable, GradedPolynomial, GradedQuotient,
-                        SparseEchelon, relation_rows)
+                        relation_echelon)
 
 __all__ = [
     "BoundaryDivisor",
@@ -282,10 +282,7 @@ class H2Presentation:
 
     def rank(self) -> int:
         """Number of generators minus the rank of the relation span."""
-        ech = SparseEchelon()
-        for row in relation_rows(self.gens, self.relations, 1):
-            ech.add_row(row)
-        return len(self.names) - ech.rank
+        return len(self.names) - relation_echelon(self.gens, self.relations, 1).rank
 
     def export(self) -> dict:
         return {

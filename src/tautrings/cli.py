@@ -10,7 +10,7 @@ from typing import Any, Dict, List, Optional, Sequence
 
 from . import boundary, closedforms, correlators, jacobian, relationgen, stablegraphs, tautring
 from .cache import CacheError, CacheFile
-from .exactmath import GeneratorTable, GradedPolynomial, graded_quotient
+from .exactmath import GeneratorTable, GradedPolynomial, graded_quotient, is_int
 
 __all__ = ["run", "main"]
 
@@ -128,7 +128,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_correlator(args, out: _Output) -> int:
-    table = correlators.default_table
+    # a table of its own, as a fresh process has, so that one process's
+    # calls do not pass entries from one cache file into another
+    table = correlators.CorrelatorTable()
     cache = None
     if args.cache and not args.no_cache:
         cache = CacheFile(args.cache).load()
@@ -250,14 +252,10 @@ def _list(what: str, value: Any, length: Optional[int] = None) -> list:
     return value
 
 
-def _is_integer(value: Any) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
 def _integer(what: str, value: Any, least: Optional[int] = None) -> int:
     """An input integer: a JSON integer, not a bool, float or string, and
     at least `least` if that is given."""
-    if not _is_integer(value) or (least is not None and value < least):
+    if not is_int(value) or (least is not None and value < least):
         bound = "" if least is None else f" >= {least}"
         raise ValueError(f"bad {what} {value!r}: expected an integer{bound}")
     return value
@@ -265,7 +263,7 @@ def _integer(what: str, value: Any, least: Optional[int] = None) -> int:
 
 def _coefficient(value: Any) -> Fraction:
     """An input coefficient: an int or a "num" / "num/den" string."""
-    if _is_integer(value):
+    if is_int(value):
         return Fraction(value)
     if isinstance(value, str):
         num, sep, den = value.partition("/")

@@ -6,7 +6,7 @@ from typing import List, Optional, Sequence, Tuple
 
 from .correlators import odd_double_factorial
 from .exactmath import (GeneratorTable, GradedPolynomial, TruncatedSeries,
-                        bernoulli, series_exp)
+                        bernoulli, is_int, series_exp)
 
 __all__ = [
     "lambda_g_base",
@@ -49,9 +49,11 @@ def lambda_g_base(g: int) -> Fraction:
 def lambda_g_eval(g: int, alpha: Sequence[int]) -> Fraction:
     """psi^alpha lambda_g integral: multinomial(2g-3+n; alpha) times the
     one-point base value.  Off-degree requests return 0."""
+    a = list(alpha)
+    if not all(map(is_int, [g] + a)):
+        raise ValueError(f"genus and exponents must be ints, got {g!r}, {a!r}")
     if g <= 0:
         raise ValueError("genus must be >= 1")
-    a = [int(x) for x in alpha]
     if any(x < 0 for x in a):
         raise ValueError("exponents must be non-negative")
     n = len(a)
@@ -73,9 +75,11 @@ def lambda_gm1_lambda_g_eval(g: int, alpha: Sequence[int]) -> Fraction:
     """psi^alpha lambda_{g-1} lambda_g integral,
     (2g+n-3)!(2g-1)!! / ((2g-1)! prod (2a_i-1)!!) times the one-point
     constant.  Requires every a_i >= 1; off-degree requests return 0."""
+    a = list(alpha)
+    if not all(map(is_int, [g] + a)):
+        raise ValueError(f"genus and exponents must be ints, got {g!r}, {a!r}")
     if g < 2:
         raise ValueError("genus must be >= 2")
-    a = [int(x) for x in alpha]
     if any(x < 1 for x in a):
         raise ValueError("every exponent must be >= 1")
     n = len(a)

@@ -6,6 +6,8 @@ from fractions import Fraction
 from math import comb, factorial, lcm
 from typing import Dict, Generator, Iterable, List, Optional, Sequence, Tuple
 
+from .exactmath import is_int
+
 __all__ = [
     "CorrelatorKey",
     "CorrelatorTable",
@@ -43,7 +45,7 @@ class CorrelatorKey:
     def __init__(self, genus: int, exponents: Iterable[int]) -> None:
         exps = tuple(exponents)
         for x in (genus,) + exps:
-            if not isinstance(x, int) or isinstance(x, bool):
+            if not is_int(x):
                 raise ValueError(f"genus and psi-exponents must be ints, got {x!r}")
         exps = tuple(sorted(exps, reverse=True))
         if genus < 0:
@@ -194,7 +196,7 @@ def genus0_closed_form(exponents: Sequence[int]) -> Fraction:
     string equation); used only for cross-validation.
     """
     exps = list(exponents)
-    if not all(isinstance(k, int) and not isinstance(k, bool) for k in exps):
+    if not all(map(is_int, exps)):
         raise ValueError(f"psi-exponents must be ints, got {exps!r}")
     n = len(exps)
     if n < 3 or any(k < 0 for k in exps):

@@ -11,7 +11,7 @@ from .gradedpoly import GeneratorTable, GradedPolynomial
 from .linalg import SparseEchelon, exact_rank
 from .partitions import partition_count
 from .quotient import (GradedQuotient, QuotientReport, graded_quotient,
-                       relation_rows)
+                       relation_echelon, relation_rows)
 from .series import TruncatedSeries, series_exp, series_log, series_mul
 
 __all__ = [
@@ -24,9 +24,17 @@ __all__ = [
     "GradedQuotient",
     "QuotientReport",
     "graded_quotient",
+    "relation_echelon",
     "relation_rows",
     "TruncatedSeries",
     "series_exp",
     "series_log",
     "series_mul",
+    "is_int",
 ]
+
+
+def is_int(x) -> bool:
+    """An `int` that is not a `bool`: the one test of integer inputs, so
+    that 1.5 or True is refused rather than truncated."""
+    return isinstance(x, int) and not isinstance(x, bool)

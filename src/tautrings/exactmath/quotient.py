@@ -9,7 +9,7 @@ from .gradedpoly import GeneratorTable, GradedPolynomial, Monomial
 from .linalg import SparseEchelon, exact_rank
 
 __all__ = ["QuotientReport", "GradedQuotient", "graded_quotient",
-           "relation_rows"]
+           "relation_echelon", "relation_rows"]
 
 
 @dataclass
@@ -64,6 +64,17 @@ def relation_rows(gens: GeneratorTable,
     return rows
 
 
+def relation_echelon(gens: GeneratorTable,
+                     relations: Sequence[GradedPolynomial],
+                     d: int) -> SparseEchelon:
+    """Echelon form of the degree-d span of monomial * relation products,
+    over the columns of `relation_rows`."""
+    ech = SparseEchelon()
+    for row in relation_rows(gens, relations, d):
+        ech.add_row(row)
+    return ech
+
+
 class GradedQuotient:
     """Quotient of a free graded-commutative polynomial ring (commuting
     generators of positive degree) by a homogeneous relation ideal, computed
@@ -103,10 +114,7 @@ class GradedQuotient:
         monos = self.gens.monomials(d)
         self._monomials[d] = monos
         self._index[d] = {m: i for i, m in enumerate(monos)}
-        ech = SparseEchelon()
-        for row in relation_rows(self.gens, self.relations, d):
-            ech.add_row(row)
-        self._echelons[d] = ech
+        self._echelons[d] = relation_echelon(self.gens, self.relations, d)
 
     # ---- queries ----------------------------------------------------------
 

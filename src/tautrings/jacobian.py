@@ -3,26 +3,22 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-__all__ = [
-    "JacContext",
-    "JacPolynomial",
-    "jac_monomial",
-    "normalize",
-    "apply_e",
-    "apply_D",
-    "apply_h",
-    "apply_h_raw",
-]
+from .exactmath import is_int
+
+__all__ = ["JacContext", "JacPolynomial", "jac_monomial", "normalize",
+           "apply_e", "apply_D", "apply_h", "apply_h_raw"]
 
 # A monomial is (psi_power, factors) with factors a sorted tuple of
 # ((i, j), power) entries over the curve-class components p_{i,j}
 # (i + j even).  Bigrading: p_{i,j} has codimension (i+j)/2 and weight j;
 # the pulled-back divisor psi has codimension 1 and weight 2 (multiplication
 # by k on the family fixes base classes, so 2*codim - weight = 0).
-Factors = Tuple[Tuple[Tuple[int, int], int], ...]
+Factor = Tuple[Tuple[int, int], int]
+Factors = Tuple[Factor, ...]
 Monomial = Tuple[int, Factors]
+Terms = Dict[Monomial, Fraction]
 
 
 @dataclass(frozen=True)
@@ -30,36 +26,54 @@ class JacContext:
     genus: int
 
     def __post_init__(self) -> None:
-        if self.genus < 1:
-            raise ValueError("genus must be >= 1")
+        if not is_int(self.genus) or self.genus < 1:
+            raise ValueError(f"genus must be an int >= 1, got {self.genus!r}")
+
+
+def _add(terms: Terms, psi: int, factors: Iterable[Factor], c: Fraction) -> None:
+    """Add c at the monomial psi^psi * prod p_{i,j}^e over the ((i, j), e)
+    factors.  Repeated factor keys add their powers, zero powers drop out,
+    and a zero sum removes the monomial."""
+    powers: Dict[Tuple[int, int], int] = {}
+    for key, e in factors:
+        powers[key] = powers.get(key, 0) + e
+    mono = (psi, tuple(sorted((key, e) for key, e in powers.items() if e)))
+    s = terms.get(mono, 0) + c
+    if s:
+        terms[mono] = s
+    else:
+        terms.pop(mono, None)
 
 
 class JacPolynomial:
     """Polynomial over Q in psi and the components p_{i,j} of the curve
     class on the universal Jacobian.  Normalized form never contains
-    symbols with i < 0, j < 0 or j > 2g-2, and p_{0,0} is the scalar g."""
+    symbols with i < 0, j < 0 or j > 2g-2, and p_{0,0} is the scalar g.
+    Psi powers and factor entries must be `int`s (not `bool`s); factor
+    indices may be negative (pre-normal form)."""
 
     __slots__ = ("terms",)
 
     def __init__(self, terms: Optional[Dict[Monomial, Fraction]] = None) -> None:
-        self.terms: Dict[Monomial, Fraction] = {}
-        if terms:
-            for mono, c in terms.items():
-                c = Fraction(c)
-                if c:
-                    psi, factors = mono
-                    for ((i, j), e) in factors:
-                        if (i + j) % 2:
-                            raise ValueError(f"p_({i},{j}) has odd i+j")
-                        if e <= 0:
-                            raise ValueError("factor powers must be positive")
-                    # repeated factor keys multiply, repeated monomials add
-                    key = (int(psi), _merge_factors(tuple(factors), ()))
-                    s = self.terms.get(key, Fraction(0)) + c
-                    if s:
-                        self.terms[key] = s
-                    else:
-                        self.terms.pop(key, None)
+        self.terms: Terms = {}
+        for (psi, factors), c in (terms or {}).items():
+            if not is_int(psi) or psi < 0:
+                raise ValueError(f"psi power must be an int >= 0, got {psi!r}")
+            for ((i, j), e) in factors:
+                if not (is_int(i) and is_int(j) and is_int(e)):
+                    raise ValueError(f"factor entries must be ints, got {(i, j, e)!r}")
+                if (i + j) % 2:
+                    raise ValueError(f"p_({i},{j}) has odd i+j")
+                if e <= 0:
+                    raise ValueError("factor powers must be positive")
+            _add(self.terms, psi, factors, Fraction(c))
+
+    @classmethod
+    def _of(cls, terms: Terms) -> "JacPolynomial":
+        """Wrap clean terms (merged sorted factors to nonzero Fractions)."""
+        out = cls.__new__(cls)
+        out.terms = terms
+        return out
 
     # -- construction helpers ---------------------------------------------
 
@@ -80,41 +94,28 @@ class JacPolynomial:
     def __add__(self, other):
         if isinstance(other, (int, Fraction)):
             other = JacPolynomial.constant(other)
-        res = JacPolynomial.__new__(JacPolynomial)
-        res.terms = dict(self.terms)
-        _accumulate(res, other.terms)
-        return res
+        terms = dict(self.terms)
+        for (psi, factors), c in other.terms.items():
+            _add(terms, psi, factors, c)
+        return JacPolynomial._of(terms)
 
     __radd__ = __add__
 
     def __neg__(self):
-        res = JacPolynomial.__new__(JacPolynomial)
-        res.terms = {m: -c for m, c in self.terms.items()}
-        return res
+        return JacPolynomial._of({m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = JacPolynomial.constant(other)
-        return self + (-other)
+        return self + other * -1
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             c = Fraction(other)
-            res = JacPolynomial.__new__(JacPolynomial)
-            res.terms = {m: v * c for m, v in self.terms.items()} if c else {}
-            return res
-        out: Dict[Monomial, Fraction] = {}
+            return JacPolynomial._of({m: v * c for m, v in self.terms.items()} if c else {})
+        terms: Terms = {}
         for (ps1, f1), c1 in self.terms.items():
             for (ps2, f2), c2 in other.terms.items():
-                m = (ps1 + ps2, _merge_factors(f1, f2))
-                s = out.get(m, Fraction(0)) + c1 * c2
-                if s:
-                    out[m] = s
-                else:
-                    out.pop(m, None)
-        res = JacPolynomial.__new__(JacPolynomial)
-        res.terms = out
-        return res
+                _add(terms, ps1 + ps2, f1 + f2, c1 * c2)
+        return JacPolynomial._of(terms)
 
     __rmul__ = __mul__
 
@@ -169,39 +170,24 @@ class JacPolynomial:
         return " + ".join(bits)
 
 
-def _merge_factors(f1: Factors, f2: Factors) -> Factors:
-    acc: Dict[Tuple[int, int], int] = {}
-    for ((i, j), e) in f1 + f2:
-        acc[(i, j)] = acc.get((i, j), 0) + e
-    return tuple(sorted(acc.items()))
-
-
 def jac_monomial(psi_power: int, factors: Sequence[Sequence[int]]) -> JacPolynomial:
     """Monomial from [[i, j, power], ...] data (the JSON wire form)."""
-    fs = tuple(((int(i), int(j)), int(e)) for i, j, e in factors)
-    return JacPolynomial({(int(psi_power), fs): Fraction(1)})
+    return JacPolynomial({(psi_power, tuple(((i, j), e) for i, j, e in factors)):
+                          Fraction(1)})
 
 
 def normalize(x: JacPolynomial, ctx: JacContext) -> JacPolynomial:
     """Zero every p_{i,j} with i < 0, j < 0 or j > 2g-2, and replace
     p_{0,0} by the scalar g.  Idempotent."""
     g = ctx.genus
-    out = JacPolynomial()
+    terms: Terms = {}
     for (psi, factors), c in x.terms.items():
-        coef = c
-        kept: Dict[Tuple[int, int], int] = {}
-        dead = False
-        for ((i, j), e) in factors:
-            if i < 0 or j < 0 or j > 2 * g - 2:
-                dead = True
-                break
-            if (i, j) == (0, 0):
-                coef *= Fraction(g) ** e
-            else:
-                kept[(i, j)] = kept.get((i, j), 0) + e
-        if not dead:
-            _accumulate(out, {(psi, tuple(sorted(kept.items()))): coef})
-    return out
+        if any(i < 0 or j < 0 or j > 2 * g - 2 for ((i, j), _) in factors):
+            continue
+        powers = dict(factors)
+        coef = c * g ** powers.pop((0, 0), 0)
+        _add(terms, psi, powers.items(), coef)
+    return JacPolynomial._of(terms)
 
 
 def apply_e(x: JacPolynomial) -> JacPolynomial:
@@ -229,19 +215,6 @@ def apply_h(x: JacPolynomial, ctx: JacContext) -> JacPolynomial:
     return -apply_h_raw(x, ctx)
 
 
-def _second_order_coefficient(slot1: Tuple[int, int], slot2: Tuple[int, int]) -> JacPolynomial:
-    """Coefficient polynomial of d/dp_{i,j} d/dp_{k,l} in the lowering
-    operator: psi p_{i-1,j-1} p_{k-1,l-1} - C(i+k-2, i-1) p_{i+k-2, j+l}."""
-    (i, j), (k, l) = slot1, slot2
-    first = JacPolynomial.psi() * JacPolynomial.p(i - 1, j - 1) * JacPolynomial.p(k - 1, l - 1)
-    if i + k - 2 >= 0 and i - 1 >= 0:
-        binom = comb(i + k - 2, i - 1)
-    else:
-        binom = 0
-    second = JacPolynomial.p(i + k - 2, j + l) * binom
-    return first - second
-
-
 def apply_D(x: JacPolynomial, ctx: JacContext) -> JacPolynomial:
     """Polishchuk's lowering operator
 
@@ -253,49 +226,21 @@ def apply_D(x: JacPolynomial, ctx: JacContext) -> JacPolynomial:
     printed global 1/2.  Output is normalized.  Worked example:
     D(p_{3,1}^2) = 2 p_{1,1} p_{3,1} + psi p_{2,0}^2 - 6 p_{4,2}.
     """
-    out = JacPolynomial()
+    terms: Terms = {}
     for (psi, factors), c in x.terms.items():
-        base = dict(factors)
-        # first-order part
-        for ((i, j), e) in factors:
-            rest = _decrement(base, (i, j))
-            term = JacPolynomial({(psi, rest): c * e})
-            term = term * JacPolynomial.p(i - 2, j)
-            _accumulate(out, term.terms)
-        # second-order part over ordered slot pairs
+        # each term goes straight into `terms`, with a power of -1 for
+        # each differentiated slot
         for ((i, j), e1) in factors:
+            _add(terms, psi, factors + (((i, j), -1), ((i - 2, j), 1)), c * e1)
             for ((k, l), e2) in factors:
-                if (i, j) == (k, l):
-                    mult = e1 * (e1 - 1)
-                    if not mult:
-                        continue
-                    rest = _decrement(base, (i, j), (i, j))
-                else:
-                    mult = e1 * e2
-                    rest = _decrement(base, (i, j), (k, l))
-                coef = Fraction(c * mult, 2)
-                term = JacPolynomial({(psi, rest): coef})
-                term = term * _second_order_coefficient((i, j), (k, l))
-                _accumulate(out, term.terms)
-    return normalize(out, ctx)
-
-
-def _decrement(base: Dict[Tuple[int, int], int], *keys: Tuple[int, int]) -> Factors:
-    """The factors of `base` with one power of each key removed (a key may
-    repeat), as a sorted factor tuple."""
-    d = dict(base)
-    for key in keys:
-        d[key] -= 1
-        if d[key] < 0:
-            raise ArithmeticError("negative exponent in differentiation")
-    return tuple(sorted((k, e) for k, e in d.items() if e))
-
-
-def _accumulate(acc: JacPolynomial, terms: Dict[Monomial, Fraction]) -> None:
-    """Add the terms into acc in place, dropping zero sums."""
-    for m, c in terms.items():
-        s = acc.terms.get(m, Fraction(0)) + c
-        if s:
-            acc.terms[m] = s
-        else:
-            acc.terms.pop(m, None)
+                mult = e1 * (e2 - 1 if (k, l) == (i, j) else e2)
+                if not mult:
+                    continue
+                half = Fraction(c * mult, 2)
+                rest = factors + (((i, j), -1), ((k, l), -1))
+                _add(terms, psi + 1, rest + (((i - 1, j - 1), 1), ((k - 1, l - 1), 1)),
+                     half)
+                if i >= 1 and i + k >= 2:
+                    _add(terms, psi, rest + (((i + k - 2, j + l), 1),),
+                         -half * comb(i + k - 2, i - 1))
+    return normalize(JacPolynomial._of(terms), ctx)

@@ -7,8 +7,8 @@ from math import factorial
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .exactmath import (GeneratorTable, GradedPolynomial, SparseEchelon,
-                        TruncatedSeries, relation_rows, series_exp, series_log,
-                        series_mul)
+                        TruncatedSeries, relation_echelon, series_exp,
+                        series_log, series_mul)
 from .closedforms import complete_homogeneous, kappa_table, mumford_terms
 
 __all__ = [
@@ -356,11 +356,8 @@ def relation_span(relations: Sequence[KappaRelation], g: int,
                   degree: int) -> SparseEchelon:
     """Echelonized span at the given degree of {monomial * relation} inside
     the degree-`degree` monomial space of Q[kappa_1..kappa_{g-2}]."""
-    ech = SparseEchelon()
-    for row in relation_rows(kappa_table(g - 2),
-                             [rel.polynomial for rel in relations], degree):
-        ech.add_row(row)
-    return ech
+    return relation_echelon(kappa_table(g - 2),
+                            [rel.polynomial for rel in relations], degree)
 
 
 def ideal_equivalence_check(g: int, degree: int) -> bool:

@@ -4,7 +4,7 @@ from itertools import permutations
 from math import comb
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
-from .exactmath import partition_count
+from .exactmath import is_int, partition_count
 
 __all__ = [
     "StableGraph",
@@ -244,8 +244,8 @@ def enumerate_graphs(g: int, n: int) -> List[StableGraph]:
     """One representative per isomorphism class of stable graphs of type
     (g, n), sorted by edge count.  Generated by iterated one-edge
     degenerations from the smooth graph, deduplicated by canonical form."""
-    if g < 0 or n < 0 or 2 * g - 2 + n <= 0:
-        raise ValueError(f"(g, n) = ({g}, {n}): need g, n >= 0 and 2g - 2 + n > 0")
+    if not (is_int(g) and is_int(n)) or g < 0 or n < 0 or 2 * g - 2 + n <= 0:
+        raise ValueError(f"(g, n) = ({g}, {n}): need ints g, n >= 0 and 2g - 2 + n > 0")
     if g > 3 or n > 6:
         raise ValueError("desk-scale ceiling: g <= 3 and n <= 6")
     smooth = StableGraph([(g, range(1, n + 1))], [])

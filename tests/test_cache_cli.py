@@ -412,6 +412,22 @@ def test_cli_cache_after_adding_calls_matches_one_save(tmp_path, capsys,
     assert path.read_bytes() == (tmp_path / "fresh.json").read_bytes()
 
 
+def test_cli_cached_calls_in_one_process_keep_files_apart(tmp_path, capsys):
+    """Two cached calls in one process write what two fresh processes
+    write: the second file holds only its own query's entries."""
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    assert run(["correlator", "2", "4", "--cache", str(a)]) == 0
+    assert run(["correlator", "1", "1", "--cache", str(b)]) == 0
+    capsys.readouterr()
+    table = CorrelatorTable()
+    psi_intersection(1, [1], table)
+    alone = CacheFile(str(tmp_path / "alone.json"))
+    alone.collect(table)
+    alone.save()
+    assert b.read_bytes() == (tmp_path / "alone.json").read_bytes()
+    assert len(json.loads(b.read_text())["sections"]["correlators"]) == 3
+
+
 def test_cli_rationals_are_exact_strings(capsys):
     assert run(["euler", "1", "1", "--format", "json"]) == 0
     data = json.loads(capsys.readouterr().out)

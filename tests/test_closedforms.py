@@ -72,6 +72,17 @@ def test_lambda_pair_preconditions():
     assert lambda_gm1_lambda_g_eval(2, [2, 2]) == 0  # degree mismatch
 
 
+def test_hodge_evals_refuse_non_int_inputs():
+    """A float or bool genus or exponent is refused, not truncated to a
+    legal request."""
+    for g, alpha in ((1, [1.5, 0.5]), (2, [True, 2]), (1, [0, 1.0]), (1.0, [0])):
+        with pytest.raises(ValueError, match="must be ints"):
+            lambda_g_eval(g, alpha)
+    for g, alpha in ((2, [1.5]), (2, [True]), (2.5, [1])):
+        with pytest.raises(ValueError, match="must be ints"):
+            lambda_gm1_lambda_g_eval(g, alpha)
+
+
 def test_consistency_with_correlators():
     assert lambda_g_base(1) == psi_intersection(1, [1]) == F(1, 24)
 

@@ -114,6 +114,14 @@ def test_unstable_pair_raises():
         enumerate_graphs(4, 0)
 
 
+def test_non_int_pair_refused():
+    """A float or bool genus or marking count is refused, not truncated:
+    (1.5, 1) would otherwise give the two genus-1 graphs."""
+    for g, n in ((1.5, 1), (1, 1.0), (True, 1), (0, True)):
+        with pytest.raises(ValueError, match="ints"):
+            enumerate_graphs(g, n)
+
+
 def test_generator_counts():
     assert generator_count(1, 1, 0) == 1
     assert generator_count(2, 0, 0) == 1

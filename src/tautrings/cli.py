@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import signal
@@ -54,12 +55,15 @@ class _Output:
             print(plain)
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("plain", "json", "csv"),
                         default="plain")
-    common.add_argument("--cache", default=os.environ.get("TAUTRINGS_CACHE"),
-                        help="path of the persistent value cache")
+    common.add_argument("--cache",
+                        help="path of the persistent value cache "
+                             "(default: $TAUTRINGS_CACHE)")
     common.add_argument("--no-cache", action="store_true",
                         help="ignore any cache file for this invocation")
     common.add_argument("--max-seconds", type=_seconds, default=None,
@@ -131,9 +135,10 @@ def _cmd_correlator(args, out: _Output) -> int:
     # a table of its own, as a fresh process has, so that one process's
     # calls do not pass entries from one cache file into another
     table = correlators.CorrelatorTable()
+    path = os.environ.get("TAUTRINGS_CACHE") if args.cache is None else args.cache
     cache = None
-    if args.cache and not args.no_cache:
-        cache = CacheFile(args.cache).load()
+    if path and not args.no_cache:
+        cache = CacheFile(path).load()
         cache.attach_correlators(table)
     value = correlators.psi_intersection(args.genus, _parse_ints(args.exponents),
                                          table)
@@ -174,11 +179,10 @@ def _cmd_euler(args, out: _Output) -> int:
     return EXIT_OK
 
 
-def _cmd_relations(args, out: _Output, source: str) -> int:
-    if source == "FZ":
-        rels = relationgen.fz_relation_set(args.genus, args.max_degree)
-    else:
-        rels = relationgen.sq_relation_set(args.genus, args.max_degree)
+def _cmd_relations(args, out: _Output) -> int:
+    source = args.command.upper()
+    build = relationgen.fz_relation_set if source == "FZ" else relationgen.sq_relation_set
+    rels = build(args.genus, args.max_degree)
     payload = {"source": source, "genus": args.genus,
                "relations": [r.export() for r in rels]}
     plain = "\n".join(
@@ -338,6 +342,8 @@ _HANDLERS = {
     "hodge": _cmd_hodge,
     "lambda-in-kappa": _cmd_lambda_in_kappa,
     "euler": _cmd_euler,
+    "fz": _cmd_relations,
+    "sq": _cmd_relations,
     "ring-dims": _cmd_ring_dims,
     "gorenstein": _cmd_gorenstein,
     "keel": _cmd_keel,
@@ -361,10 +367,6 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
         signal.alarm(args.max_seconds)
     out = _Output(args.format)
     try:
-        if args.command == "fz":
-            return _cmd_relations(args, out, "FZ")
-        if args.command == "sq":
-            return _cmd_relations(args, out, "SQ")
         return _HANDLERS[args.command](args, out)
     except (ValueError, CacheError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

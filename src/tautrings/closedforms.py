@@ -6,7 +6,7 @@ from typing import List, Optional, Sequence, Tuple
 
 from .correlators import odd_double_factorial
 from .exactmath import (GeneratorTable, GradedPolynomial, TruncatedSeries,
-                        bernoulli, is_int, series_exp)
+                        bernoulli, check_int, is_int, series_exp)
 
 __all__ = [
     "lambda_g_base",
@@ -40,7 +40,7 @@ def multinomial(top: int, parts: Sequence[int]) -> int:
 def lambda_g_base(g: int) -> Fraction:
     """The one-point integral of psi^{2g-2} against the top Chern class of
     the Hodge bundle: (2^{2g-1}-1)/2^{2g-1} * |B_{2g}|/(2g)!."""
-    if g <= 0:
+    if check_int("genus", g) <= 0:
         raise ValueError("genus must be >= 1")
     p = 2 ** (2 * g - 1)
     return Fraction(p - 1, p) * Fraction(abs(bernoulli(2 * g)), factorial(2 * g))
@@ -247,7 +247,7 @@ def euler_orbifold(g: int, n: int) -> Fraction:
     """Orbifold Euler characteristic of the open moduli space of n-pointed
     genus-g curves: (-1)^n (2g+n-3)!/(2g(2g-2)!) B_{2g} for g > 0, and
     (-1)^{n+1} (n-3)! in genus 0."""
-    if g < 0 or n < 0 or 2 * g - 2 + n <= 0:
+    if check_int("genus", g) < 0 or check_int("markings", n) < 0 or 2 * g - 2 + n <= 0:
         raise ValueError(f"(g, n) = ({g}, {n}): need g, n >= 0 and 2g - 2 + n > 0")
     if g == 0:
         return Fraction((-1) ** (n + 1) * factorial(n - 3))

@@ -31,6 +31,7 @@ __all__ = [
     "series_log",
     "series_mul",
     "is_int",
+    "check_int",
 ]
 
 
@@ -38,3 +39,10 @@ def is_int(x) -> bool:
     """An `int` that is not a `bool`: the one test of integer inputs, so
     that 1.5 or True is refused rather than truncated."""
     return isinstance(x, int) and not isinstance(x, bool)
+
+
+def check_int(name: str, x) -> int:
+    """`x` itself if `is_int(x)`, else a ValueError that names the argument."""
+    if not is_int(x):
+        raise ValueError(f"{name} must be an int, got {x!r}")
+    return x

@@ -1,10 +1,10 @@
 from __future__ import annotations
 
-from itertools import permutations
+from itertools import chain, permutations, product
 from math import comb
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
-from .exactmath import is_int, partition_count
+from .exactmath import check_int, is_int, partition_count
 
 __all__ = [
     "StableGraph",
@@ -13,8 +13,6 @@ __all__ = [
     "generator_count",
 ]
 
-Edge = Tuple[int, int]
-
 
 class StableGraph:
     """Dual graph of a stable curve: vertices carry genera and numbered
@@ -22,19 +20,19 @@ class StableGraph:
 
     Stored in a normalized labeled form: `vertices` is a tuple of
     (genus, sorted legs) pairs, `edges` a sorted tuple of (u, v) pairs with
-    u <= v.  The half-edge view (half-edge ids, vertex assignment, the
-    fixed-point-free involution) is derived on demand.
+    u <= v.
     """
 
     __slots__ = ("vertices", "edges")
 
     def __init__(self, vertices: Sequence[Tuple[int, Sequence[int]]],
                  edges: Iterable[Sequence[int]]) -> None:
-        self.vertices = tuple((int(g), tuple(sorted(int(l) for l in legs)))
+        self.vertices = tuple((check_int("genus", g),
+                               tuple(sorted(check_int("leg", l) for l in legs)))
                               for g, legs in vertices)
         es = []
         for e in edges:
-            u, v = int(e[0]), int(e[1])
+            u, v = check_int("edge endpoint", e[0]), check_int("edge endpoint", e[1])
             if not (0 <= u < len(self.vertices) and 0 <= v < len(self.vertices)):
                 raise ValueError("edge endpoint out of range")
             es.append((u, v) if u <= v else (v, u))
@@ -61,14 +59,13 @@ class StableGraph:
         h1 = self.num_edges - self.num_vertices + 1
         return sum(g for g, _ in self.vertices) + h1
 
-    def valence(self, v: int) -> int:
-        n = len(self.vertices[v][1])
+    def valences(self) -> List[int]:
+        """Legs plus edge ends at each vertex (a loop counts twice)."""
+        out = [len(ls) for _, ls in self.vertices]
         for (a, b) in self.edges:
-            if a == v:
-                n += 1
-            if b == v:
-                n += 1
-        return n
+            out[a] += 1
+            out[b] += 1
+        return out
 
     def is_connected(self) -> bool:
         if not self.vertices:
@@ -86,19 +83,6 @@ class StableGraph:
                     seen.add(w)
                     frontier.append(w)
         return len(seen) == self.num_vertices
-
-    def half_edges(self) -> Tuple[List[int], Dict[int, int], Dict[int, int]]:
-        """Explicit (H, vertex assignment a, involution i) for the edge set:
-        half-edges 2k, 2k+1 form the k-th edge."""
-        H: List[int] = []
-        a: Dict[int, int] = {}
-        invol: Dict[int, int] = {}
-        for k, (u, v) in enumerate(self.edges):
-            h1, h2 = 2 * k, 2 * k + 1
-            H.extend((h1, h2))
-            a[h1], a[h2] = u, v
-            invol[h1], invol[h2] = h2, h1
-        return H, a, invol
 
     # -- isomorphism ------------------------------------------------------
 
@@ -123,8 +107,8 @@ class StableGraph:
             else:
                 adj[a][b] = adj[a].get(b, 0) + 1
                 adj[b][a] = adj[b].get(a, 0) + 1
-        colors = [(self.vertices[i][0], self.vertices[i][1], loops[i],
-                   self.valence(i)) for i in range(n)]
+        colors = [(gv, legs, loops[i], val) for i, ((gv, legs), val)
+                  in enumerate(zip(self.vertices, self.valences()))]
         for _ in range(n):
             new = [(colors[i],
                     tuple(sorted((colors[j], m) for j, m in adj[i].items())))
@@ -141,9 +125,9 @@ class StableGraph:
             else:
                 classes.append([i])
         best: Optional[Tuple] = None
-        for arrangement in _class_permutations(classes):
+        for arrangement in product(*map(permutations, classes)):
             perm = [0] * n
-            for pos, i in enumerate(arrangement):
+            for pos, i in enumerate(chain.from_iterable(arrangement)):
                 perm[i] = pos
             cand = self._relabeled(perm)
             if best is None or cand < best:
@@ -168,86 +152,62 @@ class StableGraph:
         return f"StableGraph({list(self.vertices)}, {list(self.edges)})"
 
 
-def _class_permutations(classes: List[List[int]]):
-    """All concatenations of per-class permutations."""
-    if not classes:
-        yield []
-        return
-    head, rest = classes[0], classes[1:]
-    for tail in _class_permutations(rest):
-        for p in permutations(head):
-            yield list(p) + tail
-
-
 def validate_graph(graph: StableGraph, g: int, n: int) -> bool:
     """Connected, stable at every vertex, genus formula, legs exactly 1..n."""
     if not graph.is_connected():
         return False
-    for v, (gv, _) in enumerate(graph.vertices):
-        if gv < 0 or 2 * gv - 2 + graph.valence(v) <= 0:
+    for (gv, _), val in zip(graph.vertices, graph.valences()):
+        if gv < 0 or 2 * gv - 2 + val <= 0:
             return False
     if graph.genus() != g:
         return False
     return graph.legs() == list(range(1, n + 1))
 
 
-def _degenerations(graph: StableGraph) -> List[StableGraph]:
-    """All one-edge degenerations: lower a vertex genus and add a loop, or
-    split a vertex (genus split, half-edge/leg distribution, new edge)."""
-    out: List[StableGraph] = []
-    for v, (gv, legs) in enumerate(graph.vertices):
+def _degenerations(graph: StableGraph) -> Iterator[StableGraph]:
+    """The one-edge degenerations, at least one per isomorphism class:
+    lower a vertex genus and add a loop, or split a vertex v into v and a
+    new vertex w joined by the new edge.  A split is decided from counts
+    before it is built: it is skipped when v or w would be unstable, and
+    when it is the mirror (v and w swapped) of a split that is kept."""
+    vertices, edges = graph.vertices, graph.edges
+    w = len(vertices)
+    for v, (gv, legs) in enumerate(vertices):
         if gv >= 1:
-            out.append(StableGraph(graph.vertices[:v]
-                                   + ((gv - 1, legs),)
-                                   + graph.vertices[v + 1:],
-                                   graph.edges + ((v, v),)))
-        # split v into v (kept slot) + new vertex w
-        slots: List[Tuple[str, object]] = [("leg", l) for l in legs]
-        for k, (a, b) in enumerate(graph.edges):
-            if a == v:
-                slots.append(("end", (k, 0)))
-            if b == v:
-                slots.append(("end", (k, 1)))
-        w = graph.num_vertices
-        for g1 in range(0, gv + 1):
+            yield StableGraph(vertices[:v] + ((gv - 1, legs),) + vertices[v + 1:],
+                              edges + ((v, v),))
+        # the slots of v: its legs, then the (edge index, side) ends at v
+        ends = [(k, side) for k, e in enumerate(edges) for side in (0, 1)
+                if e[side] == v]
+        slots = len(legs) + len(ends)
+        full = (1 << slots) - 1
+        for g1 in range(gv + 1):
             g2 = gv - g1
-            for mask in range(1 << len(slots)):
-                keep_legs, move_legs = [], []
-                moved_ends = set()
-                for i, (kind, payload) in enumerate(slots):
+            for mask in range(full + 1):
+                moved = bin(mask).count("1")
+                if (2 * g1 - 1 + slots - moved <= 0 or 2 * g2 - 1 + moved <= 0
+                        or (g2, full ^ mask) < (g1, mask)):
+                    continue
+                new_edges = [list(e) for e in edges] + [(v, w)]
+                for i, (k, side) in enumerate(ends, len(legs)):
                     if mask >> i & 1:
-                        if kind == "leg":
-                            move_legs.append(payload)
-                        else:
-                            moved_ends.add(payload)
-                    else:
-                        if kind == "leg":
-                            keep_legs.append(payload)
-                new_edges = []
-                for k, (a, b) in enumerate(graph.edges):
-                    na = w if (k, 0) in moved_ends and a == v else a
-                    nb = w if (k, 1) in moved_ends and b == v else b
-                    new_edges.append((na, nb))
-                new_edges.append((v, w))
-                vs = list(graph.vertices)
-                vs[v] = (g1, tuple(sorted(keep_legs)))
-                vs.append((g2, tuple(sorted(move_legs))))
-                cand = StableGraph(vs, new_edges)
-                stable = all(2 * cand.vertices[u][0] - 2 + cand.valence(u) > 0
-                             for u in (v, w))
-                if stable:
-                    out.append(cand)
-    return out
+                        new_edges[k][side] = w
+                kept = [l for i, l in enumerate(legs) if not mask >> i & 1]
+                gone = [l for i, l in enumerate(legs) if mask >> i & 1]
+                yield StableGraph(vertices[:v] + ((g1, kept),) + vertices[v + 1:]
+                                  + ((g2, gone),), new_edges)
 
 
 def enumerate_graphs(g: int, n: int) -> List[StableGraph]:
     """One representative per isomorphism class of stable graphs of type
     (g, n), sorted by edge count.  Generated by iterated one-edge
-    degenerations from the smooth graph, deduplicated by canonical form."""
+    degenerations from the smooth graph, deduplicated by canonical form.
+    Desk scale: n <= 8 in genus 0, otherwise g <= 3 and n <= 6."""
     if not (is_int(g) and is_int(n)) or g < 0 or n < 0 or 2 * g - 2 + n <= 0:
         raise ValueError(f"(g, n) = ({g}, {n}): need ints g, n >= 0 and 2g - 2 + n > 0")
-    if g > 3 or n > 6:
-        raise ValueError("desk-scale ceiling: g <= 3 and n <= 6")
+    if n > (8 if g == 0 else 6) or g > 3:
+        raise ValueError("desk-scale ceiling: n <= 8 in genus 0, "
+                         "otherwise g <= 3 and n <= 6")
     smooth = StableGraph([(g, range(1, n + 1))], [])
     levels: List[List[StableGraph]] = [[smooth]]
     seen = {smooth.canonical_form()}
@@ -265,17 +225,13 @@ def enumerate_graphs(g: int, n: int) -> List[StableGraph]:
     return [gr for level in levels for gr in level]
 
 
-def _vertex_monomials(nv: int, gv: int, budget: int, degree: int) -> int:
-    """Number of degree-`degree` decoration monomials at one vertex: psi
-    exponents over nv distinguishable slots times kappa monomials, within
-    the vertex dimension budget 3g(v)-3+n(v)."""
-    if degree > budget:
-        return 0
-    total = 0
-    for e in range(degree + 1):
-        psi_count = 1 if e == 0 else (comb(nv + e - 1, e) if nv else 0)
-        total += psi_count * partition_count(degree - e)
-    return total
+def _vertex_counts(nv: int, gv: int, top: int) -> List[int]:
+    """Numbers of decoration monomials at one vertex in degrees 0..top:
+    psi exponents over its nv distinguishable slots times kappa monomials,
+    none above the vertex dimension 3g(v)-3+n(v)."""
+    return [sum((comb(nv + e - 1, e) if e else 1) * partition_count(d - e)
+                for e in range(d + 1)) if d <= 3 * gv - 3 + nv else 0
+            for d in range(top + 1)]
 
 
 def generator_count(g: int, n: int, degree: int) -> int:
@@ -284,28 +240,18 @@ def generator_count(g: int, n: int, degree: int) -> int:
     classes of the vertex's own half-edges/legs and kappa classes, capped
     by the vertex moduli dimension.  Upper bound for the rank of the
     degree-`degree` tautological group."""
-    if degree > 3 * g - 3 + n:
+    if check_int("degree", degree) > 3 * check_int("g", g) - 3 + check_int("n", n):
         raise ValueError("degree exceeds the moduli dimension")
     total = 0
     for graph in enumerate_graphs(g, n):
-        e = graph.num_edges
-        if e > degree:
+        top = degree - graph.num_edges
+        if top < 0:
             continue
-        budgets = []
-        for v, (gv, legs) in enumerate(graph.vertices):
-            nv = graph.valence(v)
-            budgets.append((nv, gv, 3 * gv - 3 + nv))
-        # convolve per-vertex monomial counts at total degree `degree - e`
-        counts = [1] + [0] * (degree - e)
-        for (nv, gv, budget) in budgets:
-            new = [0] * (degree - e + 1)
-            for d0 in range(degree - e + 1):
-                if not counts[d0]:
-                    continue
-                for dv in range(degree - e + 1 - d0):
-                    m = _vertex_monomials(nv, gv, budget, dv)
-                    if m:
-                        new[d0 + dv] += counts[d0] * m
-            counts = new
-        total += counts[degree - e]
+        # convolve the per-vertex counts up to degree `top`
+        counts = [1] + [0] * top
+        for (gv, _), nv in zip(graph.vertices, graph.valences()):
+            row = _vertex_counts(nv, gv, top)
+            counts = [sum(counts[i] * row[d - i] for i in range(d + 1))
+                      for d in range(top + 1)]
+        total += counts[top]
     return total

@@ -195,26 +195,31 @@ def test_criterion_09_stable_graphs():
             brute = brute_force_graphs(g, n)
             assert len(graphs) == count == len(brute), (g, n)
         # no isomorphic duplicates anywhere in the g <= 2, n <= 4 box:
-        # group by label-free invariants, then exhaustive-bijection test
+        # group by an isomorphism invariant, then exhaustive-bijection test
         # every within-group pair (independent of the canonical labeling
-        # the enumerator itself uses for dedupe)
-        from collections import Counter
+        # the enumerator itself uses for dedupe).  The invariant is the
+        # edge count and the multiset, over vertices, of (genus, legs,
+        # loops, valence) with the sorted data of the non-loop neighbours;
+        # isomorphic graphs share it, so every isomorphic pair is compared.
         for (g, n) in [(0, 3), (0, 4), (1, 1), (1, 2), (1, 3), (1, 4),
                        (2, 0), (2, 1), (2, 2), (2, 3), (2, 4)]:
             graphs = enumerate_graphs(g, n)
             groups = {}
             for h in graphs:
-                loops = Counter()
-                deg = Counter()
+                loops = [0] * h.num_vertices
+                valence = [len(legs) for _, legs in h.vertices]
                 for (a, b) in h.edges:
-                    deg[a] += 1
-                    deg[b] += 1
+                    valence[a] += 1
+                    valence[b] += 1
                     if a == b:
                         loops[a] += 1
-                sig = (h.num_vertices, h.num_edges,
-                       tuple(sorted(h.vertices)),
-                       tuple(sorted(deg.values())),
-                       tuple(sorted(loops.values())))
+                data = [(gv, legs, loops[v], valence[v])
+                        for v, (gv, legs) in enumerate(h.vertices)]
+                sig = (h.num_edges, tuple(sorted(
+                    (data[v], tuple(sorted(data[b if a == v else a]
+                                           for (a, b) in h.edges
+                                           if a != b and v in (a, b))))
+                    for v in range(h.num_vertices))))
                 groups.setdefault(sig, []).append(h)
             for group in groups.values():
                 for i in range(len(group)):

@@ -428,6 +428,23 @@ def test_cli_cached_calls_in_one_process_keep_files_apart(tmp_path, capsys):
     assert len(json.loads(b.read_text())["sections"]["correlators"]) == 3
 
 
+def test_cli_cache_env_read_per_call(tmp_path, capsys, monkeypatch):
+    """The parser is built once per process, but $TAUTRINGS_CACHE is read
+    on each call, and a --cache on the command line wins over it."""
+    a, b, c = tmp_path / "a.json", tmp_path / "b.json", tmp_path / "c.json"
+    monkeypatch.setenv("TAUTRINGS_CACHE", str(a))
+    assert run(["correlator", "1", "1"]) == 0
+    monkeypatch.setenv("TAUTRINGS_CACHE", str(b))
+    assert run(["correlator", "2", "4"]) == 0
+    assert run(["correlator", "1", "1", "--cache", str(c)]) == 0
+    capsys.readouterr()
+    entries = {p.name: json.loads(p.read_text())["sections"]["correlators"]
+               for p in (a, b, c)}
+    assert len(entries["a.json"]) == 3
+    assert "2:4" in entries["b.json"] and "2:4" not in entries["a.json"]
+    assert c.read_bytes() == a.read_bytes()
+
+
 def test_cli_rationals_are_exact_strings(capsys):
     assert run(["euler", "1", "1", "--format", "json"]) == 0
     data = json.loads(capsys.readouterr().out)

@@ -83,6 +83,20 @@ def test_hodge_evals_refuse_non_int_inputs():
             lambda_gm1_lambda_g_eval(g, alpha)
 
 
+@pytest.mark.parametrize("call,name", [
+    (lambda: lambda_g_base(1.5), "genus"),
+    (lambda: lambda_g_base(True), "genus"),
+    (lambda: euler_orbifold(1.5, 1), "genus"),
+    (lambda: euler_orbifold(True, 1), "genus"),
+    (lambda: euler_orbifold(1, 1.0), "markings"),
+])
+def test_base_and_euler_refuse_non_int_inputs(call, name):
+    """A float or bool genus or marking count is refused with a ValueError
+    that names it, not truncated or failed on deep inside."""
+    with pytest.raises(ValueError, match=f"{name} must be an int"):
+        call()
+
+
 def test_consistency_with_correlators():
     assert lambda_g_base(1) == psi_intersection(1, [1]) == F(1, 24)
 

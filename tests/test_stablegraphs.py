@@ -1,11 +1,14 @@
 from __future__ import annotations
 
+import hashlib
+import json
 from itertools import combinations_with_replacement, permutations, product
+from math import factorial, prod
 
 import pytest
 
 from tautrings.boundary import keel_ring_dims
-from tautrings.stablegraphs import (StableGraph, enumerate_graphs,
+from tautrings.stablegraphs import (StableGraph, _degenerations, enumerate_graphs,
                                     generator_count, validate_graph)
 
 
@@ -96,15 +99,36 @@ def test_validate_graph_cases():
         StableGraph([(1, [1]), (2, [])], []), 3, 1)
     # wrong legs
     assert not validate_graph(StableGraph([(1, [2])], []), 1, 1)
-
-
-def test_half_edge_structure():
+    # the theta graph: two genus-0 vertices joined by three edges
     theta = StableGraph([(0, []), (0, [])], [[0, 1], [0, 1], [0, 1]])
-    H, a, invol = theta.half_edges()
-    assert len(H) == 6
-    assert all(invol[invol[h]] == h and invol[h] != h for h in H)
-    assert sorted(a.values()) == [0, 0, 0, 1, 1, 1]
-    assert theta.genus() == 2
+    assert theta.genus() == 2 and validate_graph(theta, 2, 0)
+
+
+@pytest.mark.parametrize("vertices,edges", [
+    ([(1.5, [1])], []),
+    ([(True, [1])], []),
+    ([(1, [1.0])], []),
+    ([(0, [1]), (0, [])], [[0, 1.0]]),
+])
+def test_graph_refuses_non_int_data(vertices, edges):
+    """A float or bool genus, leg or edge endpoint is refused, not
+    truncated: (1.5, [1]) would otherwise be the genus-1 smooth graph."""
+    with pytest.raises(ValueError, match="must be an int"):
+        StableGraph(vertices, edges)
+
+
+def test_degenerations_stable_and_without_mirror_twins():
+    """Every candidate is stable, and a vertex split is built once, not
+    also as its mirror image: the smooth (0, 4) graph splits three ways
+    (one per pair of legs), the smooth (1, 1) graph only into a loop."""
+    smooth04 = StableGraph([(0, [1, 2, 3, 4])], [])
+    smooth11 = StableGraph([(1, [1])], [])
+    assert len(list(_degenerations(smooth04))) == 3
+    assert list(_degenerations(smooth11)) == [StableGraph([(0, [1])], [[0, 0]])]
+    for (g, n) in [(1, 3), (2, 2), (3, 0)]:
+        for graph in enumerate_graphs(g, n):
+            for cand in _degenerations(graph):
+                assert validate_graph(cand, g, n), cand
 
 
 def test_unstable_pair_raises():
@@ -112,6 +136,23 @@ def test_unstable_pair_raises():
         enumerate_graphs(0, 2)
     with pytest.raises(ValueError):
         enumerate_graphs(4, 0)
+    for g, n in ((0, 9), (1, 7), (3, 7)):
+        with pytest.raises(ValueError, match="n <= 8 in genus 0"):
+            enumerate_graphs(g, n)
+
+
+@pytest.mark.parametrize("n,betti_sum", [(4, 2), (5, 7), (6, 34), (7, 213)])
+def test_genus0_euler_characteristic_oracle(n, betti_sum):
+    """The orbifold Euler characteristic of M_{0,m} is (-1)^(m-3) (m-3)!,
+    and the open strata indexed by the genus-0 stable graphs of type (0, n)
+    cover the compactification.  Its cohomology sits in even degrees, so
+    the summed Euler characteristics equal the sum of its Betti numbers."""
+    total = sum(prod((-1) ** (val - 3) * factorial(val - 3)
+                     for val in graph.valences())
+                for graph in enumerate_graphs(0, n))
+    assert total == betti_sum
+    if n <= 6:  # the Keel presentation does not reach n = 7 at desk scale
+        assert total == sum(keel_ring_dims(n))
 
 
 def test_non_int_pair_refused():
@@ -120,6 +161,15 @@ def test_non_int_pair_refused():
     for g, n in ((1.5, 1), (1, 1.0), (True, 1), (0, True)):
         with pytest.raises(ValueError, match="ints"):
             enumerate_graphs(g, n)
+
+
+@pytest.mark.parametrize("g,n,degree,name", [
+    (1, 1, True, "degree"), (1, 1, 0.5, "degree"),
+    (1.0, 1, 0, "g"), (1, True, 0, "n"),
+])
+def test_generator_count_refuses_non_int_arguments(g, n, degree, name):
+    with pytest.raises(ValueError, match=f"{name} must be an int"):
+        generator_count(g, n, degree)
 
 
 def test_generator_counts():
@@ -149,3 +199,26 @@ def test_export_shape():
            {"genus": 0, "legs": [1]} in data[1]["vertices"]
     loops = [h for h in graphs if h.num_edges == 1]
     assert loops[0].export()["edges"] == [[0, 0]]
+
+
+PINNED_TYPES = [(0, 3), (0, 4), (0, 5), (0, 6), (1, 1), (1, 2), (1, 3),
+                (1, 4), (1, 5), (2, 0), (2, 1), (2, 2), (2, 3), (2, 4), (3, 0)]
+
+
+def test_graph_exports_pinned():
+    """The graph lists, order included, for every (g, n) that these tests,
+    acceptance criterion 9 and the stable_graphs benchmark workload use,
+    and the generator counts of (2, 2) and of genus 0, are pinned by
+    digest: any change to the degenerations, the canonical form or the
+    level sort that alters one graph or the order shows here."""
+    table = {
+        "graphs": {f"{g},{n}": [h.export() for h in enumerate_graphs(g, n)]
+                   for g, n in PINNED_TYPES},
+        "generator_count(2,2,d)": [generator_count(2, 2, d) for d in range(6)],
+        "generator_count(0,n,d)": {str(n): [generator_count(0, n, d)
+                                            for d in range(n - 2)]
+                                   for n in (4, 5, 6)},
+    }
+    digest = hashlib.sha256(json.dumps(table, sort_keys=True).encode()).hexdigest()
+    assert digest == ("005891120cefd9f1394965d3e83e0314"
+                      "d0493442a955a610a838d84a762a72d5")

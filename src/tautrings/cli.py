@@ -55,23 +55,33 @@ class _Output:
             print(plain)
 
 
+def _common_flags(top: bool) -> argparse.ArgumentParser:
+    """The flags every command takes, before or after the subcommand.  The
+    subcommand's copy has no defaults (SUPPRESS), so it sets only the flags
+    given after the subcommand and keeps those given before it."""
+    def default(value):
+        return value if top else argparse.SUPPRESS
+
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--format", choices=("plain", "json", "csv"),
+                        default=default("plain"))
+    common.add_argument("--cache", default=default(None),
+                        help="path of the persistent value cache "
+                             "(default: $TAUTRINGS_CACHE)")
+    common.add_argument("--no-cache", action="store_true", default=default(False),
+                        help="ignore any cache file for this invocation")
+    common.add_argument("--max-seconds", type=_seconds, default=default(None),
+                        help="abort with exit code 1 after this wall-clock budget")
+    return common
+
+
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     """The command-line parser, built once per process."""
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--format", choices=("plain", "json", "csv"),
-                        default="plain")
-    common.add_argument("--cache",
-                        help="path of the persistent value cache "
-                             "(default: $TAUTRINGS_CACHE)")
-    common.add_argument("--no-cache", action="store_true",
-                        help="ignore any cache file for this invocation")
-    common.add_argument("--max-seconds", type=_seconds, default=None,
-                        help="abort with exit code 1 after this wall-clock budget")
-
+    below = _common_flags(top=False)
     ap = argparse.ArgumentParser(
         prog="tautrings",
-        parents=[common],
+        parents=[_common_flags(top=True)],
         description="Exact computations with tautological rings of moduli "
                     "of curves: psi-class intersection numbers, Hodge-"
                     "integral closed forms, FZ/stable-quotient relations, "
@@ -79,7 +89,7 @@ def _build_parser() -> argparse.ArgumentParser:
                     "stable graphs and Jacobian sl2 operators.")
     sub = ap.add_subparsers(dest="command", required=True,
                             parser_class=lambda **kw: argparse.ArgumentParser(
-                                parents=[common], **kw))
+                                parents=[below], **kw))
 
     c = sub.add_parser("correlator", help="psi-class intersection number")
     c.add_argument("genus", type=int)

@@ -50,10 +50,19 @@ class GeneratorTable:
             self._units[name] = mono
         return mono
 
-    def monomials(self, degree: int) -> List[Monomial]:
-        """All exponent tuples of the given weighted degree, graded-lex order
-        (within the fixed degree: lexicographically decreasing exponents)."""
+    def monomials(self, degree: int,
+                  vanishing: Iterable[Monomial] = ()) -> List[Monomial]:
+        """All exponent tuples of the given weighted degree that no
+        exponent tuple in `vanishing` divides, graded-lex order (within the
+        fixed degree: lexicographically decreasing exponents)."""
         n = len(self.degrees)
+        # each vanishing support is checked at its last generator i, as the
+        # (index, exponent) pairs it needs below i and its exponent at i
+        cuts: Dict[int, List[Tuple[List[Tuple[int, int]], int]]] = {}
+        for mono in vanishing:
+            need = [(j, e) for j, e in enumerate(mono) if e]
+            *below, (i, e) = need
+            cuts.setdefault(i, []).append((below, e))
         out: List[Monomial] = []
         # depth-first over (next generator, remaining degree, exponent
         # prefix) with an explicit stack, so the generator count is not
@@ -66,7 +75,11 @@ class GeneratorTable:
                 out.append(acc + (0,) * (n - i))
             elif i < n:
                 d = self.degrees[i]
-                for e in range(remaining // d + 1):
+                top = remaining // d
+                for below, e in cuts.get(i, ()):
+                    if e <= top and all(acc[j] >= f for j, f in below):
+                        top = e - 1
+                for e in range(top + 1):
                     stack.append((i + 1, remaining - e * d, acc + (e,)))
         return out
 

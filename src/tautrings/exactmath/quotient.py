@@ -17,9 +17,10 @@ class QuotientReport:
     """Per-degree data of a graded quotient ring, plus the Gorenstein verdict.
 
     dims[d] = (number of degree-d monomials) - (rank of the degree-d span of
-    monomial * relation products).  The verdict is yes iff dims are
-    palindromic over 0..max_degree and every complementary pairing matrix
-    has rank min(dims[i], dims[D-i]).
+    monomial * relation products), counted over the monomials that survive
+    the single-term relations (see GradedQuotient).  The verdict is yes iff
+    dims are palindromic over 0..max_degree and every complementary pairing
+    matrix has rank min(dims[i], dims[D-i]).
     """
 
     max_degree: int
@@ -41,36 +42,46 @@ class QuotientReport:
 
 def relation_rows(gens: GeneratorTable,
                   relations: Sequence[GradedPolynomial],
-                  d: int) -> List[Dict[int, Fraction]]:
+                  d: int,
+                  vanishing: Sequence[Monomial] = ()) -> List[Dict[int, Fraction]]:
     """Sparse rows of every product monomial * relation of degree d, with
-    columns indexing gens.monomials(d).  Relations must be homogeneous
-    polynomials over `gens`; zero and constant ones give no rows.  Rows are
-    sorted singletons first (free pivots, no fill-in)."""
-    index = {m: i for i, m in enumerate(gens.monomials(d))}
+    columns indexing gens.monomials(d, vanishing).  Relations must be
+    homogeneous polynomials over `gens`; zero and constant ones give no
+    rows.  Monomials that a `vanishing` support divides are taken as zero:
+    they are no columns, no cofactors, and their product terms are dropped.
+    Rows are sorted singletons first (free pivots, no fill-in)."""
+    index = {m: i for i, m in enumerate(gens.monomials(d, vanishing))}
+    cofactors: Dict[int, List[Monomial]] = {}
     rows: List[Dict[int, Fraction]] = []
     for rel in relations:
         r = rel.degree()
         if r > d or r == 0:
             continue
-        for cof in gens.monomials(d - r):
+        if r not in cofactors:
+            cofactors[r] = gens.monomials(d - r, vanishing)
+        for cof in cofactors[r]:
             row: Dict[int, Fraction] = {}
             for mono, c in rel.terms.items():
                 if r < d:
                     mono = tuple(map(add, mono, cof))
-                i = index[mono]
-                row[i] = row.get(i, Fraction(0)) + c
-            rows.append({k: v for k, v in row.items() if v})
+                i = index.get(mono)
+                if i is not None:
+                    row[i] = row.get(i, Fraction(0)) + c
+            row = {k: v for k, v in row.items() if v}
+            if row:
+                rows.append(row)
     rows.sort(key=lambda row: (len(row), sorted(row.items())))
     return rows
 
 
 def relation_echelon(gens: GeneratorTable,
                      relations: Sequence[GradedPolynomial],
-                     d: int) -> SparseEchelon:
+                     d: int,
+                     vanishing: Sequence[Monomial] = ()) -> SparseEchelon:
     """Echelon form of the degree-d span of monomial * relation products,
     over the columns of `relation_rows`."""
     ech = SparseEchelon()
-    for row in relation_rows(gens, relations, d):
+    for row in relation_rows(gens, relations, d, vanishing):
         ech.add_row(row)
     return ech
 
@@ -79,6 +90,13 @@ class GradedQuotient:
     """Quotient of a free graded-commutative polynomial ring (commuting
     generators of positive degree) by a homogeneous relation ideal, computed
     degree by degree up to `max_degree` with exact rational elimination.
+
+    A single-term relation c * x^a spans exactly the monomials x^a divides,
+    so it adds no rows: its support is kept as vanishing, and each degree is
+    eliminated only over the surviving monomials, the ones no such support
+    divides (a Stanley-Reisner quotient first, then the other relations).
+    A vanishing monomial is a pivot of the full row space and reduces to 0,
+    so dims, bases and residuals are those of the full elimination.
 
     Degenerate inputs follow the documented conventions: no generators gives
     dims [1, 0, 0, ...]; no relations gives free-ring monomial counts.
@@ -90,6 +108,7 @@ class GradedQuotient:
         self.gens = gens
         self.max_degree = int(max_degree)
         self.relations: List[GradedPolynomial] = []
+        self.vanishing: List[Monomial] = []
         for rel in relations:
             if rel.is_zero():
                 continue
@@ -97,7 +116,10 @@ class GradedQuotient:
                 raise ValueError("mixed generator tables")
             if rel.degree() == 0:
                 raise ValueError("nonzero constant relation collapses the ring")
-            self.relations.append(rel)
+            if len(rel.terms) == 1:
+                self.vanishing.extend(rel.terms)
+            else:
+                self.relations.append(rel)
         # per degree: monomial list, index map, echelon of the relation span
         self._monomials: Dict[int, List[Monomial]] = {}
         self._index: Dict[int, Dict[Monomial, int]] = {}
@@ -108,13 +130,16 @@ class GradedQuotient:
     # ---- construction ---------------------------------------------------
 
     def monomials(self, d: int) -> List[Monomial]:
+        """The surviving degree-d monomials, graded-lex: those no
+        single-term relation divides.  They index the degree-d columns."""
         return self._monomials[d]
 
     def _build_degree(self, d: int) -> None:
-        monos = self.gens.monomials(d)
+        monos = self.gens.monomials(d, self.vanishing)
         self._monomials[d] = monos
         self._index[d] = {m: i for i, m in enumerate(monos)}
-        self._echelons[d] = relation_echelon(self.gens, self.relations, d)
+        self._echelons[d] = relation_echelon(self.gens, self.relations, d,
+                                             self.vanishing)
 
     # ---- queries ----------------------------------------------------------
 
@@ -132,7 +157,7 @@ class GradedQuotient:
 
     def reduce(self, poly: GradedPolynomial) -> Dict[Monomial, Fraction]:
         """Canonical representative of a homogeneous polynomial on the
-        quotient basis of its degree."""
+        quotient basis of its degree; vanishing terms are dropped."""
         if poly.gens != self.gens:
             raise ValueError("mixed generator tables")
         if poly.is_zero():
@@ -142,14 +167,15 @@ class GradedQuotient:
             raise ValueError(f"degree {d} is outside the quotient's degrees "
                              f"0..{self.max_degree}")
         idx = self._index[d]
-        row = {idx[m]: c for m, c in poly.terms.items()}
+        row = {idx[m]: c for m, c in poly.terms.items() if m in idx}
         res = self._echelons[d].residual(row)
         monos = self._monomials[d]
         return {monos[i]: c for i, c in res.items()}
 
     def pairing_matrix(self, i: int) -> Optional[List[List[Fraction]]]:
         """Multiplication pairing basis(i) x basis(D-i) -> socle coefficient,
-        defined when the top quotient is one-dimensional."""
+        defined when the top quotient is one-dimensional.  A vanishing
+        product pairs to 0."""
         D = self.max_degree
         if self.dim(D) != 1:
             return None
@@ -164,8 +190,8 @@ class GradedQuotient:
         for a in left:
             row_out: List[Fraction] = []
             for b in right:
-                prod = tuple(x + y for x, y in zip(a, b))
-                res = ech.residual({idx[prod]: Fraction(1)})
+                col = idx.get(tuple(map(add, a, b)))
+                res = {} if col is None else ech.residual({col: Fraction(1)})
                 row_out.append(res.get(socle_i, Fraction(0)))
             mat.append(row_out)
         return mat

@@ -41,6 +41,8 @@ def test_keel_ring_dims_golden():
 def test_keel_ring_dims_range():
     with pytest.raises(ValueError):
         keel_ring_dims(8)
+    with pytest.raises(ValueError, match="3 <= n <= 7"):
+        keel_pairing_check(8)
 
 
 @pytest.mark.parametrize("n", [4, 5, 6])

@@ -204,6 +204,27 @@ def test_cli_presentation_dims(capsys):
     assert data["gorenstein"] is True
 
 
+def test_cli_presentation_monomial_relation(capsys):
+    """Q[a, b]/(ab, a^2 - b^2): the single-term relation ab is a vanishing
+    support, a*b pairs to 0, and the output is that of the two-term
+    presentation ab +- (a^2 - b^2) of the same ideal."""
+    def presentation(relations):
+        return json.dumps({"generators": [["a", 1], ["b", 1]],
+                           "relations": relations, "max_degree": 2,
+                           "pairings": True})
+    square_diff = [[[2, 0], "1/1"], [[0, 2], "-1/1"]]
+    flip = [[[2, 0], "-1/1"], [[0, 2], "1/1"]]
+    assert run(["presentation-dims", "--format", "json",
+                presentation([[[[1, 1], 1]], square_diff])]) == 0
+    monomial = json.loads(capsys.readouterr().out)
+    assert monomial == {"dims": [1, 2, 1], "gorenstein": True, "max_degree": 2,
+                        "pairing_ranks": [1, 2, 1], "socle_dim": 1}
+    assert run(["presentation-dims", "--format", "json",
+                presentation([[[[1, 1], 1]] + square_diff,
+                              [[[1, 1], 1]] + flip])]) == 0
+    assert json.loads(capsys.readouterr().out) == monomial
+
+
 def test_cli_presentation_repeated_exponent_vectors_add_up(capsys):
     """Terms with one exponent vector add up: a - a is the zero relation,
     and a + a = 2a still kills the degree-1 class."""
@@ -443,6 +464,40 @@ def test_cli_cache_env_read_per_call(tmp_path, capsys, monkeypatch):
     assert len(entries["a.json"]) == 3
     assert "2:4" in entries["b.json"] and "2:4" not in entries["a.json"]
     assert c.read_bytes() == a.read_bytes()
+
+
+def _flags_placed(before, flags, command):
+    """argv with `flags` before the subcommand or after its arguments."""
+    return flags + command if before else command + flags
+
+
+@pytest.mark.parametrize("before", [True, False])
+def test_cli_format_flag_on_either_side(capsys, before):
+    assert run(_flags_placed(before, ["--format", "json"], ["correlator", "1", "1"])) == 0
+    assert json.loads(capsys.readouterr().out)["value"] == "1/24"
+    assert run(_flags_placed(before, ["--format", "csv"], ["keel", "5"])) == 0
+    assert capsys.readouterr().out.strip() == "1,5,1"
+
+
+@pytest.mark.parametrize("before", [True, False])
+def test_cli_cache_flags_on_either_side(tmp_path, capsys, monkeypatch, before):
+    """--cache and --no-cache act wherever they stand; --no-cache also
+    overrides $TAUTRINGS_CACHE."""
+    kept, skipped, env = (tmp_path / "kept.json", tmp_path / "skipped.json",
+                          tmp_path / "env.json")
+    command = ["correlator", "1", "1"]
+    assert run(_flags_placed(before, ["--cache", str(kept)], command)) == 0
+    assert run(_flags_placed(before, ["--cache", str(skipped), "--no-cache"],
+                             command)) == 0
+    monkeypatch.setenv("TAUTRINGS_CACHE", str(env))
+    assert run(_flags_placed(before, ["--no-cache"], command)) == 0
+    assert capsys.readouterr().out.split() == ["1/24"] * 3
+    assert os.listdir(tmp_path) == ["kept.json"]
+
+
+def test_cli_flag_after_subcommand_wins(capsys):
+    assert run(["--format", "json", "correlator", "1", "1", "--format", "plain"]) == 0
+    assert capsys.readouterr().out.strip() == "1/24"
 
 
 def test_cli_rationals_are_exact_strings(capsys):

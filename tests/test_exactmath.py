@@ -340,3 +340,55 @@ def test_quotient_dims_order_invariant(seed):
     shuffled = rels[:]
     rng.shuffle(shuffled)
     assert graded_quotient(gens, shuffled, 3).dims == [1, 2, 2, 1]
+
+
+def test_monomials_skip_vanishing_supports():
+    """monomials(d, vanishing) is monomials(d) without the multiples of
+    the vanishing supports, in the same order."""
+    gens = GeneratorTable([("a", 1), ("b", 2), ("c", 1), ("e", 1)])
+    supports = [(1, 0, 1, 0), (0, 1, 0, 0), (0, 0, 0, 3), (2, 0, 0, 1)]
+    for d in range(7):
+        expected = [m for m in gens.monomials(d)
+                    if not any(all(x >= y for x, y in zip(m, s)) for s in supports)]
+        assert gens.monomials(d, supports) == expected
+    assert gens.monomials(3, [(0, 0, 0, 1)]) == [(3, 0, 0, 0), (2, 0, 1, 0),
+                                                 (1, 1, 0, 0), (1, 0, 2, 0),
+                                                 (0, 1, 1, 0), (0, 0, 3, 0)]
+
+
+def _random_presentation(rng):
+    """Weighted generators, a few random relations, and two distinct
+    monomials x^a, x^b of one degree."""
+    gens = GeneratorTable([(f"x{i}", rng.choice((1, 1, 2)))
+                           for i in range(rng.randint(2, 4))])
+    degrees = [d for d in (2, 3) if len(gens.monomials(d)) >= 2]
+    a, b = rng.sample(gens.monomials(rng.choice(degrees)), 2)
+    rels = []
+    for _ in range(rng.randint(1, 3)):
+        monos = gens.monomials(rng.randint(2, 3))
+        picked = rng.sample(monos, min(len(monos), rng.randint(2, 3)))
+        rels.append(GradedPolynomial(gens, {m: rng.choice((-2, -1, 1, 3))
+                                            for m in picked}))
+    return gens, rels, a, b
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_quotient_monomial_relations_match_two_term_relations(seed):
+    """x^a and x^b span the ideal that x^a + x^b and x^a - x^b span, so the
+    quotient that takes them as vanishing supports has the dims, bases,
+    reductions and pairings of the one that eliminates two-term rows."""
+    rng = random.Random(seed)
+    gens, rels, a, b = _random_presentation(rng)
+    xa, xb = GradedPolynomial(gens, {a: 1}), GradedPolynomial(gens, {b: 1})
+    top = rng.randint(3, 5)
+    pruned = GradedQuotient(gens, rels + [xa, xb * 2], top)
+    full = GradedQuotient(gens, rels + [xa + xb, xa - xb], top)
+    assert {a, b} <= set(pruned.vanishing)
+    assert pruned.report(True) == full.report(True)
+    for d in range(top + 1):
+        assert pruned.basis(d) == full.basis(d)
+        for m in gens.monomials(d):
+            poly = GradedPolynomial(gens, {m: F(rng.randint(1, 5), rng.randint(1, 3))})
+            assert pruned.reduce(poly) == full.reduce(poly)
+            if m not in pruned.monomials(d):
+                assert pruned.reduce(poly) == {}

@@ -53,6 +53,28 @@ def test_quotient_outputs_pinned():
                              "32d791794a33d2054a2578965a0d834e")
 
 
+def test_keel6_outputs_pinned():
+    """The n = 6 Keel report with pairings, its bases, and the reduction of
+    every monomial of the free ring, the ones a crossing product kills
+    (which reduce to {}) included, pinned by digest."""
+    q = keel_quotient(6)
+    reduced, killed = [], 0
+    for d in range(4):
+        surviving = set(q.monomials(d))
+        for mono in q.gens.monomials(d):
+            res = q.reduce(GradedPolynomial(q.gens, {mono: 1}))
+            killed += mono not in surviving
+            assert mono in surviving or res == {}
+            reduced.append(sorted([list(k), f"{c.numerator}/{c.denominator}"]
+                                  for k, c in res.items()))
+    assert killed == (325 - 130) + (2925 - 340)
+    data = [q.report(True).export(),
+            [[list(b) for b in q.basis(d)] for d in range(4)],
+            reduced]
+    assert _digest(data) == ("f8f4dfa0e95b96d57c6be97e8b699e38"
+                             "500ce43c4a1d9656f47bf70e61d35020")
+
+
 def test_ring_dims_rejects_low_genus():
     with pytest.raises(ValueError):
         ring_dims(1)

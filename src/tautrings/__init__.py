@@ -11,8 +11,9 @@ anywhere.
 
 from .closedforms import (chern_character_even_check, euler_orbifold,
                           hyperelliptic_class, hyperelliptic_coeff,
-                          lambda_from_kappa, lambda_g_base, lambda_g_eval,
-                          lambda_gm1_lambda_g_eval, socle_constant, wl_class)
+                          kappa_socle_eval, lambda_from_kappa, lambda_g_base,
+                          lambda_g_eval, lambda_gm1_lambda_g_eval,
+                          socle_constant, wl_class)
 from .correlators import (CorrelatorKey, CorrelatorTable, genus0_closed_form,
                           psi_intersection, string_reduce)
 from .exactmath import (GeneratorTable, GradedPolynomial, QuotientReport,
@@ -33,6 +34,6 @@ from .stablegraphs import (StableGraph, enumerate_graphs, generator_count,
                            validate_graph)
 from .tautring import (RingModel, build_ring, generation_check,
                        gorenstein_check, ring_dims, socle_class_check,
-                       vanishing_check)
+                       socle_pairing_ranks, vanishing_check)
 
 __version__ = "0.1.0"

@@ -1,7 +1,10 @@
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
-from math import factorial
+from functools import lru_cache
+from itertools import product
+from math import comb, factorial, prod
 from typing import List, Optional, Sequence, Tuple
 
 from .correlators import odd_double_factorial
@@ -12,6 +15,7 @@ __all__ = [
     "lambda_g_base",
     "lambda_g_eval",
     "lambda_gm1_lambda_g_eval",
+    "kappa_socle_eval",
     "socle_constant",
     "lambda_from_kappa",
     "chern_character_even_check",
@@ -85,11 +89,64 @@ def lambda_gm1_lambda_g_eval(g: int, alpha: Sequence[int]) -> Fraction:
     n = len(a)
     if sum(a) != g - 2 + n:
         return Fraction(0)
-    num = factorial(2 * g + n - 3) * odd_double_factorial(2 * g - 1)
-    den = factorial(2 * g - 1)
-    for x in a:
-        den *= odd_double_factorial(2 * x - 1)
-    return Fraction(num, den) * lambda_gm1_lambda_g_constant(g)
+    return _two_lambda_scale(g, n) / prod(odd_double_factorial(2 * x - 1)
+                                          for x in a)
+
+
+def _two_lambda_scale(g: int, n: int) -> Fraction:
+    """C(g, n) = (2g+n-3)!(2g-1)!!/(2g-1)! times the one-point constant:
+    the n-point psi^alpha lambda_{g-1} lambda_g integral is
+    C(g, n) / prod (2a_i-1)!!."""
+    return (Fraction(factorial(2 * g + n - 3) * odd_double_factorial(2 * g - 1),
+                     factorial(2 * g - 1)) * lambda_gm1_lambda_g_constant(g))
+
+
+def kappa_socle_eval(g: int, kappa_indices: Sequence[int]) -> Fraction:
+    """The socle functional eps on kappa monomials: the integral of
+    kappa_{a_1}...kappa_{a_k} lambda_{g-1} lambda_g over the moduli space
+    of stable genus-g curves, 0 unless sum a_i = g-2.
+
+    The kappa monomial is the signed sum over set partitions P of the k
+    factors of the pushforwards of prod_{B in P} psi_B^{a_B+1}, a_B the sum
+    of the block, so with C(g, n) the scale of `lambda_gm1_lambda_g_eval`
+
+        eps = sum_P (-1)^(k-|P|) C(g, |P|) prod_B 1/(2a_B+1)!!.
+
+    The Bell(k) set partitions are summed by number of blocks in a memoised
+    recursion over sub-multisets (`_block_sums`)."""
+    a = tuple(sorted(kappa_indices))
+    if not all(map(is_int, (g,) + a)):
+        raise ValueError(f"genus and indices must be ints, got {g!r}, {a!r}")
+    if g < 2:
+        raise ValueError("genus must be >= 2")
+    if any(x < 1 for x in a):
+        raise ValueError("every kappa index must be >= 1")
+    if sum(a) != g - 2:
+        return Fraction(0)
+    k = len(a)
+    return sum(((-1) ** (k - n) * _two_lambda_scale(g, n) * v
+                for n, v in enumerate(_block_sums(a))), Fraction(0))
+
+
+@lru_cache(maxsize=None)
+def _block_sums(a: Tuple[int, ...]) -> Tuple[Fraction, ...]:
+    """Entry n: the sum over the set partitions of the multiset `a` (sorted,
+    its elements labelled) into n blocks of prod_B 1/(2a_B+1)!!.  The block
+    of the first element is that element and a sub-multiset of the rest,
+    counted with the number of ways to pick its labelled elements."""
+    if not a:
+        return (Fraction(1),)
+    rest = Counter(a[1:])  # ascending values, as a is sorted
+    out = [Fraction(0)] * (len(a) + 1)
+    for picks in product(*(range(c + 1) for c in rest.values())):
+        ways = prod(comb(c, t) for c, t in zip(rest.values(), picks))
+        size = a[0] + sum(v * t for v, t in zip(rest, picks))
+        left = tuple(v for (v, c), t in zip(rest.items(), picks)
+                     for _ in range(c - t))
+        weight = Fraction(ways, odd_double_factorial(2 * size + 1))
+        for n, v in enumerate(_block_sums(left)):
+            out[n + 1] += weight * v
+    return tuple(out)
 
 
 def socle_constant(g: int) -> Fraction:

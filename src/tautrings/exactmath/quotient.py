@@ -90,6 +90,8 @@ class GradedQuotient:
     """Quotient of a free graded-commutative polynomial ring (commuting
     generators of positive degree) by a homogeneous relation ideal, computed
     degree by degree up to `max_degree` with exact rational elimination.
+    Each degree is eliminated when a query first needs it, so a caller that
+    stops at an early degree pays nothing for the later ones.
 
     A single-term relation c * x^a spans exactly the monomials x^a divides,
     so it adds no rows: its support is kept as vanishing, and each degree is
@@ -121,11 +123,13 @@ class GradedQuotient:
             else:
                 self.relations.append(rel)
         # per degree: monomial list, index map, echelon of the relation span
-        self._monomials: Dict[int, List[Monomial]] = {}
-        self._index: Dict[int, Dict[Monomial, int]] = {}
+        self._monomials: Dict[int, List[Monomial]] = {
+            d: gens.monomials(d, self.vanishing)
+            for d in range(self.max_degree + 1)}
+        self._index: Dict[int, Dict[Monomial, int]] = {
+            d: {m: i for i, m in enumerate(monos)}
+            for d, monos in self._monomials.items()}
         self._echelons: Dict[int, SparseEchelon] = {}
-        for d in range(self.max_degree + 1):
-            self._build_degree(d)
 
     # ---- construction ---------------------------------------------------
 
@@ -134,17 +138,18 @@ class GradedQuotient:
         single-term relation divides.  They index the degree-d columns."""
         return self._monomials[d]
 
-    def _build_degree(self, d: int) -> None:
-        monos = self.gens.monomials(d, self.vanishing)
-        self._monomials[d] = monos
-        self._index[d] = {m: i for i, m in enumerate(monos)}
-        self._echelons[d] = relation_echelon(self.gens, self.relations, d,
-                                             self.vanishing)
+    def _echelon(self, d: int) -> SparseEchelon:
+        """Echelon form of the degree-d relation span, built on first use."""
+        ech = self._echelons.get(d)
+        if ech is None:
+            ech = self._echelons[d] = relation_echelon(
+                self.gens, self.relations, d, self.vanishing)
+        return ech
 
     # ---- queries ----------------------------------------------------------
 
     def dim(self, d: int) -> int:
-        return len(self._monomials[d]) - self._echelons[d].rank
+        return len(self._monomials[d]) - self._echelon(d).rank
 
     @property
     def dims(self) -> List[int]:
@@ -152,7 +157,7 @@ class GradedQuotient:
 
     def basis(self, d: int) -> List[Monomial]:
         """Quotient basis in degree d: the pivot-free monomials, graded-lex."""
-        pivots = set(self._echelons[d].pivot_columns())
+        pivots = set(self._echelon(d).pivot_columns())
         return [m for i, m in enumerate(self._monomials[d]) if i not in pivots]
 
     def reduce(self, poly: GradedPolynomial) -> Dict[Monomial, Fraction]:
@@ -168,7 +173,7 @@ class GradedQuotient:
                              f"0..{self.max_degree}")
         idx = self._index[d]
         row = {idx[m]: c for m, c in poly.terms.items() if m in idx}
-        res = self._echelons[d].residual(row)
+        res = self._echelon(d).residual(row)
         monos = self._monomials[d]
         return {monos[i]: c for i, c in res.items()}
 
@@ -182,7 +187,7 @@ class GradedQuotient:
         socle = self.basis(D)[0]
         left = self.basis(i)
         right = self.basis(D - i)
-        ech = self._echelons[D]
+        ech = self._echelon(D)
         idx = self._index[D]
         monos = self._monomials[D]
         socle_i = idx[socle]

@@ -249,13 +249,22 @@ def fz_relation(g: int, r: int, sigma) -> Optional[KappaRelation]:
     return _relation("FZ", g, r, sigma, _fz_exp_minus_gamma(g, r, sum(sigma)))
 
 
-def fz_relation_set(g: int, max_degree: int) -> List[KappaRelation]:
+def fz_relation_set(g: int, max_degree: int, *,
+                    max_sigma: Optional[int] = None) -> List[KappaRelation]:
     """All admissible nonzero FZ relations of degree r <= max_degree, with
     kappa indices capped at g-2 (classes of higher degree vanish in the ring
     model, so their generators are substituted by zero), ordered by r, then
-    |sigma|, then sigma in decreasing lexicographic order."""
+    |sigma|, then sigma in decreasing lexicographic order.
+
+    `max_sigma` keeps only the relations with |sigma| <= max_sigma; None
+    keeps all (admissibility already bounds |sigma| by 3*max_degree - g)."""
     _check_request(g, max_degree)
-    table = _fz_exp_minus_gamma(g, max_degree, max(3 * max_degree - g, 0))
+    smax = max(3 * max_degree - g, 0)
+    if max_sigma is not None:
+        if max_sigma < 0:
+            raise ValueError(f"max_sigma must be >= 0, got {max_sigma}")
+        smax = min(smax, max_sigma)
+    table = _fz_exp_minus_gamma(g, max_degree, smax)
     keys = sorted((key for key in table if fz_admissible(g, *key)),
                   key=lambda k: (k[0], sum(k[1]), tuple(-p for p in k[1])))
     return [_relation("FZ", g, r, sigma, table) for r, sigma in keys]

@@ -156,6 +156,56 @@ def test_known_two_point_genus2_values():
     assert psi_intersection(2, [3, 2]) == F(29, 5760)
 
 
+def _poly_mul(p, q):
+    out = {}
+    for (a, b), c in p.items():
+        for (x, y), d in q.items():
+            out[a + x, b + y] = out.get((a + x, b + y), 0) + c * d
+    return out
+
+
+def _poly_pow(p, e):
+    out = {(0, 0): F(1)}
+    for _ in range(e):
+        out = _poly_mul(out, p)
+    return out
+
+
+def _dijkgraaf_two_point(g):
+    """{(a, b): <tau_a tau_b>_g}, g >= 1, from Dijkgraaf's closed form
+
+        sum <tau_a tau_b>_g w^a z^b
+          = exp((w^3+z^3)/24)/(w+z) sum_n n!/(2n+1)! (wz(w+z)/2)^n.
+
+    Its genus-g part is the degree-(3g-1) part; with w^3+z^3 =
+    (w+z)(w^2-wz+z^2) the division by w+z is exact, leaving
+    sum_{k+n=g} (w+z)^(g-1) (w^2-wz+z^2)^k (wz)^n n!/(24^k k! (2n+1)! 2^n)."""
+    total = {}
+    for k in range(g + 1):
+        n = g - k
+        scale = F(factorial(n), 24 ** k * factorial(k) * factorial(2 * n + 1)
+                  * 2 ** n)
+        term = _poly_mul(_poly_pow({(1, 0): F(1), (0, 1): F(1)}, g - 1),
+                         _poly_pow({(2, 0): F(1), (1, 1): F(-1),
+                                    (0, 2): F(1)}, k))
+        for key, c in _poly_mul(term, {(n, n): scale}).items():
+            total[key] = total.get(key, 0) + c
+    return total
+
+
+def test_two_point_correlators_match_dijkgraaf():
+    """Every two-point correlator with 1 <= g <= 12 equals the coefficient
+    of Dijkgraaf's closed form, an oracle outside the KdV recursion."""
+    checked = 0
+    for g in range(1, 13):
+        closed = _dijkgraaf_two_point(g)
+        assert set(closed) == {(a, 3 * g - 1 - a) for a in range(3 * g)}
+        for (a, b), value in closed.items():
+            assert psi_intersection(g, [a, b]) == value, (g, a, b)
+            checked += 1
+    assert checked == 234
+
+
 def test_string_reduce_examples():
     pairs = string_reduce(CorrelatorKey(0, [0, 1, 0, 0]))
     assert pairs == [(CorrelatorKey(0, [0, 0, 0]), F(1))]

@@ -283,3 +283,105 @@ def test_socle_pairing_ranks_match_ring_dims_at_genus11():
                for a in gens.monomials(d)]
         ranks.append(exact_rank(mat))
     assert ranks == dims == [1, 1, 2, 3, 4, 4, 3, 2, 1, 1]
+
+
+def test_socle_functional_matches_partition_oracle():
+    """`kappa_socle_eval` (a recursion over sub-multisets) equals the
+    set-partition oracle above on every degree-(g-2) kappa monomial,
+    g = 3..9."""
+    from tautrings.closedforms import kappa_socle_eval, kappa_table
+    checked = 0
+    for g in range(3, 10):
+        gens = kappa_table(g - 2)
+        for m in gens.monomials(g - 2):
+            idx = _kappa_indices(gens, m)
+            assert kappa_socle_eval(g, idx) == _socle_eval(g, idx), (g, m)
+            checked += 1
+    assert checked == 44
+
+
+def test_socle_functional_preconditions():
+    from tautrings.closedforms import kappa_socle_eval, socle_constant
+    for g in range(3, 13):
+        assert kappa_socle_eval(g, [g - 2]) == socle_constant(g)
+    assert kappa_socle_eval(5, [1, 1]) == 0  # off-degree
+    with pytest.raises(ValueError):
+        kappa_socle_eval(4, [0, 2])
+    with pytest.raises(ValueError):
+        kappa_socle_eval(4, [1.0, 1])
+    with pytest.raises(ValueError):
+        kappa_socle_eval(1, [])
+
+
+def _ring_outputs(model):
+    q, gens = model.quotient, model.gens
+    return [model.report(True).export(),
+            [q.basis(d) for d in range(model.genus - 1)],
+            [q.reduce(GradedPolynomial(gens, {mono: 1}))
+             for d in range(model.genus - 1) for mono in gens.monomials(d)]]
+
+
+@pytest.mark.parametrize("g", range(2, 11))
+def test_certified_ring_equals_full_relation_set(g):
+    """The ring built from the certified small-|sigma| subset has the
+    report, bases and reductions of the ring of every FZ relation."""
+    full = build_ring(g, relations=fz_relation_set(g, g - 2))
+    certified = build_ring(g)
+    assert _ring_outputs(certified) == _ring_outputs(full)
+    assert len(certified.relations) <= len(full.relations)
+
+
+def test_certified_ring_uses_one_attempt_up_to_genus10(monkeypatch):
+    """|sigma| <= 5 already certifies genus 8..10, so one relation set is
+    generated per ring."""
+    from tautrings import tautring
+    calls = []
+    original = tautring.fz_relation_set
+
+    def spy(g, max_degree, **kwargs):
+        calls.append((g, kwargs.get("max_sigma")))
+        return original(g, max_degree, **kwargs)
+
+    monkeypatch.setattr(tautring, "fz_relation_set", spy)
+    for g in (8, 9, 10):
+        build_ring(g)
+    assert calls == [(8, 5), (9, 5), (10, 5)]
+
+
+def test_uncertified_subset_falls_back(monkeypatch):
+    """|sigma| <= 3 is too small at genus 7: its quotient has dims above
+    the socle ranks.  When the first attempt gets that subset, build_ring
+    raises s and still returns the FZ dims."""
+    from tautrings import tautring
+    from tautrings.closedforms import kappa_table
+    from tautrings.exactmath import GradedQuotient
+    g = 7
+    small = fz_relation_set(g, g - 2, max_sigma=3)
+    dims = GradedQuotient(kappa_table(g - 2), [r.polynomial for r in small],
+                          g - 2).dims
+    ranks = tautring.socle_pairing_ranks(g)
+    assert ranks == [1, 1, 2, 2, 1, 1]
+    assert dims != ranks
+    assert all(d >= r for d, r in zip(dims, ranks))
+
+    calls = []
+    original = tautring.fz_relation_set
+
+    def first_too_small(g, max_degree, *, max_sigma=None):
+        calls.append(max_sigma)
+        return original(g, max_degree,
+                        max_sigma=3 if len(calls) == 1 else max_sigma)
+
+    monkeypatch.setattr(tautring, "fz_relation_set", first_too_small)
+    assert build_ring(g).dims == [1, 1, 2, 2, 1, 1]
+    assert calls == [5, 7]
+
+
+def test_fz_relation_set_max_sigma_filters_by_size():
+    g = 8
+    full = fz_relation_set(g, g - 2)
+    small = fz_relation_set(g, g - 2, max_sigma=5)
+    assert small == [rel for rel in full if sum(rel.index) <= 5]
+    assert fz_relation_set(g, g - 2, max_sigma=3 * (g - 2) - g) == full
+    with pytest.raises(ValueError):
+        fz_relation_set(g, g - 2, max_sigma=-1)

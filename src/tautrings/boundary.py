@@ -5,7 +5,7 @@ from itertools import combinations
 from typing import Dict, FrozenSet, Iterable, List, Set, Tuple
 
 from .exactmath import (GeneratorTable, GradedPolynomial, GradedQuotient,
-                        relation_echelon)
+                        check_int, relation_echelon)
 
 __all__ = [
     "BoundaryDivisor",
@@ -31,8 +31,8 @@ class BoundaryDivisor:
     __slots__ = ("n", "side")
 
     def __init__(self, n: int, side) -> None:
-        n = int(n)
-        s = frozenset(int(x) for x in side)
+        n = check_int("n", n)
+        s = frozenset(check_int("marking", x) for x in side)
         if not s <= set(range(1, n + 1)):
             raise ValueError("side must consist of markings 1..n")
         if not (2 <= len(s) <= n - 2):
@@ -70,7 +70,7 @@ class BoundaryDivisor:
 def keel_generators(n: int) -> List[BoundaryDivisor]:
     """All canonical boundary divisors of the n-pointed genus-0 space;
     there are 2^(n-1) - 1 - n of them."""
-    if n < 3:
+    if check_int("n", n) < 3:
         raise ValueError("need n >= 3")
     out = []
     pool = list(range(1, n))  # canonical sides exclude n
@@ -149,7 +149,7 @@ def keel_quotient(n: int) -> GradedQuotient:
     n-3.  The crossing products are single-term relations, so the engine
     eliminates the four-point relations over the nested-set monomials
     only."""
-    if not (3 <= n):
+    if check_int("n", n) < 3:
         raise ValueError("need n >= 3")
     divs, gens = _divisor_table(n)
     rels = keel_fourpoint_relations(n) + keel_incompatibility_relations(n)
@@ -158,9 +158,9 @@ def keel_quotient(n: int) -> GradedQuotient:
 
 def keel_ring_dims(n: int) -> List[int]:
     """Graded dimensions (Betti numbers) of the genus-0 presentation,
-    degrees 0..n-3.  n = 7 takes about 60 s of CPU: degree 4 eliminates
+    degrees 0..n-3.  n = 7 takes about 10 s of CPU: degree 4 eliminates
     over its 6,251 nested-set monomials (of 455,126 in its 56 divisors)."""
-    if not (3 <= n <= 7):
+    if not (3 <= check_int("n", n) <= 7):
         raise ValueError("keel_ring_dims supports 3 <= n <= 7")
     return keel_quotient(n).dims
 
@@ -168,8 +168,8 @@ def keel_ring_dims(n: int) -> List[int]:
 def keel_pairing_check(n: int) -> bool:
     """Poincare-duality check: palindromic dims and nonsingular
     complementary pairings into the one-dimensional top degree.  n = 7
-    takes about 60 s of CPU, nearly all of it in building the quotient."""
-    if not (3 <= n <= 7):
+    takes about 11 s of CPU, nearly all of it in building the quotient."""
+    if not (3 <= check_int("n", n) <= 7):
         raise ValueError("keel_pairing_check supports 3 <= n <= 7")
     return bool(keel_quotient(n).report(with_pairings=True).gorenstein)
 
@@ -226,7 +226,7 @@ class H2Presentation:
     """
 
     def __init__(self, g: int, n: int) -> None:
-        if g < 0 or n < 0 or 2 * g - 2 + n <= 0:
+        if check_int("g", g) < 0 or check_int("n", n) < 0 or 2 * g - 2 + n <= 0:
             raise ValueError(
                 f"(g, n) = ({g}, {n}): need g, n >= 0 and 2g - 2 + n > 0")
         self.g, self.n = g, n

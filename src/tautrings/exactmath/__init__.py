@@ -6,6 +6,21 @@ Rationals are `fractions.Fraction` throughout; nothing in this package (or
 its consumers) touches floating point.
 """
 
+
+def is_int(x) -> bool:
+    """An `int` that is not a `bool`: the one test of integer inputs, so
+    that 1.5 or True is refused rather than truncated."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def check_int(name: str, x) -> int:
+    """`x` itself if `is_int(x)`, else a ValueError that names the argument."""
+    if not is_int(x):
+        raise ValueError(f"{name} must be an int, got {x!r}")
+    return x
+
+
+# The two checks above come first: the submodules import them.
 from .bernoulli import bernoulli
 from .gradedpoly import GeneratorTable, GradedPolynomial
 from .linalg import SparseEchelon, exact_rank
@@ -33,16 +48,3 @@ __all__ = [
     "is_int",
     "check_int",
 ]
-
-
-def is_int(x) -> bool:
-    """An `int` that is not a `bool`: the one test of integer inputs, so
-    that 1.5 or True is refused rather than truncated."""
-    return isinstance(x, int) and not isinstance(x, bool)
-
-
-def check_int(name: str, x) -> int:
-    """`x` itself if `is_int(x)`, else a ValueError that names the argument."""
-    if not is_int(x):
-        raise ValueError(f"{name} must be an int, got {x!r}")
-    return x

@@ -5,6 +5,7 @@ from fractions import Fraction
 from operator import add
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from . import check_int
 from .gradedpoly import GeneratorTable, GradedPolynomial, Monomial
 from .linalg import SparseEchelon, exact_rank
 
@@ -90,8 +91,9 @@ class GradedQuotient:
     """Quotient of a free graded-commutative polynomial ring (commuting
     generators of positive degree) by a homogeneous relation ideal, computed
     degree by degree up to `max_degree` with exact rational elimination.
-    Each degree is eliminated when a query first needs it, so a caller that
-    stops at an early degree pays nothing for the later ones.
+    Each degree is eliminated when a query first needs it, after the
+    degrees below it, so a caller that stops at an early degree pays nothing
+    for the later ones.
 
     A single-term relation c * x^a spans exactly the monomials x^a divides,
     so it adds no rows: its support is kept as vanishing, and each degree is
@@ -99,6 +101,14 @@ class GradedQuotient:
     divides (a Stanley-Reisner quotient first, then the other relations).
     A vanishing monomial is a pivot of the full row space and reduces to 0,
     so dims, bases and residuals are those of the full elimination.
+
+    The other relations are thinned degree by degree.  Degree d starts
+    from the products of the relations kept in lower degrees, then adds the
+    own row (cofactor 1) of each degree-d relation in input order, and the
+    relation is kept only if that row raised the rank.  A dropped relation
+    lies in the ideal of the kept ones plus the vanishing monomials, and so
+    does every multiple of it: no degree's row space changes, only the rows
+    that would reduce to zero are not built.
 
     Degenerate inputs follow the documented conventions: no generators gives
     dims [1, 0, 0, ...]; no relations gives free-ring monomial counts.
@@ -108,20 +118,22 @@ class GradedQuotient:
                  relations: Sequence[GradedPolynomial],
                  max_degree: int) -> None:
         self.gens = gens
-        self.max_degree = int(max_degree)
-        self.relations: List[GradedPolynomial] = []
+        self.max_degree = check_int("max_degree", max_degree)
+        # the multi-term relations by degree, each list in input order
+        self.relations: Dict[int, List[GradedPolynomial]] = {}
         self.vanishing: List[Monomial] = []
         for rel in relations:
             if rel.is_zero():
                 continue
             if rel.gens != gens:
                 raise ValueError("mixed generator tables")
-            if rel.degree() == 0:
+            r = rel.degree()
+            if r == 0:
                 raise ValueError("nonzero constant relation collapses the ring")
             if len(rel.terms) == 1:
                 self.vanishing.extend(rel.terms)
             else:
-                self.relations.append(rel)
+                self.relations.setdefault(r, []).append(rel)
         # per degree: monomial list, index map, echelon of the relation span
         self._monomials: Dict[int, List[Monomial]] = {
             d: gens.monomials(d, self.vanishing)
@@ -130,6 +142,8 @@ class GradedQuotient:
             d: {m: i for i, m in enumerate(monos)}
             for d, monos in self._monomials.items()}
         self._echelons: Dict[int, SparseEchelon] = {}
+        # the relations whose own row raised the rank of an eliminated degree
+        self._kept: List[GradedPolynomial] = []
 
     # ---- construction ---------------------------------------------------
 
@@ -138,18 +152,30 @@ class GradedQuotient:
         single-term relation divides.  They index the degree-d columns."""
         return self._monomials[d]
 
+    def _row(self, d: int, poly: GradedPolynomial) -> Dict[int, Fraction]:
+        """The degree-d polynomial as a row over the surviving monomials."""
+        idx = self._index[d]
+        return {idx[m]: c for m, c in poly.terms.items() if m in idx}
+
     def _echelon(self, d: int) -> SparseEchelon:
-        """Echelon form of the degree-d relation span, built on first use."""
-        ech = self._echelons.get(d)
-        if ech is None:
-            ech = self._echelons[d] = relation_echelon(
-                self.gens, self.relations, d, self.vanishing)
-        return ech
+        """Echelon form of the degree-d relation span, built on first use
+        after the degrees below it (which fix the kept relations)."""
+        if d not in self._index:
+            raise ValueError(f"degree {d} is outside the quotient's degrees "
+                             f"0..{self.max_degree}")
+        for e in range(len(self._echelons), d + 1):
+            ech = relation_echelon(self.gens, self._kept, e, self.vanishing)
+            for rel in self.relations.get(e, ()):
+                if ech.add_row(self._row(e, rel)):
+                    self._kept.append(rel)
+            self._echelons[e] = ech
+        return self._echelons[d]
 
     # ---- queries ----------------------------------------------------------
 
     def dim(self, d: int) -> int:
-        return len(self._monomials[d]) - self._echelon(d).rank
+        rank = self._echelon(d).rank
+        return len(self._monomials[d]) - rank
 
     @property
     def dims(self) -> List[int]:
@@ -168,12 +194,7 @@ class GradedQuotient:
         if poly.is_zero():
             return {}
         d = poly.degree()
-        if d not in self._index:
-            raise ValueError(f"degree {d} is outside the quotient's degrees "
-                             f"0..{self.max_degree}")
-        idx = self._index[d]
-        row = {idx[m]: c for m, c in poly.terms.items() if m in idx}
-        res = self._echelon(d).residual(row)
+        res = self._echelon(d).residual(self._row(d, poly))
         monos = self._monomials[d]
         return {monos[i]: c for i, c in res.items()}
 

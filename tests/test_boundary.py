@@ -45,6 +45,23 @@ def test_keel_ring_dims_range():
         keel_pairing_check(8)
 
 
+@pytest.mark.parametrize("call, match", [
+    (lambda: BoundaryDivisor(5.7, {1, 2}), "n must be an int, got 5.7"),
+    (lambda: BoundaryDivisor(5, {1.2, 2}), "marking must be an int, got 1.2"),
+    (lambda: BoundaryDivisor(True, {1, 2}), "n must be an int, got True"),
+    (lambda: keel_quotient(5.5), "n must be an int, got 5.5"),
+    (lambda: keel_ring_dims(5.5), "n must be an int, got 5.5"),
+    (lambda: keel_pairing_check(5.5), "n must be an int, got 5.5"),
+    (lambda: h2_rank(0, 5.5), "n must be an int, got 5.5"),
+    (lambda: h2_rank(1.0, 3), "g must be an int, got 1.0"),
+])
+def test_non_int_sizes_are_refused(call, match):
+    """A non-int size is a ValueError naming the argument, not truncated
+    (5.7 read as 5) or a TypeError from deep inside."""
+    with pytest.raises(ValueError, match=match):
+        call()
+
+
 @pytest.mark.parametrize("n", [4, 5, 6])
 def test_keel_pairing_perfect(n):
     assert keel_pairing_check(n)

@@ -9,8 +9,9 @@ import pytest
 from tautrings.exactmath import (GeneratorTable, GradedPolynomial,
                                  GradedQuotient, SparseEchelon,
                                  TruncatedSeries, bernoulli, exact_rank,
-                                 graded_quotient, partition_count, series_exp,
-                                 series_log, series_mul)
+                                 graded_quotient, partition_count,
+                                 relation_echelon, series_exp, series_log,
+                                 series_mul)
 
 
 # ---------------------------------------------------------------------------
@@ -226,11 +227,31 @@ def test_exact_rank_basics():
     assert exact_rank([[1, 2], [2, 4]]) == 1
 
 
+def _random_entry(rng, kind):
+    """A random int, Fraction, or either."""
+    if kind == "mixed":
+        kind = rng.choice(("int", "rational"))
+    if kind == "int":
+        return rng.randint(-10, 10)
+    return F(rng.randint(-9, 9), rng.randint(1, 6))
+
+
 @pytest.mark.parametrize("seed", range(6))
 def test_exact_rank_against_dense_oracle(seed):
+    """Int, rational and mixed int/Fraction matrices; half the rows of the
+    last two are combinations of the others, so the rank is not full."""
     rng = random.Random(seed)
     rows = [[rng.randint(-10, 10) for _ in range(20)] for _ in range(20)]
     assert exact_rank(rows) == dense_rank_oracle(rows)
+    for kind in ("rational", "mixed"):
+        rows = [[_random_entry(rng, kind) for _ in range(12)]
+                for _ in range(8)]
+        for _ in range(8):
+            a, b = rng.sample(rows, 2)
+            x, y = _random_entry(rng, kind), _random_entry(rng, kind)
+            rows.append([x * u + y * v for u, v in zip(a, b)])
+        rng.shuffle(rows)
+        assert exact_rank(rows) == dense_rank_oracle(rows)
 
 
 def test_echelon_residual_is_canonical():
@@ -255,6 +276,26 @@ def test_echelon_residual_is_canonical():
         assert all(c not in ech.pivot_rows for c in res)
         diff = {c: row.get(c, 0) - res.get(c, 0) for c in set(row) | set(res)}
         assert ech.contains(diff)
+
+
+def test_integral_entries_leave_as_fractions():
+    """Integral entries are kept as ints inside the echelon, but residuals,
+    reductions and pairing entries are Fractions at the API edge."""
+    ech = SparseEchelon()
+    ech.add_row({0: F(1), 1: F(-1)})
+    ech.add_row({1: 2, 2: F(4)})
+    res = ech.residual({0: 3, 1: F(2), 2: 5, 3: F(6)})
+    assert res == {2: -5, 3: 6}
+    assert all(type(c) is F for c in res.values())
+    gens, rels = _mbar2_presentation()
+    quotient = GradedQuotient(gens, rels, 3)
+    for d in range(4):
+        for m in gens.monomials(d):
+            red = quotient.reduce(GradedPolynomial(gens, {m: 1}))
+            assert red and all(type(c) is F for c in red.values())
+    for i in range(4):
+        entries = [c for row in quotient.pairing_matrix(i) for c in row]
+        assert entries and all(type(c) is F for c in entries)
 
 
 # ---------------------------------------------------------------------------
@@ -302,6 +343,15 @@ def test_quotient_degenerate_inputs():
     assert graded_quotient([], [], 3).dims == [1, 0, 0, 0]
 
 
+def test_quotient_refuses_non_int_max_degree():
+    """max_degree 2.9 or True is refused, not read as 2 or 1."""
+    gens = GeneratorTable([("x", 1)])
+    with pytest.raises(ValueError, match="max_degree must be an int, got 2.9"):
+        GradedQuotient(gens, [], 2.9)
+    with pytest.raises(ValueError, match="max_degree must be an int, got True"):
+        graded_quotient(gens, [], True)
+
+
 def test_quotient_rejects_inhomogeneous():
     gens = GeneratorTable([("x", 1)])
     x = GradedPolynomial.generator(gens, "x")
@@ -330,6 +380,13 @@ def test_quotient_reduce_rejects_degree_out_of_range():
     quotient = GradedQuotient(gens, [a * a], 3)
     with pytest.raises(ValueError, match=r"degree 4 .*0\.\.3"):
         quotient.reduce(b * b)
+    # dim and basis refuse it too, before eliminating any degree past 3
+    for query in (quotient.dim, quotient.basis):
+        with pytest.raises(ValueError, match=r"degree 4 .*0\.\.3"):
+            query(4)
+    with pytest.raises(ValueError, match=r"degree -1 .*0\.\.3"):
+        quotient.basis(-1)
+    assert not quotient._echelons
     assert quotient.reduce(a * b) == {(1, 1): 1}
 
 
@@ -392,3 +449,88 @@ def test_quotient_monomial_relations_match_two_term_relations(seed):
             assert pruned.reduce(poly) == full.reduce(poly)
             if m not in pruned.monomials(d):
                 assert pruned.reduce(poly) == {}
+
+
+class _ProductOracle:
+    """Quotient by eliminating every product monomial * relation of the
+    full relation list over all monomials of each degree, single-term
+    relations included: no vanishing supports, no thinning."""
+
+    def __init__(self, gens, rels, top):
+        self.gens, self.top = gens, top
+        self.ech = {d: relation_echelon(gens, rels, d) for d in range(top + 1)}
+
+    def basis(self, d):
+        pivots = set(self.ech[d].pivot_columns())
+        return [m for i, m in enumerate(self.gens.monomials(d))
+                if i not in pivots]
+
+    def reduce(self, m):
+        d = self.gens.degree(m)
+        monos = self.gens.monomials(d)
+        res = self.ech[d].residual({monos.index(m): F(1)})
+        return {monos[i]: c for i, c in res.items()}
+
+    def pairing_matrix(self, i):
+        if len(self.basis(self.top)) != 1:
+            return None
+        socle = self.basis(self.top)[0]
+        return [[self.reduce(tuple(x + y for x, y in zip(a, b))).get(socle, 0)
+                 for b in self.basis(self.top - i)]
+                for a in self.basis(i)]
+
+
+def _dependent_presentation(rng):
+    """Generators of degrees 1, 1, 2, 3; random two- and three-term base
+    relations; relations that are scalar multiples, sums and monomial
+    multiples of them, some listed before the relation they depend on; and
+    single-term relations."""
+    gens = GeneratorTable([("a", 1), ("b", 1), ("c", 2), ("e", 3)])
+
+    def random_poly(d, terms):
+        monos = gens.monomials(d)
+        picked = rng.sample(monos, min(len(monos), terms))
+        return GradedPolynomial(gens, {m: rng.choice((-3, -1, 1, 2))
+                                       for m in picked})
+
+    base = [random_poly(rng.randint(2, 4), rng.randint(2, 3))
+            for _ in range(rng.randint(3, 5))]
+    derived = []
+    for _ in range(6):
+        p = rng.choice(base)
+        kind = rng.randrange(3)
+        if kind == 0:
+            derived.append(p * F(rng.choice((-2, 3)), rng.choice((1, 5))))
+        elif kind == 1:
+            q = rng.choice([r for r in base if r.degree() == p.degree()])
+            derived.append(p + 2 * q)
+        else:
+            m = rng.choice(gens.monomials(rng.randint(1, 2)))
+            derived.append(p * GradedPolynomial(gens, {m: F(1)}))
+    singles = [random_poly(rng.randint(3, 5), 1) for _ in range(2)]
+    rels = derived[:3] + base + singles + derived[3:]
+    return gens, rels
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_quotient_thinning_matches_product_oracle(seed):
+    """Thinning the relations degree by degree keeps every degree's row
+    space: dims, bases, reductions and pairings are those of eliminating
+    every product row of the full relation list."""
+    rng = random.Random(seed)
+    gens, rels = _dependent_presentation(rng)
+    oracle = _ProductOracle(gens, rels, 6)
+    quotient = GradedQuotient(gens, rels, 6)
+    for d in range(7):
+        assert quotient.dim(d) == len(oracle.basis(d))
+        assert quotient.basis(d) == oracle.basis(d)
+        for m in gens.monomials(d):
+            assert (quotient.reduce(GradedPolynomial(gens, {m: F(1)}))
+                    == oracle.reduce(m))
+    # pairings need a one-dimensional top degree: cut at each such degree
+    for top in range(7):
+        if quotient.dim(top) == 1:
+            cut = GradedQuotient(gens, rels, top)
+            cut_oracle = _ProductOracle(gens, rels, top)
+            for i in range(top + 1):
+                assert cut.pairing_matrix(i) == cut_oracle.pairing_matrix(i)

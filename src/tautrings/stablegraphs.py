@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import chain, permutations, product
 from math import comb
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
@@ -37,6 +38,14 @@ class StableGraph:
                 raise ValueError("edge endpoint out of range")
             es.append((u, v) if u <= v else (v, u))
         self.edges = tuple(sorted(es))
+
+    @classmethod
+    def _of(cls, vertices: Tuple, edges: Tuple) -> "StableGraph":
+        """Wrap data already in the normalized form (tuples of int pairs,
+        legs and edges sorted, u <= v on every edge) without checking it."""
+        out = cls.__new__(cls)
+        out.vertices, out.edges = vertices, edges
+        return out
 
     # -- basic data -------------------------------------------------------
 
@@ -109,14 +118,17 @@ class StableGraph:
                 adj[b][a] = adj[b].get(a, 0) + 1
         colors = [(gv, legs, loops[i], val) for i, ((gv, legs), val)
                   in enumerate(zip(self.vertices, self.valences()))]
-        for _ in range(n):
-            new = [(colors[i],
-                    tuple(sorted((colors[j], m) for j, m in adj[i].items())))
-                   for i in range(n)]
-            stable = len(set(new)) == len(set(colors))
-            colors = new
-            if stable:
-                break
+        # colours that already differ pairwise fix the order: refinement
+        # only splits classes, and refined colours sort by their first part
+        if len(set(colors)) < n:
+            for _ in range(n):
+                new = [(colors[i],
+                        tuple(sorted((colors[j], m) for j, m in adj[i].items())))
+                       for i in range(n)]
+                stable = len(set(new)) == len(set(colors))
+                colors = new
+                if stable:
+                    break
         order = sorted(range(n), key=lambda i: (colors[i], i))
         classes: List[List[int]] = []
         for i in order:
@@ -174,8 +186,8 @@ def _degenerations(graph: StableGraph) -> Iterator[StableGraph]:
     w = len(vertices)
     for v, (gv, legs) in enumerate(vertices):
         if gv >= 1:
-            yield StableGraph(vertices[:v] + ((gv - 1, legs),) + vertices[v + 1:],
-                              edges + ((v, v),))
+            yield StableGraph._of(vertices[:v] + ((gv - 1, legs),) + vertices[v + 1:],
+                                  tuple(sorted(edges + ((v, v),))))
         # the slots of v: its legs, then the (edge index, side) ends at v
         ends = [(k, side) for k, e in enumerate(edges) for side in (0, 1)
                 if e[side] == v]
@@ -192,22 +204,37 @@ def _degenerations(graph: StableGraph) -> Iterator[StableGraph]:
                 for i, (k, side) in enumerate(ends, len(legs)):
                     if mask >> i & 1:
                         new_edges[k][side] = w
-                kept = [l for i, l in enumerate(legs) if not mask >> i & 1]
-                gone = [l for i, l in enumerate(legs) if mask >> i & 1]
-                yield StableGraph(vertices[:v] + ((g1, kept),) + vertices[v + 1:]
-                                  + ((g2, gone),), new_edges)
+                kept = tuple(l for i, l in enumerate(legs) if not mask >> i & 1)
+                gone = tuple(l for i, l in enumerate(legs) if mask >> i & 1)
+                yield StableGraph._of(
+                    vertices[:v] + ((g1, kept),) + vertices[v + 1:] + ((g2, gone),),
+                    tuple(sorted((a, b) if a <= b else (b, a)
+                                 for a, b in new_edges)))
+
+
+def _check_type(g: int, n: int) -> None:
+    """Refuse a (g, n) that is not a stable pair of ints or lies beyond the
+    desk-scale ceiling."""
+    if not (is_int(g) and is_int(n)) or g < 0 or n < 0 or 2 * g - 2 + n <= 0:
+        raise ValueError(f"(g, n) = ({g}, {n}): need ints g, n >= 0 and 2g - 2 + n > 0")
+    if n > (8 if g == 0 else 6) or g > 3:
+        raise ValueError("desk-scale ceiling: n <= 8 in genus 0, "
+                         "otherwise g <= 3 and n <= 6")
 
 
 def enumerate_graphs(g: int, n: int) -> List[StableGraph]:
     """One representative per isomorphism class of stable graphs of type
     (g, n), sorted by edge count.  Generated by iterated one-edge
     degenerations from the smooth graph, deduplicated by canonical form.
-    Desk scale: n <= 8 in genus 0, otherwise g <= 3 and n <= 6."""
-    if not (is_int(g) and is_int(n)) or g < 0 or n < 0 or 2 * g - 2 + n <= 0:
-        raise ValueError(f"(g, n) = ({g}, {n}): need ints g, n >= 0 and 2g - 2 + n > 0")
-    if n > (8 if g == 0 else 6) or g > 3:
-        raise ValueError("desk-scale ceiling: n <= 8 in genus 0, "
-                         "otherwise g <= 3 and n <= 6")
+    Desk scale: n <= 8 in genus 0, otherwise g <= 3 and n <= 6.  The
+    graphs are computed once per (g, n) and process; each call returns a
+    new list of them."""
+    _check_type(g, n)
+    return list(_graphs(g, n))
+
+
+@lru_cache(maxsize=None)
+def _graphs(g: int, n: int) -> Tuple[StableGraph, ...]:
     smooth = StableGraph([(g, range(1, n + 1))], [])
     levels: List[List[StableGraph]] = [[smooth]]
     seen = {smooth.canonical_form()}
@@ -219,10 +246,10 @@ def enumerate_graphs(g: int, n: int) -> List[StableGraph]:
                 key = cand.canonical_form()
                 if key not in seen:
                     seen.add(key)
-                    nxt.append(StableGraph(*key))
+                    nxt.append(StableGraph._of(*key))
         nxt.sort(key=lambda gr: (gr.vertices, gr.edges))
         levels.append(nxt)
-    return [gr for level in levels for gr in level]
+    return tuple(gr for level in levels for gr in level)
 
 
 def _vertex_counts(nv: int, gv: int, top: int) -> List[int]:
@@ -240,8 +267,12 @@ def generator_count(g: int, n: int, degree: int) -> int:
     classes of the vertex's own half-edges/legs and kappa classes, capped
     by the vertex moduli dimension.  Upper bound for the rank of the
     degree-`degree` tautological group."""
-    if check_int("degree", degree) > 3 * check_int("g", g) - 3 + check_int("n", n):
-        raise ValueError("degree exceeds the moduli dimension")
+    for name, x in (("degree", degree), ("g", g), ("n", n)):
+        check_int(name, x)
+    _check_type(g, n)
+    if not 0 <= degree <= 3 * g - 3 + n:
+        raise ValueError(f"degree {degree} is outside the degrees "
+                         f"0..{3 * g - 3 + n} of type ({g}, {n})")
     total = 0
     for graph in enumerate_graphs(g, n):
         top = degree - graph.num_edges

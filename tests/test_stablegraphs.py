@@ -27,6 +27,9 @@ def brute_force_graphs(g, n, max_vertices=4, max_edges=4):
         for E in range(0, max_edges + 1):
             for edges in combinations_with_replacement(pairs, E):
                 for gv in genus_vectors:
+                    # validate_graph rejects every other genus vector
+                    if sum(gv) + E - V + 1 != g:
+                        continue
                     for assign in product(range(V), repeat=n):
                         legs = [[] for _ in range(V)]
                         for leg, v in zip(legs_all, assign):
@@ -131,6 +134,32 @@ def test_degenerations_stable_and_without_mirror_twins():
                 assert validate_graph(cand, g, n), cand
 
 
+def test_degenerations_yield_normal_forms():
+    """`_degenerations` builds its candidates without the checking
+    constructor, so each must already be in the normalized form that
+    constructor would give it."""
+    for (g, n) in [(0, 5), (1, 3), (2, 2)]:
+        for graph in enumerate_graphs(g, n):
+            for cand in _degenerations(graph):
+                assert StableGraph(cand.vertices, cand.edges) == cand, cand
+
+
+def test_canonical_form_invariant_under_relabelling():
+    """Every vertex relabelling of a graph, built through the checking
+    constructor with unsorted legs and reversed edges, has the graph's
+    canonical form; a listed graph is its own canonical form."""
+    for (g, n) in [(0, 5), (1, 3), (2, 2)]:
+        for graph in enumerate_graphs(g, n):
+            key = graph.canonical_form()
+            assert key == (graph.vertices, graph.edges)
+            for perm in permutations(range(graph.num_vertices)):
+                vertices = [None] * graph.num_vertices
+                for i, (gv, legs) in enumerate(graph.vertices):
+                    vertices[perm[i]] = (gv, list(reversed(legs)))
+                edges = [[perm[b], perm[a]] for a, b in reversed(graph.edges)]
+                assert StableGraph(vertices, edges).canonical_form() == key
+
+
 def test_unstable_pair_raises():
     with pytest.raises(ValueError):
         enumerate_graphs(0, 2)
@@ -161,6 +190,37 @@ def test_non_int_pair_refused():
     for g, n in ((1.5, 1), (1, 1.0), (True, 1), (0, True)):
         with pytest.raises(ValueError, match="ints"):
             enumerate_graphs(g, n)
+
+
+def test_enumeration_memo_is_safe():
+    """The per-(g, n) memo neither lets a bool or float pair through once
+    (1, 1) is stored under the equal key (True, 1), nor shares the
+    returned list between calls."""
+    first = enumerate_graphs(1, 1)
+    expected = list(first)
+    for g, n in ((True, 1), (1, 1.0)):
+        with pytest.raises(ValueError, match="ints"):
+            enumerate_graphs(g, n)
+    first.clear()
+    assert enumerate_graphs(1, 1) == expected
+    second = enumerate_graphs(1, 1)
+    second.append(StableGraph([(1, [1])], []))
+    assert enumerate_graphs(1, 1) == expected
+
+
+@pytest.mark.parametrize("g,n", [(0, 2), (0, 0), (-1, 4)])
+def test_generator_count_refuses_unstable_pair(g, n):
+    with pytest.raises(ValueError, match=r"2g - 2 \+ n > 0"):
+        generator_count(g, n, 0)
+
+
+@pytest.mark.parametrize("g,n,degree", [(1, 1, -1), (1, 1, 2), (0, 4, -3)])
+def test_generator_count_refuses_degree_out_of_range(g, n, degree):
+    """A degree outside 0..3g-3+n is refused by name, below the range as
+    well as above it, rather than counted as 0."""
+    with pytest.raises(ValueError,
+                       match=rf"degree {degree} is outside the degrees 0\.\.{3 * g - 3 + n} "):
+        generator_count(g, n, degree)
 
 
 @pytest.mark.parametrize("g,n,degree,name", [

@@ -199,7 +199,8 @@ def lambda_from_kappa(g: int, max_degree: int,
         gens = kappa_table(max(max_degree, 1))
     expo = series_exp(TruncatedSeries(gens, max_degree, {
         gens.unit(f"kappa_{k}"): c for k, c in mumford_terms(max_degree)}))
-    return [GradedPolynomial._of(gens, {mono: c for mono, c in expo.coeffs.items()
+    coeffs = expo.coeffs
+    return [GradedPolynomial._of(gens, {mono: c for mono, c in coeffs.items()
                                         if gens.degree(mono) == d})
             for d in range(max_degree + 1)]
 

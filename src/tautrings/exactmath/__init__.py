@@ -2,8 +2,11 @@
 counts, truncated multivariate series, sparse rational linear algebra and a
 generic graded-quotient engine.
 
-Rationals are `fractions.Fraction` throughout; nothing in this package (or
-its consumers) touches floating point.
+Rationals reach callers as `fractions.Fraction`s; nothing in this package
+(or its consumers) touches floating point.  Inside, the hot loops run on
+ints: a `TruncatedSeries` keeps each weight slice as int numerators over
+one positive int denominator, and `SparseEchelon` keeps integral entries
+as ints.
 """
 
 

@@ -4,6 +4,8 @@ from fractions import Fraction
 from operator import mul
 from typing import Dict, Iterable, List, Mapping, Optional, Tuple, Union
 
+from . import check_int
+
 __all__ = ["GeneratorTable", "GradedPolynomial"]
 
 Scalar = Union[int, Fraction]
@@ -39,6 +41,18 @@ class GeneratorTable:
 
     def degree(self, mono: Monomial) -> int:
         return sum(map(mul, mono, self.degrees))
+
+    def monomial(self, mono) -> Monomial:
+        """`mono` as an exponent tuple over this table, or a ValueError
+        when it has the wrong length or an exponent that is not an int.  An
+        exact int tuple is returned as is, so shared unit monomials are not
+        copied."""
+        if type(mono) is not tuple or not {int}.issuperset(map(type, mono)):
+            mono = tuple(check_int("exponent", e) for e in mono)
+        if len(mono) != len(self.names):
+            raise ValueError(f"exponent vector {mono} has length {len(mono)}, "
+                             f"not {len(self.names)}")
+        return mono
 
     def unit(self, name: str) -> Monomial:
         """Exponent tuple of one generator, built once per table so that
@@ -113,13 +127,7 @@ class GradedPolynomial:
             for mono, c in terms.items():
                 c = Fraction(c)
                 if c:
-                    if len(mono) != len(gens):
-                        raise ValueError("exponent tuple has wrong length")
-                    # an exact int tuple is kept as is, so shared unit
-                    # monomials are not copied
-                    if type(mono) is not tuple or not {int}.issuperset(map(type, mono)):
-                        mono = tuple(map(int, mono))
-                    clean[mono] = c
+                    clean[gens.monomial(mono)] = c
         self.terms = clean
 
     # ---- constructors -------------------------------------------------

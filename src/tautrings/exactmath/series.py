@@ -1,16 +1,20 @@
 from __future__ import annotations
 
 from fractions import Fraction
-from operator import add, mul
-from typing import Callable, Dict, Mapping, Optional, Tuple
+from math import gcd, lcm
+from operator import add, le
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
+from . import check_int
 from .gradedpoly import GeneratorTable
 
 __all__ = ["TruncatedSeries", "series_log", "series_exp", "series_mul"]
 
 ExpVec = Tuple[int, ...]
 Caps = Tuple[Tuple[int, int], ...]
-Slices = Dict[int, Dict[ExpVec, Fraction]]
+# one weight slice: int numerators over one positive int denominator
+Slice = Tuple[Dict[ExpVec, int], int]
+Slices = Dict[int, Slice]
 
 
 class TruncatedSeries:
@@ -19,121 +23,170 @@ class TruncatedSeries:
 
     A coefficient container for `series_exp`, `series_log` and
     `series_mul`, which do the multiplying; the only arithmetic on the
-    series itself is adding or subtracting a scalar, which shifts the
-    constant term.
+    series itself is with a scalar: adding or subtracting one shifts the
+    constant term, multiplying by one scales every coefficient.
 
-    Coefficients are Fractions.  Exponents may be negative (Laurent
-    directions), as long as every stored monomial has non-negative weight
-    and the only weight-0 monomial is the constant one; the truncation
-    `order` then stays a multiplicative quotient.  `caps` optionally bounds
-    single exponents (terms beyond a cap are discarded, a further
-    quotient).
+    Coefficients are rationals, stored per weight slice as int numerators
+    over one positive int denominator, with no common factor of the
+    denominator and all the numerators; `coeffs`, `coefficient` and
+    `constant_term` give them as `Fraction`s.  Exponents may be negative
+    (Laurent directions), as long as every stored monomial has
+    non-negative weight and the only weight-0 monomial is the constant
+    one; the truncation `order` then stays a multiplicative quotient.
+    `caps` optionally bounds single exponents (terms beyond a cap are
+    discarded, a further quotient).  The order, the caps and the exponents
+    must be ints.
     """
 
-    __slots__ = ("gens", "order", "caps", "coeffs")
+    __slots__ = ("gens", "order", "caps", "_slices")
 
     def __init__(self, gens: GeneratorTable, order: int,
                  coeffs: Optional[Mapping[ExpVec, Fraction]] = None,
                  caps: Optional[Mapping[str, int]] = None) -> None:
         self.gens = gens
-        self.order = int(order)
+        self.order = check_int("order", order)
         # (generator index, largest exponent kept) pairs
         self.caps: Caps = tuple(
-            (gens.index(n), int(c)) for n, c in (caps or {}).items())
-        self.coeffs: Dict[ExpVec, Fraction] = {}
-        if coeffs:
-            for ev, c in coeffs.items():
-                self._put(tuple(int(e) for e in ev), c)
+            (gens.index(n), check_int(f"cap on {n}", c))
+            for n, c in (caps or {}).items())
+        kept: Dict[int, Dict[ExpVec, Fraction]] = {}
+        for ev, c in (coeffs or {}).items():
+            ev = gens.monomial(ev)
+            w = gens.degree(ev)
+            if not 0 <= w <= self.order:
+                continue
+            if w == 0 and any(ev):
+                raise ValueError("weight-0 monomial other than the constant")
+            if all(ev[i] <= cap for i, cap in self.caps):
+                c = Fraction(c)
+                if c:
+                    kept.setdefault(w, {})[ev] = c
+        # over the lcm of its denominators a slice has no common factor
+        self._slices: Slices = {}
+        for w, terms in kept.items():
+            den = lcm(*(c.denominator for c in terms.values()))
+            self._slices[w] = ({ev: c.numerator * (den // c.denominator)
+                                for ev, c in terms.items()}, den)
 
-    # ---- bookkeeping ---------------------------------------------------
-
-    def _keep(self, ev: ExpVec) -> bool:
-        w = self.gens.degree(ev)
-        if w < 0 or w > self.order:
-            return False
-        if w == 0 and any(ev):
-            raise ValueError("weight-0 monomial other than the constant")
-        return _within_caps(self.caps, ev)
-
-    def _put(self, ev: ExpVec, c) -> None:
-        if not self._keep(ev):
-            return
-        c = Fraction(c)
-        if c:
-            self.coeffs[ev] = c
-
-    def _spawn(self) -> "TruncatedSeries":
+    def _spawn(self, slices: Slices) -> "TruncatedSeries":
         s = TruncatedSeries.__new__(TruncatedSeries)
-        s.gens, s.order, s.caps = self.gens, self.order, self.caps
-        s.coeffs = {}
+        s.gens, s.order, s.caps, s._slices = self.gens, self.order, self.caps, slices
         return s
 
+    # ---- coefficients as Fractions -------------------------------------
+
+    @property
+    def coeffs(self) -> Dict[ExpVec, Fraction]:
+        """A new dict of every nonzero coefficient, weight by weight."""
+        return {ev: Fraction(n, den) for nums, den in self._slices.values()
+                for ev, n in nums.items()}
+
+    def __len__(self) -> int:
+        """The number of nonzero coefficients."""
+        return sum(len(nums) for nums, _ in self._slices.values())
+
     def coefficient(self, ev: ExpVec) -> Fraction:
-        return self.coeffs.get(tuple(ev), Fraction(0))
+        ev = tuple(ev)
+        nums, den = self._slices.get(self.gens.degree(ev), ({}, 1))
+        return Fraction(nums.get(ev, 0), den)
 
     def constant_term(self) -> Fraction:
-        return self.coeffs.get((0,) * len(self.gens), Fraction(0))
+        return self.coefficient((0,) * len(self.gens))
 
-    # ---- scalar shifts -------------------------------------------------
+    # ---- scalar arithmetic ---------------------------------------------
 
     def __add__(self, other):
         if not isinstance(other, (int, Fraction)):
             return NotImplemented
-        out = self._spawn()
-        out.coeffs = dict(self.coeffs)
-        zero_ev = (0,) * len(self.gens)
-        s = out.coeffs.get(zero_ev, Fraction(0)) + other
-        if s:
-            out.coeffs[zero_ev] = s
+        slices = dict(self._slices)
+        c = self.constant_term() + other
+        if c:
+            slices[0] = ({(0,) * len(self.gens): c.numerator}, c.denominator)
         else:
-            out.coeffs.pop(zero_ev, None)
-        return out
+            slices.pop(0, None)
+        return self._spawn(slices)
 
     def __sub__(self, other):
         return self + (-other)
 
+    def __mul__(self, other):
+        if not isinstance(other, (int, Fraction)):
+            return NotImplemented
+        if not other:
+            return self._spawn({})
+        p, q = other.as_integer_ratio()
+        return self._spawn({w: _reduced({ev: n * p for ev, n in nums.items()}, den * q)
+                            for w, (nums, den) in self._slices.items()})
+
+    __rmul__ = __mul__
+
     def __repr__(self) -> str:
         return (f"TruncatedSeries({self.gens!r}, order={self.order}, "
-                f"terms={len(self.coeffs)})")
+                f"terms={len(self)})")
 
 
-def _within_caps(caps: Caps, ev: ExpVec) -> bool:
-    return all(ev[i] <= cap for i, cap in caps)
+def _reduced(nums: Dict[ExpVec, int], den: int) -> Optional[Slice]:
+    """The nonzero terms of nums/den with their common factor removed, or
+    None when every term cancelled."""
+    nums = {ev: n for ev, n in nums.items() if n}
+    if not nums:
+        return None
+    g = gcd(den, *nums.values())
+    if g > 1:
+        nums = {ev: n // g for ev, n in nums.items()}
+        den //= g
+    return nums, den
 
 
-def _slices(s: TruncatedSeries, scale: Callable[[Fraction, int], Fraction]) -> Slices:
-    """The monomials of s grouped by weight w, each coefficient c replaced
-    by scale(c, w); scale = mul gives N(s), where N scales each monomial by
-    its weight (`series_exp` and `series_log` read only positive weights)."""
+def _weighted(s: TruncatedSeries) -> Slices:
+    """N(s) on positive weights, where N scales each monomial by its
+    weight: slice w is w times slice w of s, still without a common
+    factor."""
     out: Slices = {}
-    for ev, c in s.coeffs.items():
-        w = s.gens.degree(ev)
-        out.setdefault(w, {})[ev] = scale(c, w)
+    for w, (nums, den) in s._slices.items():
+        if w:
+            g = gcd(w, den)
+            k = w // g
+            out[w] = ({ev: n * k for ev, n in nums.items()}, den // g)
     return out
 
 
-def _graded_convolve(caps: Caps, a: Slices, b: Slices, wa: int, wb: int,
-                     out: Dict[ExpVec, Fraction]) -> None:
-    """out += (weight-wa slice of a) * (weight-wb slice of b).
+def _combine(caps: Caps, pairs: Sequence[Tuple[Slice, Slice]],
+             start: Optional[Slice] = None, divisor: int = 1) -> Optional[Slice]:
+    """(start + sum of a * b over the slice pairs) / divisor as one slice,
+    or None when it is zero.
 
-    Callers keep wa + wb <= order, so every product has an admissible
-    weight and only the exponent caps can reject it."""
-    sa = a.get(wa)
-    sb = b.get(wb)
-    if not sa or not sb:
-        return
-    for ev1, c1 in sa.items():
-        for ev2, c2 in sb.items():
-            ev = tuple(map(add, ev1, ev2))
-            if caps and not _within_caps(caps, ev):
-                continue
-            p = c1 * c2
-            s = out.get(ev)
-            s = p if s is None else s + p
-            if s:
-                out[ev] = s
-            else:
-                del out[ev]
+    Every product is taken over the lcm of the denominators, so the terms
+    add as ints.  Callers pair only slices whose weights sum to at most the
+    order, so only the exponent caps can reject a product."""
+    dens = [a[1] * b[1] for a, b in pairs]
+    if start is not None:
+        dens.append(start[1])
+    if not dens:
+        return None
+    den = lcm(*dens)
+    acc: Dict[ExpVec, int] = {}
+    if start is not None:
+        k = den // start[1]
+        acc = {ev: n * k for ev, n in start[0].items()}
+    for ((na, _), (nb, _)), d in zip(pairs, dens):
+        k = den // d
+        # b's terms grouped by their capped exponents, so that a cap is
+        # checked once per group rather than once per product
+        groups: Dict[ExpVec, Iterable[Tuple[ExpVec, int]]] = {(): nb.items()}
+        if caps:
+            groups = {}
+            for ev2, c2 in nb.items():
+                groups.setdefault(tuple(ev2[i] for i, _ in caps), []).append((ev2, c2))
+        for ev1, c1 in na.items():
+            c1 *= k
+            room = [cap - ev1[i] for i, cap in caps]
+            for capped, terms in groups.items():
+                if all(map(le, capped, room)):
+                    for ev2, c2 in terms:
+                        ev = tuple(map(add, ev1, ev2))
+                        acc[ev] = acc.get(ev, 0) + c1 * c2
+    return _reduced(acc, den * divisor)
 
 
 def series_exp(s: TruncatedSeries) -> TruncatedSeries:
@@ -145,19 +198,14 @@ def series_exp(s: TruncatedSeries) -> TruncatedSeries:
     """
     if s.constant_term() != 0:
         raise ValueError("series_exp requires zero constant term")
-    ns = _slices(s, mul)
-    out = s._spawn()
-    zero_ev = (0,) * len(s.gens)
-    out.coeffs[zero_ev] = Fraction(1)
-    eslices: Slices = {0: {zero_ev: Fraction(1)}}
+    ns = _weighted(s)
+    out: Slices = {0: ({(0,) * len(s.gens): 1}, 1)}
     for w in range(1, s.order + 1):
-        acc: Dict[ExpVec, Fraction] = {}
-        for v in range(1, w + 1):
-            _graded_convolve(s.caps, ns, eslices, v, w - v, acc)
-        if acc:
-            eslices[w] = {ev: c / Fraction(w) for ev, c in acc.items()}
-            out.coeffs.update(eslices[w])
-    return out
+        sl = _combine(s.caps, [(ns[v], out[w - v]) for v in range(1, w + 1)
+                               if v in ns and w - v in out], divisor=w)
+        if sl:
+            out[w] = sl
+    return s._spawn(out)
 
 
 def series_log(s: TruncatedSeries) -> TruncatedSeries:
@@ -170,18 +218,18 @@ def series_log(s: TruncatedSeries) -> TruncatedSeries:
     """
     if s.constant_term() != 1:
         raise ValueError("series_log requires constant term 1")
-    ns = _slices(s, mul)
-    minus_s = _slices(s, lambda c, w: -c)
-    out = s._spawn()
-    nlslices: Slices = {}
+    ns = _weighted(s)
+    minus_s = {w: ({ev: -n for ev, n in nums.items()}, den)
+               for w, (nums, den) in s._slices.items() if w}
+    nl: Slices = {}
+    out: Slices = {}
     for w in range(1, s.order + 1):
-        acc: Dict[ExpVec, Fraction] = dict(ns.get(w, {}))
-        for v in range(1, w):
-            _graded_convolve(s.caps, minus_s, nlslices, v, w - v, acc)
-        if acc:
-            nlslices[w] = acc
-            out.coeffs.update((ev, c / Fraction(w)) for ev, c in acc.items())
-    return out
+        sl = _combine(s.caps, [(minus_s[v], nl[w - v]) for v in range(1, w)
+                               if v in minus_s and w - v in nl], ns.get(w))
+        if sl:
+            nl[w] = sl
+            out[w] = _reduced(sl[0], sl[1] * w)
+    return s._spawn(out)
 
 
 def series_mul(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
@@ -190,11 +238,14 @@ def series_mul(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
     formed."""
     if a.gens != b.gens:
         raise ValueError("series_mul needs series over the same generators")
-    sa = _slices(a, lambda c, w: c)
-    sb = _slices(b, lambda c, w: c)
-    out = a._spawn()
-    for wa in sa:
-        for wb in sb:
+    pairs: Dict[int, List[Tuple[Slice, Slice]]] = {}
+    for wa, sa in a._slices.items():
+        for wb, sb in b._slices.items():
             if wa + wb <= a.order:
-                _graded_convolve(a.caps, sa, sb, wa, wb, out.coeffs)
-    return out
+                pairs.setdefault(wa + wb, []).append((sa, sb))
+    out: Slices = {}
+    for w in sorted(pairs):
+        sl = _combine(a.caps, pairs[w])
+        if sl:
+            out[w] = sl
+    return a._spawn(out)

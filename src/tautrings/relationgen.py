@@ -7,8 +7,8 @@ from math import factorial
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .exactmath import (GeneratorTable, GradedPolynomial, SparseEchelon,
-                        TruncatedSeries, relation_echelon, series_exp,
-                        series_log, series_mul)
+                        TruncatedSeries, check_int, relation_echelon,
+                        series_exp, series_log, series_mul)
 from .closedforms import complete_homogeneous, kappa_table, mumford_terms
 
 __all__ = [
@@ -75,7 +75,7 @@ def psi_series(order: int) -> TruncatedSeries:
 
     a_i = (6i)!/((3i)!(2i)!).
     """
-    if order < 0:
+    if check_int("order", order) < 0:
         raise ValueError("order must be >= 0")
     gens = GeneratorTable([("t", 1)] + _p_vars(order))
 
@@ -133,6 +133,7 @@ def _sigma(names: Sequence[str], ev: ExpVec) -> Tuple[int, ...]:
 def fz_coefficients(order: int) -> Dict[Index, Fraction]:
     """Coefficients C_r(sigma) of log of the branch series, keyed by
     (r, sigma parts), for r + |sigma| <= order."""
+    check_int("order", order)
     log = _fz_log(order, order)
     return {(ev[0], _sigma(log.gens.names[1:], ev[1:])): c
             for ev, c in log.coeffs.items()}
@@ -160,16 +161,16 @@ def _exp_minus_gamma(g: int, rmax: int, variables: GeneratorTable,
     a series over Q.  A depth-first walk over the kappa monomials of degree
     <= rmax builds them: a child appends one kappa_r, r at least its
     parent's last index, so its series is the parent's times
-    -A_r/(m_r + 1), one truncated product."""
+    -A_r/(m_r + 1), one truncated product.  The series stay in the int
+    form of `TruncatedSeries` from parent to child; a coefficient becomes a
+    `Fraction` only when it enters the table."""
     gens = kappa_table(g - 2)
 
-    def series(coeffs: Dict[ExpVec, Fraction]) -> TruncatedSeries:
-        return TruncatedSeries(variables, order, coeffs)
-
+    a = {r: TruncatedSeries(variables, order, coeffs)
+         for r, coeffs in gamma.items()}
     factors: Dict[Tuple[int, int], TruncatedSeries] = {}  # (r, m_r + 1)
     grouped: Dict[Index, Dict[ExpVec, Fraction]] = {}
-    e0 = series_exp(series({ev: -c * (2 * g - 2)
-                            for ev, c in gamma.get(0, {}).items()}))
+    e0 = series_exp(a.get(0, TruncatedSeries(variables, order)) * (2 - 2 * g))
     # (degree, kappa monomial, least next index, series)
     stack = [(0, (0,) * len(gens), 1, e0)]
     while stack:
@@ -182,10 +183,9 @@ def _exp_minus_gamma(g: int, rmax: int, variables: GeneratorTable,
             k = mono[r - 1] + 1
             factor = factors.get((r, k))
             if factor is None:
-                factor = factors[r, k] = series(
-                    {ev: -c / k for ev, c in gamma[r].items()})
+                factor = factors[r, k] = a[r] * Fraction(-1, k)
             child = series_mul(s, factor)
-            if child.coeffs:
+            if child:
                 stack.append((degree + r, mono[:r - 1] + (k,) + mono[r:], r,
                               child))
     return {key: GradedPolynomial._of(gens, poly) for key, poly in grouped.items()}
@@ -202,9 +202,9 @@ def _relation(source: str, g: int, r: int, index: Tuple[int, ...],
 
 
 def _check_request(g: int, max_degree: int) -> None:
-    if g < 0:
+    if check_int("g", g) < 0:
         raise ValueError(f"genus must be >= 0, got {g}")
-    if max_degree < 0:
+    if check_int("max_degree", max_degree) < 0:
         raise ValueError(f"max degree must be >= 0, got {max_degree}")
 
 
@@ -215,7 +215,9 @@ def _check_request(g: int, max_degree: int) -> None:
 def fz_admissible(g: int, r: int, sigma: Sequence[int]) -> bool:
     """The two side conditions: g - 1 + |sigma| < 3r and
     g = r + |sigma| + 1 (mod 2)."""
-    size = sum(sigma)
+    check_int("g", g)
+    check_int("r", r)
+    size = sum(check_int("sigma part", p) for p in sigma)
     if any(p % 3 == 2 for p in sigma):
         raise ValueError("sigma parts must not be 2 mod 3")
     return (g - 1 + size < 3 * r) and ((g - r - size - 1) % 2 == 0)
@@ -241,7 +243,8 @@ def fz_relation(g: int, r: int, sigma) -> Optional[KappaRelation]:
     """The relation [exp(-gamma)]_{t^r p^sigma} as a homogeneous degree-r
     kappa-polynomial, or None when the (r, sigma) index fails the side
     conditions."""
-    sigma = tuple(sorted(map(int, sigma), reverse=True))
+    sigma = tuple(sorted((check_int("sigma part", p) for p in sigma),
+                         reverse=True))
     if sigma and sigma[-1] < 1:
         raise ValueError("partition parts must be positive")
     if not fz_admissible(g, r, sigma):
@@ -261,7 +264,7 @@ def fz_relation_set(g: int, max_degree: int, *,
     _check_request(g, max_degree)
     smax = max(3 * max_degree - g, 0)
     if max_sigma is not None:
-        if max_sigma < 0:
+        if check_int("max_sigma", max_sigma) < 0:
             raise ValueError(f"max_sigma must be >= 0, got {max_sigma}")
         smax = min(smax, max_sigma)
     table = _fz_exp_minus_gamma(g, max_degree, smax)
@@ -284,7 +287,7 @@ def sq_phi_series(order: int) -> TruncatedSeries:
     in t (weight 1) and x (weight 2), truncated at total weight `order`.
     Its t^e x^d coefficient is (-1)^d/d! h_{e+d}(1..d) for e >= -d, so every
     monomial weight e + 2d stays non-negative."""
-    if order < 0:
+    if check_int("order", order) < 0:
         raise ValueError("order must be >= 0")
     coeffs: Dict[Tuple[int, int], Fraction] = {}
     for d in range(order + 1):
@@ -309,6 +312,8 @@ def sq_coefficients(dmax: int, rmax: int) -> Dict[Tuple[int, int], Fraction]:
     """Coefficients C_d^r of the log of the stable-quotient series
     (log Phi = sum C_d^r t^r x^d / d!), for 1 <= d <= dmax, r <= rmax.
     The t-order is -1 at every x-degree (deeper poles cancel)."""
+    check_int("dmax", dmax)
+    check_int("rmax", rmax)
     return dict(sorted(((d, r), c * factorial(d))
                        for (r, d), c in _sq_log(dmax, rmax).coeffs.items()
                        if r <= rmax))
@@ -316,6 +321,9 @@ def sq_coefficients(dmax: int, rmax: int) -> Dict[Tuple[int, int], Fraction]:
 
 def sq_admissible(g: int, r: int, d: int) -> bool:
     """Side conditions g - 2d - 1 < r and g = r + 1 (mod 2)."""
+    check_int("g", g)
+    check_int("r", r)
+    check_int("d", d)
     return d >= 1 and (g - 2 * d - 1 < r) and ((g - r - 1) % 2 == 0)
 
 
@@ -336,7 +344,7 @@ def sq_relation(g: int, r: int, d: int) -> Optional[KappaRelation]:
     """The relation [exp(-gamma)]_{t^r x^d} as a homogeneous degree-r
     kappa-polynomial (kappa_{-1} = 0, kappa_0 = 2g-2 substituted), or None
     when (r, d) fails the side conditions."""
-    if r < 0 or not sq_admissible(g, r, d):
+    if not sq_admissible(g, r, d) or r < 0:
         return None
     return _relation("SQ", g, r, (d,), _sq_exp_minus_gamma(g, r, d))
 
@@ -352,6 +360,7 @@ def sq_relation_set(g: int, max_degree: int,
     _check_request(g, max_degree)
     if dmax is None:
         dmax = max((g + 2) // 2, 1) + max_degree + 2
+    check_int("dmax", dmax)
     table = _sq_exp_minus_gamma(g, max_degree, dmax)
     return [_relation("SQ", g, r, index, table) for r, index in sorted(table)
             if r >= 1 and sq_admissible(g, r, index[0])]
@@ -365,6 +374,8 @@ def relation_span(relations: Sequence[KappaRelation], g: int,
                   degree: int) -> SparseEchelon:
     """Echelonized span at the given degree of {monomial * relation} inside
     the degree-`degree` monomial space of Q[kappa_1..kappa_{g-2}]."""
+    check_int("g", g)
+    check_int("degree", degree)
     return relation_echelon(kappa_table(g - 2),
                             [rel.polynomial for rel in relations], degree)
 
@@ -375,7 +386,8 @@ def ideal_equivalence_check(g: int, degree: int) -> bool:
 
     The SQ side is generated with increasing x-degree cap until two
     consecutive caps add no rank (the documented stabilization rule)."""
-    if degree <= 0:
+    check_int("g", g)
+    if check_int("degree", degree) <= 0:
         return True
     fz = fz_relation_set(g, degree)
     fz_span = relation_span(fz, g, degree)

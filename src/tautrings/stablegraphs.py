@@ -274,6 +274,8 @@ def generator_count(g: int, n: int, degree: int) -> int:
         raise ValueError(f"degree {degree} is outside the degrees "
                          f"0..{3 * g - 3 + n} of type ({g}, {n})")
     total = 0
+    # per-vertex counts in degrees 0..degree, once per (valence, genus)
+    rows: Dict[Tuple[int, int], List[int]] = {}
     for graph in enumerate_graphs(g, n):
         top = degree - graph.num_edges
         if top < 0:
@@ -281,7 +283,9 @@ def generator_count(g: int, n: int, degree: int) -> int:
         # convolve the per-vertex counts up to degree `top`
         counts = [1] + [0] * top
         for (gv, _), nv in zip(graph.vertices, graph.valences()):
-            row = _vertex_counts(nv, gv, top)
+            row = rows.get((nv, gv))
+            if row is None:
+                row = rows[nv, gv] = _vertex_counts(nv, gv, degree)
             counts = [sum(counts[i] * row[d - i] for i in range(d + 1))
                       for d in range(top + 1)]
         total += counts[top]

@@ -2,7 +2,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction as F
-from math import comb
+from math import comb, gcd
 
 import pytest
 
@@ -178,6 +178,161 @@ def test_series_rejects_bad_weights_and_coefficients():
     k = GradedPolynomial.generator(GeneratorTable([("k", 1)]), "k")
     with pytest.raises(TypeError):
         TruncatedSeries(GeneratorTable([("t", 1)]), 2, {(1,): k})
+
+
+# The int kernel against a Fraction oracle.  A series is a dict exponent
+# vector -> Fraction; every product is a naive convolution over all pairs of
+# terms, truncated at the order and the caps (a quotient of the series
+# ring, so truncating after each product is exact).
+
+# pairwise coprime denominators, so common denominators grow large
+_BIG_DENOMINATORS = (2 ** 61 - 1, 10 ** 9 + 7, 998244353, 10 ** 9 + 9,
+                     3 ** 30, 5 ** 20, 7 ** 15)
+
+
+def _oracle_mul(gens, order, caps, a, b):
+    out = {}
+    for ev1, c1 in a.items():
+        for ev2, c2 in b.items():
+            ev = tuple(x + y for x, y in zip(ev1, ev2))
+            if (0 <= gens.degree(ev) <= order
+                    and all(ev[gens.index(n)] <= c for n, c in caps.items())):
+                out[ev] = out.get(ev, 0) + c1 * c2
+    return {ev: F(c) for ev, c in out.items() if c}
+
+
+def _oracle_power_sum(gens, order, caps, s, coefficient):
+    """sum over k = 0..order of coefficient(k) * s^k; s has no constant
+    term, so s^k has weight >= k and higher powers vanish."""
+    one = {(0,) * len(gens): F(1)}
+    total, power = {}, one
+    for k in range(order + 1):
+        for ev, c in power.items():
+            total[ev] = total.get(ev, 0) + coefficient(k) * c
+        power = _oracle_mul(gens, order, caps, power, s)
+    return {ev: c for ev, c in total.items() if c}
+
+
+def _oracle_exp(gens, order, caps, s):
+    """exp s = sum s^k / k!."""
+    fact = [1]
+    for k in range(1, order + 1):
+        fact.append(fact[-1] * k)
+    return _oracle_power_sum(gens, order, caps, s, lambda k: F(1, fact[k]))
+
+
+def _oracle_log(gens, order, caps, s):
+    """log s = sum_{k >= 1} (-1)^(k+1) (s - 1)^k / k."""
+    shifted = {ev: c for ev, c in s.items() if any(ev)}
+    return _oracle_power_sum(gens, order, caps, shifted,
+                             lambda k: F((-1) ** (k + 1), k) if k else F(0))
+
+
+def _assert_clean(series, expected):
+    """series equals the oracle's dict, its coefficients are Fractions, and
+    each weight slice is int numerators over a positive denominator with no
+    common factor."""
+    coeffs = series.coeffs
+    assert coeffs == expected
+    assert all(type(c) is F for c in coeffs.values())
+    assert len(series) == len(expected)
+    for w, (nums, den) in series._slices.items():
+        assert nums and type(den) is int and den > 0
+        assert all(type(n) is int and n for n in nums.values())
+        assert gcd(den, *nums.values()) == 1
+        assert all(series.gens.degree(ev) == w for ev in nums)
+
+
+_SHAPES = (
+    # plain weights, no caps
+    (GeneratorTable([("t", 1), ("u", 2)]), None, {}),
+    # the stable-quotient shape: a Laurent t^-1 direction, the x-degree capped
+    (GeneratorTable([("t", 1), ("x", 2)]), (-1, 0), {"x": 2}),
+    # the FZ-log shape: two weight-1 generators, one capped
+    (GeneratorTable([("t", 1), ("p1", 1), ("p3", 3)]), None, {"t": 2}),
+)
+
+
+def _big_random(rng, gens, order, low, caps):
+    """Random coefficients over large pairwise coprime denominators."""
+    coeffs = {}
+    low = low or (0,) * len(gens)
+    for _ in range(10):
+        ev = tuple(rng.randint(lo, 2) for lo in low)
+        if gens.degree(ev) in range(1, order + 1):
+            coeffs[ev] = F(rng.randint(-10 ** 12, 10 ** 12),
+                           rng.choice(_BIG_DENOMINATORS))
+    return coeffs
+
+
+@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("shape", range(len(_SHAPES)))
+def test_int_kernel_matches_fraction_oracle(seed, shape):
+    """exp, log and products over int slices equal the naive Fraction
+    computations, on small and on large coprime denominators."""
+    rng = random.Random(seed)
+    gens, low, caps = _SHAPES[shape]
+    order = 6
+    for big in (False, True):
+        if big:
+            u = TruncatedSeries(gens, order, _big_random(rng, gens, order, low, caps), caps)
+            v = TruncatedSeries(gens, order, _big_random(rng, gens, order, low, caps), caps)
+        else:
+            u = _random_series(rng, gens, order, 0, low, caps)
+            v = _random_series(rng, gens, order, 0, low, caps)
+        _assert_clean(series_exp(u), _oracle_exp(gens, order, caps, u.coeffs))
+        _assert_clean(series_log(v + 1), _oracle_log(gens, order, caps, (v + 1).coeffs))
+        a, b = u + F(3, 7), v - 2
+        _assert_clean(series_mul(a, b), _oracle_mul(gens, order, caps, a.coeffs, b.coeffs))
+        _assert_clean(u * F(-5, 3), {ev: c * F(-5, 3) for ev, c in u.coeffs.items()})
+
+
+def test_int_kernel_drops_cancelled_slices():
+    """A slice whose terms cancel leaves no zero terms and no empty slice."""
+    gens = GeneratorTable([("t", 1), ("u", 1)])
+    a = TruncatedSeries(gens, 4, {(1, 0): F(1, 3), (0, 1): F(2, 5)}) + 1
+    b = TruncatedSeries(gens, 4, {(1, 0): F(-1, 3), (0, 1): F(-2, 5)}) + 1
+    prod = series_mul(a, b)  # 1 - (t/3 + 2u/5)^2: weight 1 cancels
+    assert 1 not in prod._slices
+    _assert_clean(prod, _oracle_mul(gens, 4, {}, a.coeffs, b.coeffs))
+    # exp(u) * exp(-u) == 1 on the large denominators: every positive weight cancels
+    u = TruncatedSeries(gens, 4, {(1, 0): F(7, 2 ** 61 - 1), (1, 1): F(-3, 10 ** 9 + 7),
+                                  (0, 2): F(5, 998244353)})
+    _assert_clean(series_mul(series_exp(u), series_exp(u * -1)), {(0, 0): 1})
+    _assert_clean(series_log(series_exp(u) * 1), u.coeffs)
+    _assert_clean(u * 0, {})
+    # a weight-2 slice of the log of 1 + t + t^2/2 cancels
+    e = TruncatedSeries(gens, 2, {(1, 0): 1, (2, 0): F(1, 2)}) + 1
+    _assert_clean(series_log(e), {(1, 0): 1})
+
+
+def test_series_scalar_edges_give_fractions():
+    """coefficient, constant_term and scalar shifts give Fractions."""
+    gens = GeneratorTable([("t", 1)])
+    s = TruncatedSeries(gens, 3, {(1,): 2, (2,): F(1, 6)}) + F(1, 4)
+    for value in (s.coefficient((1,)), s.coefficient((2,)), s.coefficient((3,)),
+                  s.constant_term(), (s - F(1, 4)).constant_term()):
+        assert type(value) is F
+    assert (s.coefficient((1,)), s.coefficient((3,)), s.constant_term()) == (2, 0, F(1, 4))
+    _assert_clean(s - F(1, 4), {(1,): 2, (2,): F(1, 6)})
+
+
+@pytest.mark.parametrize("make, match", [
+    (lambda t: TruncatedSeries(t, 2.9), "order must be an int, got 2.9"),
+    (lambda t: TruncatedSeries(t, True), "order must be an int, got True"),
+    (lambda t: TruncatedSeries(t, 3, caps={"t": 1.7}), "cap on t must be an int, got 1.7"),
+    (lambda t: TruncatedSeries(t, 3, {(1.5,): 1}), "exponent must be an int, got 1.5"),
+    (lambda t: TruncatedSeries(t, 3, {(True,): 1}), "exponent must be an int, got True"),
+    (lambda t: TruncatedSeries(t, 3, {(1, 2): 1}), "has length 2, not 1"),
+    (lambda t: GradedPolynomial(t, {(1.5,): 1}), "exponent must be an int, got 1.5"),
+    (lambda t: GradedPolynomial(t, {(True,): 1}), "exponent must be an int, got True"),
+    (lambda t: GradedPolynomial(t, {(1, 2): 1}), "has length 2, not 1"),
+])
+def test_series_and_polynomial_refuse_non_int_inputs(make, match):
+    """An order, cap or exponent that is not an int, or an exponent vector
+    of the wrong length, is a ValueError naming it, not truncated."""
+    with pytest.raises(ValueError, match=match):
+        make(GeneratorTable([("t", 1)]))
 
 
 def test_series_variables_may_be_an_iterator():

@@ -123,6 +123,35 @@ def test_fz_relation_absent_cases():
     assert fz_relation(5, 2, [1, 1, 1, 1]) is None  # size bound
 
 
+@pytest.mark.parametrize("call, match", [
+    (lambda: fz_relation(6, 3, [4.5]), "sigma part must be an int, got 4.5"),
+    (lambda: fz_relation(6, 3, [True]), "sigma part must be an int, got True"),
+    (lambda: fz_relation(6.0, 3, [4]), "g must be an int, got 6.0"),
+    (lambda: fz_relation(6, 3.0, [4]), "r must be an int, got 3.0"),
+    (lambda: fz_admissible(6, 3, [1.0]), "sigma part must be an int, got 1.0"),
+    (lambda: fz_relation_set(6, 3.0), "max_degree must be an int, got 3.0"),
+    (lambda: fz_relation_set(6.5, 3), "g must be an int, got 6.5"),
+    (lambda: fz_relation_set(6, 3, max_sigma=2.0), "max_sigma must be an int, got 2.0"),
+    (lambda: fz_coefficients(4.5), "order must be an int, got 4.5"),
+    (lambda: psi_series(3.5), "order must be an int, got 3.5"),
+    (lambda: sq_relation(6, 3, 1.5), "d must be an int, got 1.5"),
+    (lambda: sq_relation(6, True, 1), "r must be an int, got True"),
+    (lambda: sq_relation_set(6, 3.5), "max_degree must be an int, got 3.5"),
+    (lambda: sq_relation_set(6, 3, dmax=4.0), "dmax must be an int, got 4.0"),
+    (lambda: sq_coefficients(2, 1.5), "rmax must be an int, got 1.5"),
+    (lambda: sq_phi_series(2.5), "order must be an int, got 2.5"),
+    (lambda: sq_admissible(6, 3, 1.0), "d must be an int, got 1.0"),
+    (lambda: relation_span([], 6.0, 2), "g must be an int, got 6.0"),
+    (lambda: ideal_equivalence_check(6, 2.0), "degree must be an int, got 2.0"),
+])
+def test_relation_entry_points_refuse_non_int_arguments(call, match):
+    """A float or bool genus, degree, sigma part, d, dmax or max_sigma is a
+    ValueError naming it, not truncated (4.5 read as 4) or a TypeError from
+    range()."""
+    with pytest.raises(ValueError, match=match):
+        call()
+
+
 def test_fz_relation_set_counts():
     assert len(fz_relation_set(4, 2)) == 1
     assert fz_relation_set(3, 1) == []

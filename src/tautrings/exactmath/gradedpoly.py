@@ -23,7 +23,7 @@ class GeneratorTable:
     __slots__ = ("names", "degrees", "_index", "_units")
 
     def __init__(self, gens: Iterable[Tuple[str, int]]) -> None:
-        gens = tuple((str(n), int(d)) for n, d in gens)
+        gens = tuple((str(n), check_int("generator degree", d)) for n, d in gens)
         if any(d <= 0 for _, d in gens):
             raise ValueError("generator degrees must be positive")
         if len({n for n, _ in gens}) != len(gens):

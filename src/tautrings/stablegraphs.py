@@ -3,7 +3,7 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import chain, permutations, product
 from math import comb
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, Iterator, List, Sequence, Set, Tuple
 
 from .exactmath import check_int, is_int, partition_count
 
@@ -33,6 +33,8 @@ class StableGraph:
                               for g, legs in vertices)
         es = []
         for e in edges:
+            if len(e) != 2:
+                raise ValueError(f"edge {e!r} is not a pair of vertex indices")
             u, v = check_int("edge endpoint", e[0]), check_int("edge endpoint", e[1])
             if not (0 <= u < len(self.vertices) and 0 <= v < len(self.vertices)):
                 raise ValueError("edge endpoint out of range")
@@ -95,56 +97,64 @@ class StableGraph:
 
     # -- isomorphism ------------------------------------------------------
 
-    def _relabeled(self, perm: Sequence[int]) -> Tuple:
-        vs = [None] * self.num_vertices
-        for i, (g, ls) in enumerate(self.vertices):
-            vs[perm[i]] = (g, ls)
-        es = tuple(sorted((min(perm[a], perm[b]), max(perm[a], perm[b]))
-                          for a, b in self.edges))
-        return tuple(vs), es
+    def _relabeled(self, order: Sequence[int]) -> Tuple:
+        """The normalized data of the graph with vertex order[pos] moved
+        to position pos."""
+        perm = [0] * len(order)
+        for pos, i in enumerate(order):
+            perm[i] = pos
+        es = []
+        for a, b in self.edges:
+            a, b = perm[a], perm[b]
+            es.append((a, b) if a <= b else (b, a))
+        es.sort()
+        return tuple(self.vertices[i] for i in order), tuple(es)
 
     def canonical_form(self) -> Tuple:
-        """Label-invariant normal form: color refinement seeds the vertex
-        order, permutations within residual color classes are searched
-        exhaustively (desk scale)."""
-        n = self.num_vertices
-        adj: Dict[int, Dict[int, int]] = {i: {} for i in range(n)}
+        """Label-invariant normal form: the least relabelled (vertices,
+        edges) pair over the vertex orders that sort the vertex colours.
+        A colour starts as (genus, legs, loops, valence), read off in one
+        pass over the edges.  When these differ pairwise, which holds for
+        most graphs, they fix the order and the graph is relabelled once.
+        Otherwise the adjacency is built, colour refinement by the colours
+        of the neighbours splits the classes (a refined colour sorts by its
+        old colour first, so distinct colours keep their order), and the
+        orders within the classes left are searched exhaustively (desk
+        scale)."""
+        vertices, edges = self.vertices, self.edges
+        n = len(vertices)
         loops = [0] * n
-        for (a, b) in self.edges:
+        valences = [len(ls) for _, ls in vertices]
+        for a, b in edges:
+            valences[a] += 1
+            valences[b] += 1
             if a == b:
                 loops[a] += 1
-            else:
+        colors = [(gv, legs, loops[i], valences[i])
+                  for i, (gv, legs) in enumerate(vertices)]
+        if len(set(colors)) == n:
+            return self._relabeled(sorted(range(n), key=colors.__getitem__))
+        adj: List[Dict[int, int]] = [{} for _ in range(n)]
+        for a, b in edges:
+            if a != b:
                 adj[a][b] = adj[a].get(b, 0) + 1
                 adj[b][a] = adj[b].get(a, 0) + 1
-        colors = [(gv, legs, loops[i], val) for i, ((gv, legs), val)
-                  in enumerate(zip(self.vertices, self.valences()))]
-        # colours that already differ pairwise fix the order: refinement
-        # only splits classes, and refined colours sort by their first part
-        if len(set(colors)) < n:
-            for _ in range(n):
-                new = [(colors[i],
-                        tuple(sorted((colors[j], m) for j, m in adj[i].items())))
-                       for i in range(n)]
-                stable = len(set(new)) == len(set(colors))
-                colors = new
-                if stable:
-                    break
-        order = sorted(range(n), key=lambda i: (colors[i], i))
+        for _ in range(n):
+            new = [(colors[i],
+                    tuple(sorted((colors[j], m) for j, m in adj[i].items())))
+                   for i in range(n)]
+            stable = len(set(new)) == len(set(colors))
+            colors = new
+            if stable:
+                break
         classes: List[List[int]] = []
-        for i in order:
+        for i in sorted(range(n), key=lambda i: (colors[i], i)):
             if classes and colors[classes[-1][0]] == colors[i]:
                 classes[-1].append(i)
             else:
                 classes.append([i])
-        best: Optional[Tuple] = None
-        for arrangement in product(*map(permutations, classes)):
-            perm = [0] * n
-            for pos, i in enumerate(chain.from_iterable(arrangement)):
-                perm[i] = pos
-            cand = self._relabeled(perm)
-            if best is None or cand < best:
-                best = cand
-        return best
+        return min(self._relabeled(list(chain.from_iterable(arrangement)))
+                   for arrangement in product(*map(permutations, classes)))
 
     def export(self) -> dict:
         return {
@@ -176,40 +186,96 @@ def validate_graph(graph: StableGraph, g: int, n: int) -> bool:
     return graph.legs() == list(range(1, n + 1))
 
 
+@lru_cache(maxsize=None)
+def _split_masks(bundles: Tuple[Tuple[int, bool], ...]) -> Tuple[Tuple[int, int, int], ...]:
+    """The masks of a vertex split, one per graph it builds, as (mask,
+    moved, mirror) triples: bit i of `mask` moves slot i to the new vertex,
+    `moved` counts the set bits and `mirror` is the complementary split in
+    the same form.  `bundles` gives the slots in order as (count, loop)
+    pairs of interchangeable slots: a leg (count 1), the ends of `count`
+    parallel edges to one neighbour, or the ends of `count` identical
+    loops, two per loop in a row.  Which slots of a bundle move does not
+    change the graph, only how many do, so each mask moves the first ones:
+    the first k parallel ends; the loops moved by both ends, then those
+    moved by their first end."""
+    def loop_bits(both: int, first: int) -> int:
+        # `both` loops moved by both ends, then `first` by their first end
+        return (1 << 2 * both) - 1 | (4 ** first - 1) // 3 << 2 * both
+
+    masks = [(0, 0, 0)]
+    pos = 0
+    for count, loop in bundles:
+        if loop:
+            options = [(loop_bits(both, first) << pos, 2 * both + first,
+                        loop_bits(count - both - first, first) << pos)
+                       for both in range(count + 1) for first in range(count + 1 - both)]
+            pos += 2 * count
+        else:
+            options = [(((1 << k) - 1) << pos, k, ((1 << count - k) - 1) << pos)
+                       for k in range(count + 1)]
+            pos += count
+        masks = [(mask | add, moved + k, mirror | flip)
+                 for mask, moved, mirror in masks for add, k, flip in options]
+    return tuple(masks)
+
+
 def _degenerations(graph: StableGraph) -> Iterator[StableGraph]:
     """The one-edge degenerations, at least one per isomorphism class:
-    lower a vertex genus and add a loop, or split a vertex v into v and a
-    new vertex w joined by the new edge.  A split is decided from counts
-    before it is built: it is skipped when v or w would be unstable, and
-    when it is the mirror (v and w swapped) of a split that is kept."""
+    lower a vertex genus and add a loop, or split a vertex v of genus
+    g1 + g2 into v of genus g1 and a new vertex w of genus g2 joined by
+    the new edge.  The slots of v are its legs, then its edge ends in edge
+    order, and w takes the slots of a mask of `_split_masks`.  A split is
+    decided from counts before it is built: it is skipped when v or w
+    would be unstable, and when it is the mirror (v and w swapped) of a
+    split that is kept.  So g1 <= g2, and when g1 == g2 the mask is at
+    most its mirror, which leaves the last slot at v."""
     vertices, edges = graph.vertices, graph.edges
     w = len(vertices)
     for v, (gv, legs) in enumerate(vertices):
         if gv >= 1:
             yield StableGraph._of(vertices[:v] + ((gv - 1, legs),) + vertices[v + 1:],
                                   tuple(sorted(edges + ((v, v),))))
-        # the slots of v: its legs, then the (edge index, side) ends at v
-        ends = [(k, side) for k, e in enumerate(edges) for side in (0, 1)
-                if e[side] == v]
-        slots = len(legs) + len(ends)
-        full = (1 << slots) - 1
-        for g1 in range(gv + 1):
+        # the edges away from v, the edges at v with the slot bits of their
+        # sides (0 for a side away from v), and the bundles of the slots
+        rest, ends, bundles = [], [], [(1, False)] * len(legs)
+        bit, last = 1 << len(legs), None
+        for e in edges:
+            a, b = e
+            if a == b == v:
+                ends.append((a, b, bit, bit << 1))
+                bit <<= 2
+            elif a == v or b == v:
+                ends.append((a, b, bit if a == v else 0, bit if b == v else 0))
+                bit <<= 1
+            else:
+                rest.append(e)
+                continue
+            if e == last:
+                bundles[-1] = (bundles[-1][0] + 1, a == b)
+            else:
+                bundles.append((1, a == b))
+            last = e
+        slots = bit.bit_length() - 1
+        masks = _split_masks(tuple(bundles))
+        for g1 in range(gv // 2 + 1):
             g2 = gv - g1
-            for mask in range(full + 1):
-                moved = bin(mask).count("1")
+            for mask, moved, mirror in masks:
                 if (2 * g1 - 1 + slots - moved <= 0 or 2 * g2 - 1 + moved <= 0
-                        or (g2, full ^ mask) < (g1, mask)):
+                        or g1 == g2 and mirror < mask):
                     continue
-                new_edges = [list(e) for e in edges] + [(v, w)]
-                for i, (k, side) in enumerate(ends, len(legs)):
-                    if mask >> i & 1:
-                        new_edges[k][side] = w
+                new_edges = rest + [(v, w)]
+                for a, b, bit_a, bit_b in ends:
+                    if mask & bit_a:
+                        a = w
+                    if mask & bit_b:
+                        b = w
+                    new_edges.append((a, b) if a <= b else (b, a))
+                new_edges.sort()
                 kept = tuple(l for i, l in enumerate(legs) if not mask >> i & 1)
                 gone = tuple(l for i, l in enumerate(legs) if mask >> i & 1)
                 yield StableGraph._of(
                     vertices[:v] + ((g1, kept),) + vertices[v + 1:] + ((g2, gone),),
-                    tuple(sorted((a, b) if a <= b else (b, a)
-                                 for a, b in new_edges)))
+                    tuple(new_edges))
 
 
 def _check_type(g: int, n: int) -> None:

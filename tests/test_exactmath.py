@@ -335,6 +335,22 @@ def test_series_and_polynomial_refuse_non_int_inputs(make, match):
         make(GeneratorTable([("t", 1)]))
 
 
+@pytest.mark.parametrize("gens,bad", [
+    ([("t", 1.5)], "1.5"),
+    ([("t", 1), ("u", True)], "True"),
+    ([("t", "2")], "'2'"),
+])
+def test_generator_degrees_must_be_ints(gens, bad):
+    """A generator degree that is not an int is refused by name, not read
+    through int(): 1.5 and True were both degree 1, in the table and in
+    graded_quotient."""
+    match = f"generator degree must be an int, got {bad}"
+    with pytest.raises(ValueError, match=match):
+        GeneratorTable(gens)
+    with pytest.raises(ValueError, match=match):
+        graded_quotient(gens, [], 2)
+
+
 def test_series_variables_may_be_an_iterator():
     """The variables are a GeneratorTable, which reads an iterator of
     (name, degree) pairs once; exp, log and products keep that table."""

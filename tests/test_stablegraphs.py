@@ -2,7 +2,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from itertools import combinations_with_replacement, permutations, product
+from itertools import chain, combinations_with_replacement, permutations, product
 from math import factorial, prod
 
 import pytest
@@ -118,6 +118,14 @@ def test_graph_refuses_non_int_data(vertices, edges):
     truncated: (1.5, [1]) would otherwise be the genus-1 smooth graph."""
     with pytest.raises(ValueError, match="must be an int"):
         StableGraph(vertices, edges)
+
+
+@pytest.mark.parametrize("edges", [[(0, 0, 7)], [(0,)], [()]])
+def test_graph_refuses_edges_that_are_not_pairs(edges):
+    """An edge is a pair of vertex indices: a triple was stored as the
+    loop (0, 0), and a 1-tuple raised a bare IndexError."""
+    with pytest.raises(ValueError, match="is not a pair of vertex indices"):
+        StableGraph([(0, [1, 2, 3])], edges)
 
 
 def test_degenerations_stable_and_without_mirror_twins():
@@ -282,3 +290,119 @@ def test_graph_exports_pinned():
     digest = hashlib.sha256(json.dumps(table, sort_keys=True).encode()).hexdigest()
     assert digest == ("005891120cefd9f1394965d3e83e0314"
                       "d0493442a955a610a838d84a762a72d5")
+
+
+# ---------------------------------------------------------------------------
+# Reference oracles for the lean enumeration: the canonical form with colour
+# refinement and class search on every graph, and the split loop over every
+# mask with the mirror rule on raw masks.
+# ---------------------------------------------------------------------------
+
+def reference_canonical_form(graph: StableGraph):
+    """Colour refinement, always run, then the least relabelled form over
+    every order within the colour classes."""
+    n = graph.num_vertices
+    adj = [{} for _ in range(n)]
+    loops = [0] * n
+    for a, b in graph.edges:
+        if a == b:
+            loops[a] += 1
+        else:
+            adj[a][b] = adj[a].get(b, 0) + 1
+            adj[b][a] = adj[b].get(a, 0) + 1
+    colors = [(gv, legs, loops[i], val) for i, ((gv, legs), val)
+              in enumerate(zip(graph.vertices, graph.valences()))]
+    for _ in range(n):
+        new = [(colors[i], tuple(sorted((colors[j], m) for j, m in adj[i].items())))
+               for i in range(n)]
+        stable = len(set(new)) == len(set(colors))
+        colors = new
+        if stable:
+            break
+    classes = []
+    for i in sorted(range(n), key=lambda i: (colors[i], i)):
+        if classes and colors[classes[-1][0]] == colors[i]:
+            classes[-1].append(i)
+        else:
+            classes.append([i])
+    best = None
+    for arrangement in product(*map(permutations, classes)):
+        perm = [0] * n
+        for pos, i in enumerate(chain.from_iterable(arrangement)):
+            perm[i] = pos
+        vertices = [None] * n
+        for i, vertex in enumerate(graph.vertices):
+            vertices[perm[i]] = vertex
+        edges = tuple(sorted((min(perm[a], perm[b]), max(perm[a], perm[b]))
+                             for a, b in graph.edges))
+        if best is None or (tuple(vertices), edges) < best:
+            best = (tuple(vertices), edges)
+    return best
+
+
+def reference_degenerations(graph: StableGraph):
+    """Every one-edge degeneration, with its mirror twin: a loop at a
+    vertex of positive genus (its own twin), or a split of v taking any
+    subset of its slots (legs, then edge ends) to the new vertex w, skipped
+    only when unstable or when its raw mirror (genus and complement mask)
+    is smaller; the twin of a split is the same graph with v and w
+    swapped."""
+    vertices, edges = graph.vertices, graph.edges
+    w = len(vertices)
+    for v, (gv, legs) in enumerate(vertices):
+        if gv >= 1:
+            loop = StableGraph(vertices[:v] + ((gv - 1, legs),) + vertices[v + 1:],
+                               edges + ((v, v),))
+            yield loop, loop
+        ends = [(k, side) for k, e in enumerate(edges) for side in (0, 1)
+                if e[side] == v]
+        slots = len(legs) + len(ends)
+        full = (1 << slots) - 1
+        for g1 in range(gv + 1):
+            g2 = gv - g1
+            for mask in range(full + 1):
+                moved = bin(mask).count("1")
+                if (2 * g1 - 1 + slots - moved <= 0 or 2 * g2 - 1 + moved <= 0
+                        or (g2, full ^ mask) < (g1, mask)):
+                    continue
+                new_edges = [list(e) for e in edges] + [[v, w]]
+                for i, (k, side) in enumerate(ends, len(legs)):
+                    if mask >> i & 1:
+                        new_edges[k][side] = w
+                kept = [leg for i, leg in enumerate(legs) if not mask >> i & 1]
+                gone = [leg for i, leg in enumerate(legs) if mask >> i & 1]
+                split = vertices[:v] + ((g1, kept),) + vertices[v + 1:] + ((g2, gone),)
+                swap = {v: w, w: v}
+                twin = [split[swap.get(i, i)] for i in range(w + 1)]
+                yield (StableGraph(split, new_edges),
+                       StableGraph(twin, [[swap.get(a, a), swap.get(b, b)]
+                                          for a, b in new_edges]))
+
+
+def test_canonical_form_matches_reference_on_every_candidate():
+    """The one-pass canonical form (relabel once when the colours differ
+    pairwise) gives the reference key on every candidate the enumeration
+    keys, for every pinned type."""
+    for g, n in PINNED_TYPES:
+        for graph in enumerate_graphs(g, n):
+            for cand in _degenerations(graph):
+                assert cand.canonical_form() == reference_canonical_form(cand), cand
+
+
+def test_pruned_splits_reach_every_class_of_the_full_split_loop():
+    """From every graph of every pinned type, the mirror-bounded,
+    bundle-pruned split loop reaches the same isomorphism classes as the
+    loop over every mask, so every level of the enumeration is the same.
+    It builds each candidate of that loop once up to swapping v and w:
+    every candidate it builds is one of the loop's, and no two are equal
+    or mirror twins."""
+    for g, n in PINNED_TYPES:
+        for graph in enumerate_graphs(g, n):
+            unordered = {cand: min((cand.vertices, cand.edges), (twin.vertices, twin.edges))
+                         for cand, twin in reference_degenerations(graph)}
+            pruned = list(_degenerations(graph))
+            assert ({cand.canonical_form() for cand in pruned}
+                    == {cand.canonical_form() for cand in unordered}), graph
+            assert all(cand in unordered for cand in pruned), graph
+            keys = [unordered[cand] for cand in pruned]
+            assert len(set(keys)) == len(keys) == len(set(unordered.values())), graph

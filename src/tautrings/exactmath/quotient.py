@@ -3,11 +3,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import add
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from . import check_int
-from .gradedpoly import GeneratorTable, GradedPolynomial, Monomial
-from .linalg import SparseEchelon, exact_rank
+from .gradedpoly import GeneratorTable, GradedPolynomial, Monomial, Scalar
+from .linalg import SparseEchelon, exact_rank, field_scalar
 
 __all__ = ["QuotientReport", "GradedQuotient", "graded_quotient",
            "relation_echelon", "relation_rows"]
@@ -44,31 +44,34 @@ class QuotientReport:
 def relation_rows(gens: GeneratorTable,
                   relations: Sequence[GradedPolynomial],
                   d: int,
-                  vanishing: Sequence[Monomial] = ()) -> List[Dict[int, Fraction]]:
+                  vanishing: Sequence[Monomial] = (),
+                  p: Optional[int] = None) -> List[Dict[int, Scalar]]:
     """Sparse rows of every product monomial * relation of degree d, with
     columns indexing gens.monomials(d, vanishing).  Relations must be
     homogeneous polynomials over `gens`; zero and constant ones give no
     rows.  Monomials that a `vanishing` support divides are taken as zero:
     they are no columns, no cofactors, and their product terms are dropped.
+    Entries are field elements (`field_scalar(p)`): rationals, ints where
+    integral, or residues mod a prime `p`, each relation mapped once.
     Rows are sorted singletons first (free pivots, no fill-in)."""
     index = {m: i for i, m in enumerate(gens.monomials(d, vanishing))}
+    scalar = field_scalar(p)
     cofactors: Dict[int, List[Monomial]] = {}
-    rows: List[Dict[int, Fraction]] = []
+    rows: List[Dict[int, Scalar]] = []
     for rel in relations:
         r = rel.degree()
         if r > d or r == 0:
             continue
         if r not in cofactors:
             cofactors[r] = gens.monomials(d - r, vanishing)
+        terms = [(mono, c) for mono, v in rel.terms.items() if (c := scalar(v))]
         for cof in cofactors[r]:
-            row: Dict[int, Fraction] = {}
-            for mono, c in rel.terms.items():
-                if r < d:
-                    mono = tuple(map(add, mono, cof))
-                i = index.get(mono)
+            # distinct terms times one cofactor are distinct monomials
+            row = {}
+            for mono, c in terms:
+                i = index.get(tuple(map(add, mono, cof)) if r < d else mono)
                 if i is not None:
-                    row[i] = row.get(i, Fraction(0)) + c
-            row = {k: v for k, v in row.items() if v}
+                    row[i] = c
             if row:
                 rows.append(row)
     rows.sort(key=lambda row: (len(row), sorted(row.items())))
@@ -78,11 +81,12 @@ def relation_rows(gens: GeneratorTable,
 def relation_echelon(gens: GeneratorTable,
                      relations: Sequence[GradedPolynomial],
                      d: int,
-                     vanishing: Sequence[Monomial] = ()) -> SparseEchelon:
+                     vanishing: Sequence[Monomial] = (),
+                     p: Optional[int] = None) -> SparseEchelon:
     """Echelon form of the degree-d span of monomial * relation products,
-    over the columns of `relation_rows`."""
-    ech = SparseEchelon()
-    for row in relation_rows(gens, relations, d, vanishing):
+    over the columns of `relation_rows`, over Q or F_p."""
+    ech = SparseEchelon(p)
+    for row in relation_rows(gens, relations, d, vanishing, p):
         ech.add_row(row)
     return ech
 
@@ -110,15 +114,29 @@ class GradedQuotient:
     does every multiple of it: no degree's row space changes, only the rows
     that would reduce to zero are not built.
 
+    Given a prime `p`, the same elimination runs over F_p: the relations
+    must be p-integral (a ZeroDivisionError otherwise), and `dim(d)` is
+    the number of surviving monomials minus the rank mod p, an upper bound
+    on the dimension over Q.  Pairings and reports are meant for Q.
+
+    A caller that already knows the relation span of every degree passes
+    it as `spans`: for d = 0..max_degree, maps monomial -> coefficient
+    spanning the degree-d part of the ideal (terms on vanishing monomials
+    are dropped).  They are inserted at once and no product row is built.
+    The echelon, and so every output, depends only on the span.
+
     Degenerate inputs follow the documented conventions: no generators gives
     dims [1, 0, 0, ...]; no relations gives free-ring monomial counts.
     """
 
     def __init__(self, gens: GeneratorTable,
                  relations: Sequence[GradedPolynomial],
-                 max_degree: int) -> None:
+                 max_degree: int, p: Optional[int] = None,
+                 spans: Optional[Sequence[Sequence[Mapping[Monomial, Scalar]]]]
+                 = None) -> None:
         self.gens = gens
         self.max_degree = check_int("max_degree", max_degree)
+        self.p = p
         # the multi-term relations by degree, each list in input order
         self.relations: Dict[int, List[GradedPolynomial]] = {}
         self.vanishing: List[Monomial] = []
@@ -144,6 +162,12 @@ class GradedQuotient:
         self._echelons: Dict[int, SparseEchelon] = {}
         # the relations whose own row raised the rank of an eliminated degree
         self._kept: List[GradedPolynomial] = []
+        if spans is not None and len(spans) != self.max_degree + 1:
+            raise ValueError("spans must cover the degrees 0..max_degree")
+        for d, span in enumerate(spans or ()):
+            ech = self._echelons[d] = SparseEchelon(p)
+            for terms in span:
+                ech.add_row(self._row(d, terms))
 
     # ---- construction ---------------------------------------------------
 
@@ -152,10 +176,10 @@ class GradedQuotient:
         single-term relation divides.  They index the degree-d columns."""
         return self._monomials[d]
 
-    def _row(self, d: int, poly: GradedPolynomial) -> Dict[int, Fraction]:
-        """The degree-d polynomial as a row over the surviving monomials."""
+    def _row(self, d: int, terms: Mapping[Monomial, Scalar]) -> Dict[int, Scalar]:
+        """Degree-d terms as a row over the surviving monomials."""
         idx = self._index[d]
-        return {idx[m]: c for m, c in poly.terms.items() if m in idx}
+        return {idx[m]: c for m, c in terms.items() if m in idx}
 
     def _echelon(self, d: int) -> SparseEchelon:
         """Echelon form of the degree-d relation span, built on first use
@@ -164,9 +188,10 @@ class GradedQuotient:
             raise ValueError(f"degree {d} is outside the quotient's degrees "
                              f"0..{self.max_degree}")
         for e in range(len(self._echelons), d + 1):
-            ech = relation_echelon(self.gens, self._kept, e, self.vanishing)
+            ech = relation_echelon(self.gens, self._kept, e, self.vanishing,
+                                   self.p)
             for rel in self.relations.get(e, ()):
-                if ech.add_row(self._row(e, rel)):
+                if ech.add_row(self._row(e, rel.terms)):
                     self._kept.append(rel)
             self._echelons[e] = ech
         return self._echelons[d]
@@ -194,7 +219,7 @@ class GradedQuotient:
         if poly.is_zero():
             return {}
         d = poly.degree()
-        res = self._echelon(d).residual(self._row(d, poly))
+        res = self._echelon(d).residual(self._row(d, poly.terms))
         monos = self._monomials[d]
         return {monos[i]: c for i, c in res.items()}
 

@@ -28,14 +28,25 @@ class StableGraph:
 
     def __init__(self, vertices: Sequence[Tuple[int, Sequence[int]]],
                  edges: Iterable[Sequence[int]]) -> None:
-        self.vertices = tuple((check_int("genus", g),
-                               tuple(sorted(check_int("leg", l) for l in legs)))
-                              for g, legs in vertices)
+        verts = []
+        for vert in vertices:
+            try:
+                g, legs = vert
+                legs = iter(legs)
+            except (TypeError, ValueError):
+                raise ValueError(f"vertex {vert!r} is not a (genus, legs) "
+                                 f"pair") from None
+            verts.append((check_int("genus", g),
+                          tuple(sorted(check_int("leg", l) for l in legs))))
+        self.vertices = tuple(verts)
         es = []
         for e in edges:
-            if len(e) != 2:
-                raise ValueError(f"edge {e!r} is not a pair of vertex indices")
-            u, v = check_int("edge endpoint", e[0]), check_int("edge endpoint", e[1])
+            try:
+                u, v = e
+            except (TypeError, ValueError):
+                raise ValueError(f"edge {e!r} is not a pair of vertex "
+                                 f"indices") from None
+            u, v = check_int("edge endpoint", u), check_int("edge endpoint", v)
             if not (0 <= u < len(self.vertices) and 0 <= v < len(self.vertices)):
                 raise ValueError("edge endpoint out of range")
             es.append((u, v) if u <= v else (v, u))

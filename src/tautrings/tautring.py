@@ -3,14 +3,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import add
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .exactmath import (GeneratorTable, GradedPolynomial, GradedQuotient,
-                        QuotientReport, exact_rank, partition_count)
+                        QuotientReport, SparseEchelon, exact_rank,
+                        partition_count)
+from .exactmath.gradedpoly import Monomial
 from .closedforms import hyperelliptic_coeff, kappa_socle_eval, kappa_table
 from .relationgen import KappaRelation, fz_relation_set, sq_relation_set
 
 __all__ = [
+    "Certificate",
     "RingModel",
     "build_ring",
     "ring_dims",
@@ -22,19 +25,38 @@ __all__ = [
 ]
 
 
+# The prime of the rank mod p that certifies the default FZ ring.
+PRIME = 2 ** 61 - 1
+
+
+@dataclass(frozen=True)
+class Certificate:
+    """How the default FZ ring was found: the FZ relations with
+    |sigma| <= `max_sigma`, and `certified` True when their rank mod
+    `prime` met the socle ranks in every degree, so the quotient was built
+    from the socle functional; False when exact elimination over Q decided
+    (no |sigma| bound certified, or `prime` divided a denominator)."""
+
+    max_sigma: int
+    prime: int
+    certified: bool
+
+
 @dataclass
 class RingModel:
     """The candidate tautological ring of genus g: the quotient of
     Q[kappa_1..kappa_{g-2}] by the FZ relation ideal, in degrees 0..g-2.
 
-    On the default FZ path `relations` is the certified subset the quotient
-    was built from (see `build_ring`), not every FZ relation; it generates
-    the same ideal."""
+    On the default FZ path `relations` is the subset the quotient was
+    built from (see `build_ring`), not every FZ relation; it generates the
+    same ideal, and `certificate` says how that was shown.  With given
+    relations or the SQ source, `certificate` is None."""
 
     genus: int
     gens: GeneratorTable
     relations: List[KappaRelation]
     quotient: GradedQuotient
+    certificate: Optional[Certificate] = None
 
     @property
     def dims(self) -> List[int]:
@@ -51,19 +73,30 @@ def build_ring(g: int, relations: Optional[Sequence[KappaRelation]] = None,
     selects the FZ or the stable-quotient generator.
 
     The default FZ model is built from the relations with |sigma| <= s,
-    s = 5, 7, ..., and certified by the socle pairing: that subset S gives
+    s = 5, 7, ..., and certified degree by degree.  That subset S gives
     surjections Q_S -> Q_FZ -> R*(M_g), and the rank of the socle pairing
-    in degree d (`socle_pairing_ranks`) is at most dim R^d(M_g).  So when
-    dim Q_S^d equals that rank in every degree, Q_S = Q_FZ, and dims,
-    bases, `reduce`, pairings and the verdict are those of the full set.
-    At the full cap on |sigma| the subset is every FZ relation."""
+    P_d (`socle_pairing_ranks`) is at most dim R^d(M_g): a lower bound.
+    The number of degree-d monomials minus the rank of the relation rows
+    mod p = 2^61 - 1 is an upper bound on dim Q_S^d.  When the bounds meet
+    in every degree, Q_S = Q_FZ, its degree-d relation space is the left
+    kernel of P_d, and the quotient is filled with that kernel
+    (`_socle_pairing`) instead of eliminating relation rows over Q.  The
+    echelon depends only on the span, so dims, bases, `reduce`, pairings
+    and the verdict are those of the full relation set.  When no s
+    certifies, the quotient of every FZ relation (the full cap on |sigma|)
+    is eliminated over Q; `RingModel.certificate` records which way."""
     if g < 2:
         raise ValueError("genus must be >= 2")
     gens = kappa_table(g - 2)
     if relations is None and source == "FZ":
-        relations, quotient = _fz_quotient(g, g - 2, lambda q: all(
-            q.dim(d) == rank for d, rank in enumerate(socle_pairing_ranks(g))))
-        return RingModel(g, gens, relations, quotient)
+        pairing = _socle_pairing(g)
+        relations, quotient, certificate = _fz_quotient(
+            g, g - 2, lambda q: all(q.dim(d) == rank
+                                    for d, (rank, _) in enumerate(pairing)))
+        if quotient is None:
+            quotient = GradedQuotient(gens, [rel.polynomial for rel in relations],
+                                      g - 2, spans=[k for _, k in pairing])
+        return RingModel(g, gens, relations, quotient, certificate)
     if relations is None:
         relations = sq_relation_set(g, g - 2)
     quotient = GradedQuotient(gens, [rel.polynomial for rel in relations],
@@ -73,22 +106,65 @@ def build_ring(g: int, relations: Optional[Sequence[KappaRelation]] = None,
 
 def _fz_quotient(g: int, max_degree: int,
                  certified: Callable[[GradedQuotient], bool]
-                 ) -> Tuple[List[KappaRelation], GradedQuotient]:
-    """The quotient by the FZ relations of degree <= max_degree with
-    |sigma| <= s, for the first s = 5, 7, ... whose quotient is
-    `certified`, or for the full cap 3*max_degree - g, where the subset is
-    every relation.  A check that stops at the first failing degree leaves
-    the later degrees of a failed attempt uneliminated."""
+                 ) -> Tuple[List[KappaRelation], Optional[GradedQuotient],
+                            Certificate]:
+    """The FZ relations of degree <= max_degree with |sigma| <= s, for the
+    first s = 5, 7, ... whose quotient mod `PRIME` is `certified`, with no
+    quotient (the caller builds it): `certified` must then hold over Q too,
+    as upper bounds that meet lower bounds or vanish do.  Failing that,
+    every relation (the full cap 3*max_degree - g on |sigma|) with its
+    quotient over Q.  Once `PRIME` divides a denominator, each s is
+    checked over Q instead.  A check that stops at its first failing
+    degree leaves the later degrees uneliminated."""
+    gens = kappa_table(g - 2)
     cap = max(3 * max_degree - g, 0)
-    s = min(5, cap)
+    s, p = min(5, cap), PRIME
     while True:
         relations = fz_relation_set(g, max_degree, max_sigma=s)
-        quotient = GradedQuotient(kappa_table(g - 2),
-                                  [rel.polynomial for rel in relations],
-                                  max_degree)
-        if s == cap or certified(quotient):
-            return relations, quotient
+        polys = [rel.polynomial for rel in relations]
+        if p is not None:
+            try:
+                if certified(GradedQuotient(gens, polys, max_degree, p)):
+                    return relations, None, Certificate(s, PRIME, True)
+            except ZeroDivisionError:
+                p = None
+        if p is None or s == cap:
+            quotient = GradedQuotient(gens, polys, max_degree)
+            if s == cap or certified(quotient):
+                return relations, quotient, Certificate(s, PRIME, False)
         s = min(s + 2, cap)
+
+
+def _socle_pairing(g: int) -> List[Tuple[int, List[Dict[Monomial, Fraction]]]]:
+    """For d = 0..g-2, the rank of the socle pairing P_d (rows the degree-d
+    kappa monomials a, columns the degree-(g-2-d) ones b, entries eps(a b),
+    eps the lambda_{g-1} lambda_g functional `kappa_socle_eval`) and the
+    left kernel of P_d in reduced form: one row e_a - sum_b c_b e_b, as
+    {monomial: coefficient}, for each a whose row of P_d depends on the
+    later rows, the b the later rows independent of all rows after them.
+    It is found by one pass over the rows from the last, each row carrying
+    its own unit vector in columns after those of P_d: a row that reduces
+    to zero on P_d leaves its kernel row in the unit columns."""
+    gens = kappa_table(g - 2)
+    eps = {m: kappa_socle_eval(g, [gens.degrees[i]
+                                   for i, e in enumerate(m) for _ in range(e)])
+           for m in gens.monomials(g - 2)}
+    out = []
+    for d in range(g - 1):
+        left, right = gens.monomials(d), gens.monomials(g - 2 - d)
+        width = len(right)
+        ech, kernel = SparseEchelon(), []
+        for j in reversed(range(len(left))):
+            row = {k: v for k, b in enumerate(right)
+                   if (v := eps[tuple(map(add, left[j], b))])}
+            row[width + j] = 1
+            res = ech.residual(row)
+            if min(res) < width:
+                ech.add_row(res)
+            else:
+                kernel.append({left[k - width]: c for k, c in res.items()})
+        out.append((ech.rank, kernel))
+    return out
 
 
 def socle_pairing_ranks(g: int) -> List[int]:
@@ -99,14 +175,7 @@ def socle_pairing_ranks(g: int) -> List[int]:
     factors through R*(M_g) and each rank is at most dim R^d(M_g)."""
     if g < 2:
         raise ValueError("genus must be >= 2")
-    gens = kappa_table(g - 2)
-    eps = {m: kappa_socle_eval(g, [gens.degrees[i]
-                                   for i, e in enumerate(m) for _ in range(e)])
-           for m in gens.monomials(g - 2)}
-    return [exact_rank([[eps[tuple(map(add, a, b))]
-                         for b in gens.monomials(g - 2 - d)]
-                        for a in gens.monomials(d)])
-            for d in range(g - 1)]
+    return [rank for rank, _ in _socle_pairing(g)]
 
 
 def ring_dims(g: int, source: str = "FZ") -> List[int]:
@@ -165,7 +234,9 @@ def vanishing_check(g: int, beyond: int) -> bool:
     indices still capped at g-2), the quotient must be zero in every degree
     g-1..beyond.  A subset of the FZ relations whose quotient vanishes
     there proves it for the full set, so the relations with |sigma| <= s
-    are tried first, as in `build_ring`."""
+    are tried first, as in `build_ring`, and a quotient mod 2^61 - 1 that
+    vanishes there proves it too (its dims are upper bounds), so rows are
+    eliminated over Q only on the fallbacks of `_fz_quotient`."""
     if g < 2:
         raise ValueError("genus must be >= 2")
     if beyond < g - 1:
@@ -174,4 +245,5 @@ def vanishing_check(g: int, beyond: int) -> bool:
     def vanishes(quotient: GradedQuotient) -> bool:
         return all(quotient.dim(d) == 0 for d in range(g - 1, beyond + 1))
 
-    return vanishes(_fz_quotient(g, beyond, vanishes)[1])
+    quotient = _fz_quotient(g, beyond, vanishes)[1]
+    return quotient is None or vanishes(quotient)

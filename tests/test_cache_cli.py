@@ -509,8 +509,9 @@ def test_cli_rationals_are_exact_strings(capsys):
 
 
 def test_cli_max_seconds_budget(capsys):
-    """A command that exceeds its wall-clock budget exits 1.  Genus 15
-    takes tens of seconds, so the 1 s alarm always interrupts it."""
-    assert run(["gorenstein", "15", "--max-seconds", "1", "--no-cache"]) == 1
+    """A command that exceeds its wall-clock budget exits 1.  The H^2
+    rank of M_{0,11} takes over ten seconds, so the 1 s alarm always
+    interrupts it."""
+    assert run(["h2", "0", "11", "--max-seconds", "1", "--no-cache"]) == 1
     err = capsys.readouterr().err
     assert "max-seconds" in err

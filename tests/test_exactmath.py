@@ -449,6 +449,62 @@ def test_echelon_residual_is_canonical():
         assert ech.contains(diff)
 
 
+def dense_rank_mod_p_oracle(rows, p):
+    """Naive dense elimination over F_p of p-integral rational rows."""
+    m = [[x.numerator * pow(x.denominator, -1, p) % p for x in map(F, r)]
+         for r in rows]
+    rank = 0
+    for col in range(len(m[0]) if m else 0):
+        piv = next((r for r in range(rank, len(m)) if m[r][col]), None)
+        if piv is None:
+            continue
+        m[rank], m[piv] = m[piv], m[rank]
+        inv = pow(m[rank][col], -1, p)
+        for r in range(len(m)):
+            if r != rank and m[r][col]:
+                f = m[r][col] * inv
+                m[r] = [(x - f * y) % p for x, y in zip(m[r], m[rank])]
+        rank += 1
+    return rank
+
+
+@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("p", [2, 3, 7, 2 ** 61 - 1])
+def test_echelon_mod_p_against_dense_oracle(seed, p):
+    """Over F_p the one elimination loop gives the rank mod p of
+    p-integral rows, at most their rank over Q; its residuals are residues
+    0..p-1 on pivot-free columns that differ from the row by a span
+    element."""
+    rng = random.Random(seed)
+    rows = [[F(rng.randint(-6, 6), rng.choice((1, 1, 5))) for _ in range(9)]
+            for _ in range(7)]
+    for _ in range(4):
+        a, b = rng.sample(rows, 2)
+        rows.append([x + rng.randint(-2, 2) * y for x, y in zip(a, b)])
+    ech = SparseEchelon(p)
+    for r in rows:
+        ech.add_row(dict(enumerate(r)))
+    assert ech.rank == dense_rank_mod_p_oracle(rows, p) <= exact_rank(rows)
+    for r in rows[:3]:
+        res = ech.residual({j: v * 3 + 1 for j, v in enumerate(r)})
+        assert all(c not in ech.pivot_rows and 0 < v < p
+                   for c, v in res.items())
+    assert all(0 <= v < p for row in ech.pivot_rows.values()
+               for v in row.values())
+
+
+def test_echelon_mod_p_edges():
+    """A determinant p drops the rank mod p; a denominator that p divides
+    is not an element of F_p."""
+    ech = SparseEchelon(5)
+    assert ech.add_row({0: 1, 1: 2})
+    assert not ech.add_row({0: 3, 1: 1})
+    assert ech.contains({0: 2, 1: 4}) and not ech.contains({1: 1})
+    assert exact_rank([[1, 2], [3, 1]]) == 2
+    with pytest.raises(ZeroDivisionError):
+        SparseEchelon(7).add_row({0: 1, 1: F(3, 14)})
+
+
 def test_integral_entries_leave_as_fractions():
     """Integral entries are kept as ints inside the echelon, but residuals,
     reductions and pairing entries are Fractions at the API edge."""
@@ -705,3 +761,66 @@ def test_quotient_thinning_matches_product_oracle(seed):
             cut_oracle = _ProductOracle(gens, rels, top)
             for i in range(top + 1):
                 assert cut.pairing_matrix(i) == cut_oracle.pairing_matrix(i)
+
+
+def _product_spans(gens, rels, top):
+    """Per degree, every monomial * relation product as a term map."""
+    spans = []
+    for d in range(top + 1):
+        span = []
+        for rel in rels:
+            r = rel.degree()
+            if 0 < r <= d:
+                for m in gens.monomials(d - r):
+                    span.append((rel * GradedPolynomial(gens, {m: 1})).terms)
+        spans.append(span)
+    return spans
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_quotient_mod_p_dims_match_product_oracle(seed):
+    """Over F_p the thinned quotient has, in every degree, the surviving
+    monomials minus the rank mod p of every product row: an upper bound
+    on the dimension over Q, equal to it at p = 2^61 - 1 here."""
+    rng = random.Random(seed)
+    gens, rels = _dependent_presentation(rng)
+    exact = GradedQuotient(gens, rels, 6)
+    for p in (2, 3, 7, 2 ** 61 - 1):
+        quotient = GradedQuotient(gens, rels, 6, p)
+        for d in range(7):
+            monos = quotient.monomials(d)
+            rows = [[terms.get(m, 0) for m in monos]
+                    for terms in _product_spans(gens, rels, 6)[d]]
+            assert quotient.dim(d) == len(monos) - dense_rank_mod_p_oracle(rows, p)
+            assert quotient.dim(d) >= exact.dim(d)
+            if p > 7:
+                assert quotient.dim(d) == exact.dim(d)
+
+
+def test_quotient_mod_p_refuses_non_integral_relation():
+    gens = GeneratorTable([("x", 1), ("y", 1)])
+    x, y = (GradedPolynomial.generator(gens, n) for n in "xy")
+    assert GradedQuotient(gens, [x * x + y * y / 7], 2, 5).dims == [1, 2, 2]
+    with pytest.raises(ZeroDivisionError):
+        GradedQuotient(gens, [x * x + y * y / 7], 2, 7).dims
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_quotient_from_spans_matches_elimination(seed):
+    """A quotient given the span of every degree (here all product rows,
+    unreduced) has the dims, bases, reductions and pairings of the one
+    that eliminates its relations: the echelon depends only on the span."""
+    rng = random.Random(seed)
+    gens, rels = _dependent_presentation(rng)
+    for top in range(7):
+        eliminated = GradedQuotient(gens, rels, top)
+        spanned = GradedQuotient(gens, rels, top,
+                                 spans=_product_spans(gens, rels, top))
+        assert spanned.report(True) == eliminated.report(True)
+        for d in range(top + 1):
+            assert spanned.basis(d) == eliminated.basis(d)
+            for m in gens.monomials(d):
+                poly = GradedPolynomial(gens, {m: F(1)})
+                assert spanned.reduce(poly) == eliminated.reduce(poly)
+    with pytest.raises(ValueError, match="spans"):
+        GradedQuotient(gens, rels, 3, spans=[[]] * 3)

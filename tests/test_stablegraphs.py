@@ -120,12 +120,22 @@ def test_graph_refuses_non_int_data(vertices, edges):
         StableGraph(vertices, edges)
 
 
-@pytest.mark.parametrize("edges", [[(0, 0, 7)], [(0,)], [()]])
+@pytest.mark.parametrize("edges", [[(0, 0, 7)], [(0,)], [()], [5]])
 def test_graph_refuses_edges_that_are_not_pairs(edges):
     """An edge is a pair of vertex indices: a triple was stored as the
-    loop (0, 0), and a 1-tuple raised a bare IndexError."""
+    loop (0, 0), a 1-tuple raised a bare IndexError and an int a bare
+    TypeError."""
     with pytest.raises(ValueError, match="is not a pair of vertex indices"):
         StableGraph([(0, [1, 2, 3])], edges)
+
+
+@pytest.mark.parametrize("vertex", [(0, [1], 5), 5, (0,), (0, 5)])
+def test_graph_refuses_vertices_that_are_not_pairs(vertex):
+    """A vertex is a (genus, legs) pair: a triple, an int or a non-iterable
+    legs entry raised a bare unpacking or TypeError that did not name it."""
+    with pytest.raises(ValueError, match=r"vertex .* is not a \(genus, legs\) "
+                                         r"pair"):
+        StableGraph([vertex], [])
 
 
 def test_degenerations_stable_and_without_mirror_twins():

@@ -377,6 +377,100 @@ def test_uncertified_subset_falls_back(monkeypatch):
     assert calls == [5, 7]
 
 
+def test_certificate_records_the_rank_mod_p():
+    """The default FZ ring records the |sigma| bound it used and the prime
+    whose rank met the socle ranks; given relations and SQ record none."""
+    from tautrings.tautring import Certificate
+    for g in (8, 9, 10):
+        assert build_ring(g).certificate == Certificate(5, 2 ** 61 - 1, True)
+    assert build_ring(8, relations=fz_relation_set(8, 6)).certificate is None
+    assert build_ring(8, source="SQ").certificate is None
+
+
+def _spy_quotients(monkeypatch):
+    """Record (p, spans given) of every quotient `tautring` builds."""
+    from tautrings import tautring
+    built = []
+
+    class Spy(tautring.GradedQuotient):
+        def __init__(self, gens, relations, max_degree, p=None, spans=None):
+            built.append((p, spans is not None))
+            super().__init__(gens, relations, max_degree, p, spans)
+
+    monkeypatch.setattr(tautring, "GradedQuotient", Spy)
+    return built
+
+
+@pytest.mark.parametrize("g", range(6, 9))
+def test_small_prime_falls_back_to_exact_elimination(g, monkeypatch):
+    """Mod 2 the rank of no |sigma| bound meets the socle ranks, so the
+    ring of every FZ relation is eliminated over Q, with the same outputs
+    as the certified ring; the vanishing check falls back the same way."""
+    from tautrings import tautring
+    from tautrings.tautring import Certificate
+    expected = _ring_outputs(build_ring(g))
+    monkeypatch.setattr(tautring, "PRIME", 2)
+    built = _spy_quotients(monkeypatch)
+    model = build_ring(g)
+    cap = 3 * (g - 2) - g
+    assert model.certificate == Certificate(cap, 2, False)
+    assert model.relations == fz_relation_set(g, g - 2)
+    assert _ring_outputs(model) == expected
+    assert built[-1] == (None, False)
+    assert all(p == 2 for p, _ in built[:-1])
+    assert vanishing_check(g, g)
+    assert built[-1] == (None, False)
+
+
+@pytest.mark.parametrize("g", [8, 10])
+def test_denominator_divisible_by_prime_falls_back(g, monkeypatch):
+    """A relation whose denominator the prime divides has no image mod p:
+    the ring is then certified by exact elimination of the same subset,
+    with the outputs of the ring certified mod 2^61 - 1."""
+    from tautrings import tautring
+    from tautrings.tautring import Certificate
+    expected = _ring_outputs(build_ring(g))
+    prime, original = 1000003, tautring.fz_relation_set
+
+    def scaled(*args, **kwargs):
+        return [replace(rel, polynomial=rel.polynomial / prime)
+                for rel in original(*args, **kwargs)]
+
+    monkeypatch.setattr(tautring, "fz_relation_set", scaled)
+    monkeypatch.setattr(tautring, "PRIME", prime)
+    built = _spy_quotients(monkeypatch)
+    model = build_ring(g)
+    assert model.certificate == Certificate(5, prime, False)
+    assert built == [(prime, False), (None, False)]
+    assert _ring_outputs(model) == expected
+
+
+@pytest.mark.parametrize("g", [13, 15])
+def test_certified_ring_is_gorenstein_at_genus_13_and_15(g):
+    """Faber's conjecture (A conjectural description of the tautological
+    ring of the moduli space of curves, 1999), which he checked with these
+    relations far past these genera: the FZ ring is Gorenstein with socle
+    in degree g-2, palindromic, free below g/3, and its dims are the ranks
+    of the socle pairing (recomputed here as dense exact ranks).  The
+    ring is certified mod 2^61 - 1."""
+    from tautrings.closedforms import kappa_socle_eval, kappa_table
+    from tautrings.exactmath import exact_rank
+    model = build_ring(g)
+    report = model.report(True)
+    dims = report.dims
+    assert report.gorenstein is True and report.socle_dim == 1
+    assert dims == dims[::-1]
+    assert all(dims[d] == partition_count(d) for d in range(g // 3 + 1))
+    gens = kappa_table(g - 2)
+    ranks = [exact_rank([[kappa_socle_eval(g, _kappa_indices(gens, a)
+                                           + _kappa_indices(gens, b))
+                          for b in gens.monomials(g - 2 - d)]
+                         for a in gens.monomials(d)])
+             for d in range(g - 1)]
+    assert dims == ranks
+    assert model.certificate.certified
+
+
 def test_fz_relation_set_max_sigma_filters_by_size():
     g = 8
     full = fz_relation_set(g, g - 2)

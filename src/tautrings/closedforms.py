@@ -69,7 +69,7 @@ def lambda_g_eval(g: int, alpha: Sequence[int]) -> Fraction:
 def lambda_gm1_lambda_g_constant(g: int) -> Fraction:
     """One-point psi^{g-1} lambda_{g-1} lambda_g integral:
     |B_{2g}| / (2^{2g-1} (2g-1)!! 2g)."""
-    if g < 2:
+    if check_int("genus", g) < 2:
         raise ValueError("genus must be >= 2")
     return Fraction(abs(bernoulli(2 * g)),
                     2 ** (2 * g - 1) * odd_double_factorial(2 * g - 1) * 2 * g)
@@ -152,7 +152,7 @@ def _block_sums(a: Tuple[int, ...]) -> Tuple[Fraction, ...]:
 def socle_constant(g: int) -> Fraction:
     """kappa_{g-2} lambda_{g-1} lambda_g evaluated on the compactified
     moduli space: |B_{2g}| (g-1)! / (2^g (2g)!).  Nonzero for every g."""
-    if g < 2:
+    if check_int("genus", g) < 2:
         raise ValueError("genus must be >= 2")
     return Fraction(abs(bernoulli(2 * g)) * factorial(g - 1),
                     2 ** g * factorial(2 * g))
@@ -161,7 +161,7 @@ def socle_constant(g: int) -> Fraction:
 def hyperelliptic_coeff(g: int) -> Fraction:
     """Coefficient of kappa_{g-2} in the hyperelliptic-locus class:
     (2^{2g}-1) 2^{g-2} / ((2g+1)(g+1)!)."""
-    if g < 2:
+    if check_int("genus", g) < 2:
         raise ValueError("genus must be >= 2")
     return Fraction((2 ** (2 * g) - 1) * 2 ** (g - 2),
                     (2 * g + 1) * factorial(g + 1))
@@ -173,7 +173,8 @@ def hyperelliptic_coeff(g: int) -> Fraction:
 
 def kappa_table(max_index: int) -> GeneratorTable:
     """Generators kappa_1..kappa_max (degree of kappa_i is i)."""
-    return GeneratorTable([(f"kappa_{i}", i) for i in range(1, max_index + 1)])
+    return GeneratorTable([(f"kappa_{i}", i)
+                           for i in range(1, check_int("max_index", max_index) + 1)])
 
 
 def mumford_terms(max_degree: int) -> List[Tuple[int, Fraction]]:
@@ -193,8 +194,9 @@ def lambda_from_kappa(g: int, max_degree: int,
 
     The kappa generators are the series variables, weighted by degree, so
     lambda_d is the weight-d part of the exponential."""
-    if g < 0:
+    if check_int("genus", g) < 0:
         raise ValueError(f"genus must be >= 0, got {g}")
+    check_int("max_degree", max_degree)
     if gens is None:
         gens = kappa_table(max(max_degree, 1))
     expo = series_exp(TruncatedSeries(gens, max_degree, {
@@ -225,7 +227,7 @@ def chern_character_even_check(max_k: int) -> bool:
     """Every even graded piece of the Chern character of the Hodge bundle,
     recovered from the lambda expansion via Newton's identities, must be the
     zero polynomial.  Checks degrees 2, 4, ..., 2*max_k."""
-    if max_k < 1:
+    if check_int("max_k", max_k) < 1:
         raise ValueError("max_k must be >= 1")
     top = 2 * max_k
     lams = lambda_from_kappa(top, top)
@@ -264,7 +266,7 @@ def wl_class(g: int, l: int, substitute_lambda: bool = False) -> GradedPolynomia
     `substitute_lambda` it is over kappa_1..kappa_{g-1} alone, each lambda
     written as its odd-kappa polynomial (`lambda_from_kappa`).
     """
-    if not (2 <= l <= g):
+    if not 2 <= check_int("l", l) <= check_int("genus", g):
         raise ValueError("need 2 <= l <= g")
     target = g - l
     if substitute_lambda:

@@ -94,10 +94,10 @@ def relation_echelon(gens: GeneratorTable,
 class GradedQuotient:
     """Quotient of a free graded-commutative polynomial ring (commuting
     generators of positive degree) by a homogeneous relation ideal, computed
-    degree by degree up to `max_degree` with exact rational elimination.
-    Each degree is eliminated when a query first needs it, after the
-    degrees below it, so a caller that stops at an early degree pays nothing
-    for the later ones.
+    degree by degree up to `max_degree`, by elimination over Q or F_p or
+    from given spans.  Each degree is eliminated when a query first needs
+    it, after the degrees below it, so a caller that stops at an early
+    degree pays nothing for the later ones.
 
     A single-term relation c * x^a spans exactly the monomials x^a divides,
     so it adds no rows: its support is kept as vanishing, and each degree is

@@ -6,7 +6,7 @@ from operator import add
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .exactmath import (GeneratorTable, GradedPolynomial, GradedQuotient,
-                        QuotientReport, SparseEchelon, exact_rank,
+                        QuotientReport, SparseEchelon, check_int, exact_rank,
                         partition_count)
 from .exactmath.gradedpoly import Monomial
 from .closedforms import hyperelliptic_coeff, kappa_socle_eval, kappa_table
@@ -27,19 +27,19 @@ __all__ = [
 
 # The prime of the rank mod p that certifies the default FZ ring.
 PRIME = 2 ** 61 - 1
+# The largest genus whose default FZ ring certifies (`BENCH_fz_modp.json`):
+# at g = 24 no |sigma| bound meets the socle ranks.
+MAX_GENUS = 23
 
 
 @dataclass(frozen=True)
 class Certificate:
-    """How the default FZ ring was found: the FZ relations with
-    |sigma| <= `max_sigma`, and `certified` True when their rank mod
-    `prime` met the socle ranks in every degree, so the quotient was built
-    from the socle functional; False when exact elimination over Q decided
-    (no |sigma| bound certified, or `prime` divided a denominator)."""
+    """How the default FZ ring was certified: the rank mod `prime` of the
+    FZ relations with |sigma| <= `max_sigma` met the socle ranks in every
+    degree, so the quotient was built from the socle functional."""
 
     max_sigma: int
     prime: int
-    certified: bool
 
 
 @dataclass
@@ -49,8 +49,8 @@ class RingModel:
 
     On the default FZ path `relations` is the subset the quotient was
     built from (see `build_ring`), not every FZ relation; it generates the
-    same ideal, and `certificate` says how that was shown.  With given
-    relations or the SQ source, `certificate` is None."""
+    same ideal, as `certificate` certifies.  With given relations or the
+    SQ source, `certificate` is None."""
 
     genus: int
     gens: GeneratorTable
@@ -82,21 +82,20 @@ def build_ring(g: int, relations: Optional[Sequence[KappaRelation]] = None,
     kernel of P_d, and the quotient is filled with that kernel
     (`_socle_pairing`) instead of eliminating relation rows over Q.  The
     echelon depends only on the span, so dims, bases, `reduce`, pairings
-    and the verdict are those of the full relation set.  When no s
-    certifies, the quotient of every FZ relation (the full cap on |sigma|)
-    is eliminated over Q; `RingModel.certificate` records which way."""
-    if g < 2:
+    and the verdict are those of the full relation set.  A genus past
+    `MAX_GENUS` is refused before any work (a ValueError), and one that
+    no s certifies raises ArithmeticError; `relations=fz_relation_set(g,
+    g - 2)` is the exact route, every FZ relation eliminated over Q."""
+    if check_int("genus", g) < 2:
         raise ValueError("genus must be >= 2")
     gens = kappa_table(g - 2)
     if relations is None and source == "FZ":
-        pairing = _socle_pairing(g)
-        relations, quotient, certificate = _fz_quotient(
-            g, g - 2, lambda q: all(q.dim(d) == rank
-                                    for d, (rank, _) in enumerate(pairing)))
-        if quotient is None:
-            quotient = GradedQuotient(gens, [rel.polynomial for rel in relations],
-                                      g - 2, spans=[k for _, k in pairing])
-        return RingModel(g, gens, relations, quotient, certificate)
+        pairing = _socle_pairing(_below_ceiling(g))
+        relations, s = _fz_quotient(g, g - 2, lambda q: all(
+            q.dim(d) == rank for d, (rank, _) in enumerate(pairing)))
+        quotient = GradedQuotient(gens, [rel.polynomial for rel in relations],
+                                  g - 2, spans=[k for _, k in pairing])
+        return RingModel(g, gens, relations, quotient, Certificate(s, PRIME))
     if relations is None:
         relations = sq_relation_set(g, g - 2)
     quotient = GradedQuotient(gens, [rel.polynomial for rel in relations],
@@ -104,35 +103,36 @@ def build_ring(g: int, relations: Optional[Sequence[KappaRelation]] = None,
     return RingModel(g, gens, list(relations), quotient)
 
 
+def _below_ceiling(g: int) -> int:
+    """`g` itself if it is at most `MAX_GENUS`, else a ValueError."""
+    if g > MAX_GENUS:
+        raise ValueError(f"genus {g} is past MAX_GENUS = {MAX_GENUS}, the last one "
+                         f"whose FZ ring certifies; the exact route is build_ring("
+                         f"g, relations=fz_relation_set(g, g - 2))")
+    return g
+
+
 def _fz_quotient(g: int, max_degree: int,
                  certified: Callable[[GradedQuotient], bool]
-                 ) -> Tuple[List[KappaRelation], Optional[GradedQuotient],
-                            Certificate]:
-    """The FZ relations of degree <= max_degree with |sigma| <= s, for the
-    first s = 5, 7, ... whose quotient mod `PRIME` is `certified`, with no
-    quotient (the caller builds it): `certified` must then hold over Q too,
-    as upper bounds that meet lower bounds or vanish do.  Failing that,
-    every relation (the full cap 3*max_degree - g on |sigma|) with its
-    quotient over Q.  Once `PRIME` divides a denominator, each s is
-    checked over Q instead.  A check that stops at its first failing
-    degree leaves the later degrees uneliminated."""
+                 ) -> Tuple[List[KappaRelation], int]:
+    """The FZ relations of degree <= max_degree with |sigma| <= s, and s,
+    for the first s = 5, 7, ... up to the cap 3*max_degree - g whose
+    quotient mod `PRIME` is `certified`: `certified` must then hold over Q
+    too, as upper bounds that meet lower bounds or vanish do.  An
+    ArithmeticError when no s does.  A check that stops at its first
+    failing degree leaves the later degrees uneliminated."""
     gens = kappa_table(g - 2)
     cap = max(3 * max_degree - g, 0)
-    s, p = min(5, cap), PRIME
-    while True:
+    for s in [*range(min(5, cap), cap, 2), cap]:
         relations = fz_relation_set(g, max_degree, max_sigma=s)
-        polys = [rel.polynomial for rel in relations]
-        if p is not None:
-            try:
-                if certified(GradedQuotient(gens, polys, max_degree, p)):
-                    return relations, None, Certificate(s, PRIME, True)
-            except ZeroDivisionError:
-                p = None
-        if p is None or s == cap:
-            quotient = GradedQuotient(gens, polys, max_degree)
-            if s == cap or certified(quotient):
-                return relations, quotient, Certificate(s, PRIME, False)
-        s = min(s + 2, cap)
+        # PRIME divides no FZ denominator: its prime factors (6i - 1 of the
+        # branch series, weights w <= order in series_log / series_exp and
+        # multiplicities k in the kappa walk) are <= 6 * (max_degree + cap).
+        if certified(GradedQuotient(gens, [rel.polynomial for rel in relations],
+                                    max_degree, PRIME)):
+            return relations, s
+    raise ArithmeticError(f"no |sigma| bound up to {cap} certifies the "
+                          f"genus-{g} FZ quotient mod {PRIME}")
 
 
 def _socle_pairing(g: int) -> List[Tuple[int, List[Dict[Monomial, Fraction]]]]:
@@ -173,7 +173,7 @@ def socle_pairing_ranks(g: int) -> List[int]:
     lambda_{g-1} lambda_g socle functional (`kappa_socle_eval`).  The FZ
     relations hold in R*(M_g) and eps is defined there, so the pairing
     factors through R*(M_g) and each rank is at most dim R^d(M_g)."""
-    if g < 2:
+    if check_int("genus", g) < 2:
         raise ValueError("genus must be >= 2")
     return [rank for rank, _ in _socle_pairing(g)]
 
@@ -192,7 +192,7 @@ def gorenstein_check(g: int) -> QuotientReport:
 def socle_class_check(g: int) -> Fraction:
     """Reduce kappa_{g-2} into the socle basis, assert it is nonzero there,
     and return the hyperelliptic-locus ratio [H_g]/kappa_{g-2}."""
-    if g < 3:
+    if check_int("genus", g) < 3:
         raise ValueError("genus must be >= 3")
     model = build_ring(g)
     top = g - 2
@@ -209,7 +209,7 @@ def generation_check(g: int) -> bool:
     """Low kappa classes generate: dim R^d equals the partition count for
     d <= floor(g/3), and every graded piece is spanned by monomials in
     kappa_1..kappa_{floor(g/3)} modulo the relation ideal."""
-    if g < 3:
+    if check_int("genus", g) < 3:
         raise ValueError("genus must be >= 3")
     model = build_ring(g)
     cut = g // 3
@@ -232,18 +232,14 @@ def generation_check(g: int) -> bool:
 def vanishing_check(g: int, beyond: int) -> bool:
     """Top-degree vanishing: with relations generated up to `beyond` (kappa
     indices still capped at g-2), the quotient must be zero in every degree
-    g-1..beyond.  A subset of the FZ relations whose quotient vanishes
-    there proves it for the full set, so the relations with |sigma| <= s
-    are tried first, as in `build_ring`, and a quotient mod 2^61 - 1 that
-    vanishes there proves it too (its dims are upper bounds), so rows are
-    eliminated over Q only on the fallbacks of `_fz_quotient`."""
-    if g < 2:
+    g-1..beyond.  The dims mod 2^61 - 1 of a subset of the FZ relations
+    are upper bounds, so their vanishing proves it for the full set: True
+    for the first |sigma| bound s that vanishes, as in `build_ring`; an
+    ArithmeticError when none does, a ValueError past `MAX_GENUS`."""
+    if check_int("genus", g) < 2:
         raise ValueError("genus must be >= 2")
-    if beyond < g - 1:
+    if check_int("beyond", beyond) < g - 1:
         raise ValueError("`beyond` must be at least g-1")
-
-    def vanishes(quotient: GradedQuotient) -> bool:
-        return all(quotient.dim(d) == 0 for d in range(g - 1, beyond + 1))
-
-    quotient = _fz_quotient(g, beyond, vanishes)[1]
-    return quotient is None or vanishes(quotient)
+    _fz_quotient(_below_ceiling(g), beyond, lambda q: all(
+        q.dim(d) == 0 for d in range(g - 1, beyond + 1)))
+    return True

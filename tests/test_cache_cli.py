@@ -117,6 +117,27 @@ def test_cli_h2_over_ceiling_is_usage_error(capsys):
     assert err.startswith("error:") and "24577" in err
 
 
+@pytest.mark.parametrize("command", ["gorenstein", "ring-dims"])
+def test_cli_genus_past_fz_ceiling_is_usage_error(capsys, command):
+    """Past MAX_GENUS = 23 the default FZ ring is refused up front: a usage
+    error naming the ceiling, and nothing on stdout."""
+    assert run([command, "24", "--format", "json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and "MAX_GENUS = 23" in captured.err
+    assert captured.out == ""
+
+
+def test_cli_failed_certification_is_internal(capsys, monkeypatch):
+    """Inside the ceiling a ring that does not certify is an internal
+    failure (exit 1), not a usage error."""
+    from tautrings import tautring
+    monkeypatch.setattr(tautring, "PRIME", 2)
+    assert run(["ring-dims", "7", "--format", "json"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("internal error:") and "certifies" in captured.err
+    assert captured.out == ""
+
+
 def test_cli_inhomogeneous_relation_is_usage_error(capsys):
     payload = json.dumps({"generators": [["a", 1], ["b", 2]],
                           "relations": [[[[1, 0], "1"], [[0, 1], "-1"]]],

@@ -14,6 +14,8 @@ from tautrings.closedforms import (chern_character_even_check,
                                    wl_class)
 from tautrings.correlators import odd_double_factorial, psi_intersection
 from tautrings.exactmath import GradedPolynomial, bernoulli
+from tautrings.tautring import (build_ring, generation_check, socle_class_check,
+                                socle_pairing_ranks, vanishing_check)
 
 
 def bernoulli_abs(n):
@@ -94,6 +96,34 @@ def test_base_and_euler_refuse_non_int_inputs(call, name):
     """A float or bool genus or marking count is refused with a ValueError
     that names it, not truncated or failed on deep inside."""
     with pytest.raises(ValueError, match=f"{name} must be an int"):
+        call()
+
+
+@pytest.mark.parametrize("call, match", [
+    (lambda: build_ring(5.0), "genus must be an int, got 5.0"),
+    (lambda: build_ring(24.0), "genus must be an int, got 24.0"),
+    (lambda: socle_pairing_ranks(5.0), "genus must be an int, got 5.0"),
+    (lambda: socle_class_check(4.0), "genus must be an int, got 4.0"),
+    (lambda: generation_check(True), "genus must be an int, got True"),
+    (lambda: vanishing_check(5.0, 5), "genus must be an int, got 5.0"),
+    (lambda: vanishing_check(5, 5.0), "beyond must be an int, got 5.0"),
+    (lambda: socle_constant(5.0), "genus must be an int, got 5.0"),
+    (lambda: hyperelliptic_coeff(5.5), "genus must be an int, got 5.5"),
+    (lambda: hyperelliptic_class(5.0), "genus must be an int, got 5.0"),
+    (lambda: wl_class(5, 2.0), "l must be an int, got 2.0"),
+    (lambda: wl_class(5.5, 2), "genus must be an int, got 5.5"),
+    (lambda: lambda_from_kappa(5, 3.0), "max_degree must be an int, got 3.0"),
+    (lambda: lambda_from_kappa(5.5, 3), "genus must be an int, got 5.5"),
+    (lambda: chern_character_even_check(2.0), "max_k must be an int, got 2.0"),
+    (lambda: kappa_table(3.0), "max_index must be an int, got 3.0"),
+    (lambda: lambda_gm1_lambda_g_constant(True),
+     "genus must be an int, got True"),
+])
+def test_ring_and_closed_form_entry_points_refuse_non_int_arguments(call, match):
+    """A float or bool genus, degree or index is a ValueError naming it, not
+    a TypeError from range() or a list index, nor a result (5.5 read as a
+    genus), and it is refused before the genus ceiling of the FZ ring."""
+    with pytest.raises(ValueError, match=match):
         call()
 
 

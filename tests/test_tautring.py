@@ -382,54 +382,28 @@ def test_certificate_records_the_rank_mod_p():
     whose rank met the socle ranks; given relations and SQ record none."""
     from tautrings.tautring import Certificate
     for g in (8, 9, 10):
-        assert build_ring(g).certificate == Certificate(5, 2 ** 61 - 1, True)
+        assert build_ring(g).certificate == Certificate(5, 2 ** 61 - 1)
     assert build_ring(8, relations=fz_relation_set(8, 6)).certificate is None
     assert build_ring(8, source="SQ").certificate is None
 
 
-def _spy_quotients(monkeypatch):
-    """Record (p, spans given) of every quotient `tautring` builds."""
-    from tautrings import tautring
-    built = []
-
-    class Spy(tautring.GradedQuotient):
-        def __init__(self, gens, relations, max_degree, p=None, spans=None):
-            built.append((p, spans is not None))
-            super().__init__(gens, relations, max_degree, p, spans)
-
-    monkeypatch.setattr(tautring, "GradedQuotient", Spy)
-    return built
-
-
 @pytest.mark.parametrize("g", range(6, 9))
-def test_small_prime_falls_back_to_exact_elimination(g, monkeypatch):
-    """Mod 2 the rank of no |sigma| bound meets the socle ranks, so the
-    ring of every FZ relation is eliminated over Q, with the same outputs
-    as the certified ring; the vanishing check falls back the same way."""
+def test_small_prime_certifies_nothing(g, monkeypatch):
+    """Mod 2 the rank of no |sigma| bound meets the socle ranks or makes
+    the top degrees vanish, and no exact elimination stands in for it."""
     from tautrings import tautring
-    from tautrings.tautring import Certificate
-    expected = _ring_outputs(build_ring(g))
     monkeypatch.setattr(tautring, "PRIME", 2)
-    built = _spy_quotients(monkeypatch)
-    model = build_ring(g)
-    cap = 3 * (g - 2) - g
-    assert model.certificate == Certificate(cap, 2, False)
-    assert model.relations == fz_relation_set(g, g - 2)
-    assert _ring_outputs(model) == expected
-    assert built[-1] == (None, False)
-    assert all(p == 2 for p, _ in built[:-1])
-    assert vanishing_check(g, g)
-    assert built[-1] == (None, False)
+    with pytest.raises(ArithmeticError, match="certifies"):
+        build_ring(g)
+    with pytest.raises(ArithmeticError, match="certifies"):
+        vanishing_check(g, g)
 
 
 @pytest.mark.parametrize("g", [8, 10])
-def test_denominator_divisible_by_prime_falls_back(g, monkeypatch):
+def test_denominator_divisible_by_prime_propagates(g, monkeypatch):
     """A relation whose denominator the prime divides has no image mod p:
-    the ring is then certified by exact elimination of the same subset,
-    with the outputs of the ring certified mod 2^61 - 1."""
+    the ZeroDivisionError reaches the caller."""
     from tautrings import tautring
-    from tautrings.tautring import Certificate
-    expected = _ring_outputs(build_ring(g))
     prime, original = 1000003, tautring.fz_relation_set
 
     def scaled(*args, **kwargs):
@@ -438,11 +412,36 @@ def test_denominator_divisible_by_prime_falls_back(g, monkeypatch):
 
     monkeypatch.setattr(tautring, "fz_relation_set", scaled)
     monkeypatch.setattr(tautring, "PRIME", prime)
-    built = _spy_quotients(monkeypatch)
-    model = build_ring(g)
-    assert model.certificate == Certificate(5, prime, False)
-    assert built == [(prime, False), (None, False)]
-    assert _ring_outputs(model) == expected
+    with pytest.raises(ZeroDivisionError):
+        build_ring(g)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: build_ring(24),
+    lambda: gorenstein_check(24),
+    lambda: vanishing_check(24, 23),
+])
+def test_default_ring_refuses_genus_past_ceiling(call, monkeypatch):
+    """Past MAX_GENUS = 23 no |sigma| bound certifies (at g = 24 the dims
+    mod p stay above the socle ranks), so the default FZ ring is refused
+    with a ValueError naming the ceiling and the exact route, before the
+    socle pairing or any relation is computed."""
+    from tautrings import tautring
+    assert tautring.MAX_GENUS == 23
+    calls = []
+
+    def spy(name):
+        def refuse(*args, **kwargs):
+            calls.append(name)
+            raise AssertionError(f"{name} called past the ceiling")
+        return refuse
+
+    for name in ("_socle_pairing", "fz_relation_set"):
+        monkeypatch.setattr(tautring, name, spy(name))
+    with pytest.raises(ValueError, match=r"MAX_GENUS = 23.*relations="
+                                         r"fz_relation_set\(g, g - 2\)"):
+        call()
+    assert calls == []
 
 
 @pytest.mark.parametrize("g", [13, 15])
@@ -455,6 +454,7 @@ def test_certified_ring_is_gorenstein_at_genus_13_and_15(g):
     ring is certified mod 2^61 - 1."""
     from tautrings.closedforms import kappa_socle_eval, kappa_table
     from tautrings.exactmath import exact_rank
+    from tautrings.tautring import Certificate
     model = build_ring(g)
     report = model.report(True)
     dims = report.dims
@@ -468,7 +468,7 @@ def test_certified_ring_is_gorenstein_at_genus_13_and_15(g):
                          for a in gens.monomials(d)])
              for d in range(g - 1)]
     assert dims == ranks
-    assert model.certificate.certified
+    assert model.certificate == Certificate({13: 5, 15: 9}[g], 2 ** 61 - 1)
 
 
 def test_fz_relation_set_max_sigma_filters_by_size():

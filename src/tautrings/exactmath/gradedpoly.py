@@ -68,33 +68,51 @@ class GeneratorTable:
                   vanishing: Iterable[Monomial] = ()) -> List[Monomial]:
         """All exponent tuples of the given weighted degree that no
         exponent tuple in `vanishing` divides, graded-lex order (within the
-        fixed degree: lexicographically decreasing exponents)."""
-        n = len(self.degrees)
-        # each vanishing support is checked at its last generator i, as the
-        # (index, exponent) pairs it needs below i and its exponent at i
-        cuts: Dict[int, List[Tuple[List[Tuple[int, int]], int]]] = {}
+        fixed degree: lexicographically decreasing exponents).  A walk on
+        an explicit stack chooses the nonzero exponents only, by increasing
+        position, each from the largest down, under the caps the supports
+        impose: a support caps its last generator once its others are."""
+        n, degs = len(self.degrees), self.degrees
+        # second-to-last position j (None: one-generator supports) -> (its
+        # exponent, needs below j) -> [mask of last positions capped at 0, caps]
+        cuts: Dict[Optional[int], Dict[tuple, list]] = {}
         for mono in vanishing:
-            need = [(j, e) for j, e in enumerate(mono) if e]
-            *below, (i, e) = need
-            cuts.setdefault(i, []).append((below, e))
+            *below, (k, e) = [(j, f) for j, f in enumerate(mono) if f]
+            j, f = below.pop() if below else (None, 0)
+            cut = cuts.setdefault(j, {}).setdefault((f, tuple(below)), [0, {}])
+            if e == 1:
+                cut[0] |= 1 << k
+            else:
+                cut[1][k] = min(cut[1].get(k, e), e - 1)
+        ban, caps = cuts.pop(None, {}).get((0, ()), (0, {}))
+        fits = [sum(1 << j for j, d in enumerate(degs) if d <= r)  # degree <= r
+                for r in range(min(degree, max(degs, default=0)) + 1)]
         out: List[Monomial] = []
-        # depth-first over (next generator, remaining degree, exponent
-        # prefix) with an explicit stack, so the generator count is not
-        # bounded by the recursion limit; exponents are pushed ascending so
-        # the largest is expanded first
-        stack = [(0, degree, ())]
+        stack = [(0, degree, (), ban, caps)] if degree >= 0 else []
         while stack:
-            i, remaining, acc = stack.pop()
+            i, remaining, chosen, ban, caps = stack.pop()
             if remaining == 0:
-                out.append(acc + (0,) * (n - i))
-            elif i < n:
-                d = self.degrees[i]
-                top = remaining // d
-                for below, e in cuts.get(i, ()):
-                    if e <= top and all(acc[j] >= f for j, f in below):
-                        top = e - 1
-                for e in range(top + 1):
-                    stack.append((i + 1, remaining - e * d, acc + (e,)))
+                mono = [0] * n
+                for j, e in chosen:
+                    mono[j] = e
+                out.append(tuple(mono))
+                continue
+            # pushed last position first, so the first one's largest e pops first
+            free = fits[min(remaining, len(fits) - 1)] & ~ban >> i << i
+            while free:
+                j = free.bit_length() - 1
+                free ^= 1 << j
+                d, fire = degs[j], cuts.get(j, {})
+                for e in range(1, min(remaining // d, caps.get(j, remaining)) + 1):
+                    b, c = ban, caps
+                    for (f, below), (mask, more) in fire.items():
+                        if e >= f and all(dict(chosen).get(x, 0) >= y
+                                          for x, y in below):
+                            b |= mask
+                            c = {**c, **{k: min(v, c.get(k, v))
+                                         for k, v in more.items()}} if more else c
+                    stack.append((j + 1, remaining - e * d,
+                                  chosen + ((j, e),), b, c))
         return out
 
     def __eq__(self, other) -> bool:

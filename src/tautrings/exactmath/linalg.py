@@ -1,7 +1,8 @@
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Union
+from math import gcd
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 __all__ = ["SparseEchelon", "exact_rank", "field_scalar"]
 
@@ -36,26 +37,25 @@ class SparseEchelon:
 
     Rows are dicts column -> nonzero rational.  Insertion reduces the new
     row against existing pivots (plain elimination, first-nonzero column
-    pivoting) and normalizes the pivot coefficient to 1.  The pivot
-    column set of a row space is intrinsic, so ranks, pivot columns and
-    `residual` representatives do not depend on insertion order.
+    pivoting) and keeps the rest as a pivot row.  The pivot column set of
+    a row space is intrinsic, so ranks, pivot columns and `residual`
+    representatives depend neither on insertion order nor on pivot scale.
+
+    Over Q, entries are ints where integral, `Fraction`s otherwise.  An
+    all-int pivot row is kept primitive (content 1, positive lead) and
+    meets an all-int row with lead a fraction-free: row * (b/g) - (a/g) *
+    pivot, b its lead, g = gcd(a, b); `residual` divides by the gathered
+    scale.  So the Keel rows never enter `Fraction` arithmetic.  Other
+    pivot rows have lead 1, and a row holding a `Fraction` is reduced by
+    the multiplier a/b.
 
     Over F_p the input entries are mapped by `field_scalar(p)`, so they
-    must be p-integral, and the same loop runs on ints: pivot rows and
-    multipliers are residues, a working row is reduced mod p only where
-    the loop needs its value (a leading entry), and its other entries grow
+    must be p-integral, and the same loop runs on ints: pivot rows are
+    residues with lead 1, a working row is reduced mod p only where the
+    loop needs its value (a leading entry), and its other entries grow
     by less than p^2 per step.  Rows that are independent mod p are
     independent over Q, so the rank mod p of p-integral rows is a lower
     bound on their rank over Q.
-
-    Input entries, pivot-row entries and the multiplier of each
-    elimination step are Python ints where they are integral (an integral
-    `Fraction` is kept as its numerator) and `Fraction`s otherwise.  Ints
-    are exact rationals, so this is the same elimination over Q, but rows
-    of small integers (the Keel relations) skip the gcd of every `Fraction`
-    operation, and an integral `Fraction` that arises inside a row does not
-    turn its products with a whole pivot row into `Fraction` arithmetic.
-    A pivot of +-1 is normalized without a division.
     `residual` returns `Fraction`s over Q and residues over F_p.
     """
 
@@ -71,20 +71,26 @@ class SparseEchelon:
     def pivot_columns(self) -> List[int]:
         return sorted(self.pivot_rows)
 
-    def _forward(self, row: Row) -> Row:
+    def _forward(self, row: Row) -> Tuple[Row, int]:
         """Eliminate leading columns while they hit pivots; stops at the
-        first pivot-free leading column (or empties the row)."""
+        first pivot-free leading column (or empties the row).  Returns it
+        and the int s with result = s * row - (a span element)."""
         p, scalar, pivots = self.p, self.scalar, self.pivot_rows
-        row = {c: w for c, v in row.items() if (w := scalar(v))}
+        row, scale = {c: w for c, v in row.items() if (w := scalar(v))}, 1
         while row:
             lead = min(row)
             pivot = pivots.get(lead)
             if pivot is None:
                 if p is None or row[lead] % p:
-                    return row
+                    return row, scale
                 del row[lead]
                 continue
-            coef = scalar(row.pop(lead))
+            coef, b = scalar(row.pop(lead)), pivot[lead]
+            if b != 1 and type(coef) is int and {int}.issuperset(map(type, row.values())):
+                coef, m = coef // (g := gcd(coef, b)), b // g
+                scale, row = scale * m, {c: v * m for c, v in row.items()}
+            elif b != 1:
+                coef = _lean(Fraction(coef, b))
             for c, v in pivot.items():
                 if c == lead:
                     continue
@@ -93,17 +99,21 @@ class SparseEchelon:
                     row[c] = s
                 else:
                     row.pop(c, None)
-        return row
+        return row, scale
 
     def add_row(self, row: Row) -> bool:
         """Insert a row; returns True if it enlarged the span."""
-        res = self._forward(row)
+        res = self._forward(row)[0]
         if not res:
             return False
         lead = min(res)
         a, scalar = res[lead], self.scalar
         if self.p is not None:
             inv = pow(a, -1, self.p)
+        elif {int}.issuperset(map(type, res.values())):
+            g = gcd(*res.values()) if a > 0 else -gcd(*res.values())
+            self.pivot_rows[lead] = {c: v // g for c, v in res.items()}
+            return True
         else:
             inv = a if a in (1, -1) else Fraction(1) / a
         self.pivot_rows[lead] = {c: w for c, v in res.items()
@@ -113,19 +123,19 @@ class SparseEchelon:
     def contains(self, row: Row) -> bool:
         """Whether the row lies in the span.  (The leading column of any
         span element is a pivot column, so forward elimination decides.)"""
-        return not self._forward(dict(row))
+        return not self._forward(row)[0]
 
     def residual(self, row: Row) -> Row:
         """Canonical representative of `row` modulo the span: every pivot
         column is eliminated, only pivot-free columns remain.  Its entries
         are `Fraction`s over Q and residues over F_p."""
         out: Row = {}
-        field = Fraction if self.p is None else self.scalar
-        row = self._forward(row)
+        row, scale = self._forward(row)
         while row:
-            lead = min(row)
-            out[lead] = field(row.pop(lead))
-            row = self._forward(row)
+            v = row.pop(lead := min(row))
+            out[lead] = Fraction(v, scale) if self.p is None else self.scalar(v)
+            row, s = self._forward(row)
+            scale *= s
         return out
 
 

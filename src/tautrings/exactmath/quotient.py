@@ -3,7 +3,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import add
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from . import check_int
 from .gradedpoly import GeneratorTable, GradedPolynomial, Monomial, Scalar
@@ -55,7 +55,14 @@ def relation_rows(gens: GeneratorTable,
     integral, or residues mod a prime `p`, each relation mapped once.
     Rows are sorted singletons first (free pivots, no fill-in)."""
     index = {m: i for i, m in enumerate(gens.monomials(d, vanishing))}
-    scalar = field_scalar(p)
+    return _product_rows(relations, d, lambda e: gens.monomials(e, vanishing),
+                         index, field_scalar(p))
+
+
+def _product_rows(relations: Sequence[GradedPolynomial], d: int, monomials: Callable,
+                  index: Mapping[Monomial, int], scalar) -> List[Dict[int, Scalar]]:
+    """`relation_rows` over given lists: `monomials(e)` are the surviving
+    degree-e monomials, `index` numbers those of degree d."""
     cofactors: Dict[int, List[Monomial]] = {}
     rows: List[Dict[int, Scalar]] = []
     for rel in relations:
@@ -63,7 +70,7 @@ def relation_rows(gens: GeneratorTable,
         if r > d or r == 0:
             continue
         if r not in cofactors:
-            cofactors[r] = gens.monomials(d - r, vanishing)
+            cofactors[r] = monomials(d - r)
         terms = [(mono, c) for mono, v in rel.terms.items() if (c := scalar(v))]
         for cof in cofactors[r]:
             # distinct terms times one cofactor are distinct monomials
@@ -188,8 +195,10 @@ class GradedQuotient:
             raise ValueError(f"degree {d} is outside the quotient's degrees "
                              f"0..{self.max_degree}")
         for e in range(len(self._echelons), d + 1):
-            ech = relation_echelon(self.gens, self._kept, e, self.vanishing,
-                                   self.p)
+            ech = SparseEchelon(self.p)
+            for row in _product_rows(self._kept, e, self._monomials.__getitem__,
+                                     self._index[e], ech.scalar):
+                ech.add_row(row)
             for rel in self.relations.get(e, ()):
                 if ech.add_row(self._row(e, rel.terms)):
                     self._kept.append(rel)

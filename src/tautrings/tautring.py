@@ -69,8 +69,8 @@ class RingModel:
 def build_ring(g: int, relations: Optional[Sequence[KappaRelation]] = None,
                source: str = "FZ") -> RingModel:
     """Assemble the ring model for genus g.  `relations` overrides the
-    generated set (used for shuffle/equivalence experiments); `source`
-    selects the FZ or the stable-quotient generator.
+    generated set (used for shuffle/equivalence experiments); `source`,
+    "FZ" or "SQ", selects the FZ or the stable-quotient generator.
 
     The default FZ model is built from the relations with |sigma| <= s,
     s = 5, 7, ..., and certified degree by degree.  That subset S gives
@@ -88,6 +88,8 @@ def build_ring(g: int, relations: Optional[Sequence[KappaRelation]] = None,
     g - 2)` is the exact route, every FZ relation eliminated over Q."""
     if check_int("genus", g) < 2:
         raise ValueError("genus must be >= 2")
+    if source not in ("FZ", "SQ"):
+        raise ValueError(f"source must be 'FZ' or 'SQ', got {source!r}")
     gens = kappa_table(g - 2)
     if relations is None and source == "FZ":
         pairing = _socle_pairing(_below_ceiling(g))

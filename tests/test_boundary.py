@@ -67,6 +67,19 @@ def test_keel_pairing_perfect(n):
     assert keel_pairing_check(n)
 
 
+def test_keel_pivot_rows_are_integral():
+    """The Keel rows are integral, so every pivot row of every degree is
+    stored as ints (primitive, positive lead): the elimination never
+    enters `Fraction` arithmetic."""
+    quotient = keel_quotient(6)
+    for d in range(4):
+        ech = quotient._echelon(d)
+        assert ech.rank == len(quotient.monomials(d)) - quotient.dim(d)
+        for lead, row in ech.pivot_rows.items():
+            assert all(type(v) is int for v in row.values()), (d, lead)
+            assert row[lead] > 0
+
+
 @pytest.mark.parametrize("n", [4, 5, 6])
 def test_fourpoint_relations_reduce_to_zero(n):
     quotient = keel_quotient(n)

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction as F
+from itertools import combinations_with_replacement
 from math import comb, gcd
 
 import pytest
@@ -525,6 +526,119 @@ def test_integral_entries_leave_as_fractions():
         assert entries and all(type(c) is F for c in entries)
 
 
+class _ReferenceEchelon:
+    """Plain elimination, the reference for `SparseEchelon`: every entry a
+    `Fraction` (a residue mod p over F_p), every pivot row normalized to
+    lead 1, every row fully reduced."""
+
+    def __init__(self, p=None):
+        self.p, self.rows = p, {}
+
+    def residual(self, row):
+        p = self.p
+        row = {c: F(v) if p is None else F(v).numerator
+               * pow(F(v).denominator, -1, p) % p for c, v in row.items()}
+        out = {}
+        while row := {c: v for c, v in row.items() if v}:
+            lead = min(row)
+            a = row.pop(lead)
+            if lead not in self.rows:
+                out[lead] = a
+                continue
+            for c, v in self.rows[lead].items():
+                if c != lead:
+                    row[c] = row.get(c, 0) - a * v
+                    if p is not None:
+                        row[c] %= p
+        return out
+
+    def add_row(self, row):
+        res = self.residual(row)
+        if not res:
+            return False
+        lead = min(res)
+        inv = 1 / res[lead] if self.p is None else pow(res[lead], -1, self.p)
+        self.rows[lead] = {c: v * inv if self.p is None else v * inv % self.p
+                           for c, v in res.items()}
+        return True
+
+
+def _compare_with_reference(rows, probes, p=None):
+    """Insert `rows` into both echelons, then compare rank, pivot columns,
+    `contains` and `residual` of every probe row (entries and types)."""
+    ech, ref = SparseEchelon(p), _ReferenceEchelon(p)
+    for row in rows:
+        assert ech.add_row(row) == ref.add_row(row)
+    assert ech.rank == len(ref.rows)
+    assert ech.pivot_columns() == sorted(ref.rows)
+    for row in probes + rows:
+        res = ech.residual(row)
+        assert res == ref.residual(row)
+        assert all(type(v) is (F if p is None else int) for v in res.values())
+        assert ech.contains(row) == (not ref.residual(row))
+    return ech
+
+
+def _random_rows(rng, count, width, entry):
+    """`count` sparse rows, a third of them combinations of earlier ones
+    (so some reduce to zero and many leads are not units)."""
+    rows = []
+    for _ in range(count):
+        if len(rows) >= 2 and rng.random() < 0.35:
+            a, b = rng.sample(rows, 2)
+            x, y = entry(), entry()
+            row = {c: x * a.get(c, 0) + y * b.get(c, 0) for c in set(a) | set(b)}
+        else:
+            row = {rng.randrange(width): entry()
+                   for _ in range(rng.randint(1, width // 2))}
+        rows.append({c: v for c, v in row.items() if v})
+    return rows
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_fraction_free_elimination_matches_fraction_reference(seed):
+    """Integer rows with non-unit leads (entries -4..4) are eliminated
+    without fractions, into primitive pivot rows (content 1, positive
+    lead, ints only), with the rank, pivots, membership and exact
+    residuals of plain `Fraction` elimination."""
+    rng = random.Random(seed)
+    rows = _random_rows(rng, 14, 10, lambda: rng.randint(-4, 4))
+    probes = _random_rows(rng, 8, 10, lambda: rng.randint(-4, 4))
+    ech = _compare_with_reference(rows, probes)
+    for lead, row in ech.pivot_rows.items():
+        assert all(type(v) is int for v in row.values())
+        assert row[lead] > 0 and gcd(*row.values()) == 1
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_mixed_rows_match_fraction_reference(seed):
+    """Rows mixing ints and `Fraction`s, so that int pivot rows with
+    non-unit leads meet rows with fractions and the other way round."""
+    rng = random.Random(seed)
+    entry = lambda: rng.choice((rng.randint(-4, 4),
+                                F(rng.randint(-4, 4), rng.randint(1, 4))))
+    rows = _random_rows(rng, 14, 10, lambda: rng.randint(-4, 4))
+    rows = [row if rng.random() < 0.5 else
+            {c: entry() for c in row} for row in rows]
+    rows = [{c: v for c, v in row.items() if v} for row in rows]
+    probes = _random_rows(rng, 8, 10, entry)
+    _compare_with_reference([r for r in rows if r], probes)
+
+
+@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("p", [3, 7, 2 ** 61 - 1])
+def test_elimination_mod_p_matches_reference(seed, p):
+    """Over F_p the pivot rows stay residues with lead 1 and the same
+    reference decides rank, pivots, membership and residuals."""
+    rng = random.Random(seed)
+    entry = lambda: rng.choice((rng.randint(-4, 4),
+                                F(rng.randint(-4, 4), rng.choice((1, 2, 5)))))
+    rows = _random_rows(rng, 14, 10, entry)
+    probes = _random_rows(rng, 8, 10, entry)
+    ech = _compare_with_reference(rows, probes, p)
+    assert all(row[lead] == 1 for lead, row in ech.pivot_rows.items())
+
+
 # ---------------------------------------------------------------------------
 # Graded quotient engine
 # ---------------------------------------------------------------------------
@@ -638,6 +752,75 @@ def test_monomials_skip_vanishing_supports():
     assert gens.monomials(3, [(0, 0, 0, 1)]) == [(3, 0, 0, 0), (2, 0, 1, 0),
                                                  (1, 1, 0, 0), (1, 0, 2, 0),
                                                  (0, 1, 1, 0), (0, 0, 3, 0)]
+
+
+def _monomials_oracle(degrees, d, vanishing):
+    """Brute force: every exponent tuple of weighted degree d (a multiset
+    of generators of total degree d), without the multiples of a
+    vanishing support, sorted lexicographically decreasing."""
+    n = len(degrees)
+    out = set()
+    for k in range(d + 1):
+        for picks in combinations_with_replacement(range(n), k):
+            if sum(degrees[j] for j in picks) == d:
+                out.add(tuple(picks.count(j) for j in range(n)))
+    return sorted((m for m in out if not any(
+        all(x >= y for x, y in zip(m, s)) for s in vanishing)), reverse=True)
+
+
+def _random_supports(rng, n):
+    """Vanishing supports of every shape: single-generator powers, pairs,
+    supports of three or more generators with exponents up to 3, and
+    duplicate or redundant (divisible by another) supports."""
+    def support(k, top):
+        mono = [0] * n
+        for j in rng.sample(range(n), k):
+            mono[j] = rng.randint(1, top)
+        return tuple(mono)
+    out = []
+    for _ in range(rng.randint(0, 2)):
+        out.append(support(1, 3))
+    for _ in range(rng.randint(0, 3)):
+        out.append(support(min(2, n), 1))
+    if n >= 3:
+        for _ in range(rng.randint(0, 2)):
+            out.append(support(rng.randint(3, n), 3))
+    for s in rng.sample(out, min(3, len(out))):
+        last = max(j for j, e in enumerate(s) if e)
+        out.append(rng.choice((
+            s, tuple(e + rng.randint(0, 1) for e in s),
+            tuple(e + (j == last) for j, e in enumerate(s)))))
+    rng.shuffle(out)
+    return out
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_monomials_match_brute_force_oracle(seed):
+    """Seeded random tables of degrees 1..3 with every kind of vanishing
+    support: the same tuples as the brute force, in the same order."""
+    rng = random.Random(seed)
+    n = rng.randint(1, 6)
+    degrees = [rng.randint(1, 3) for _ in range(n)]
+    gens = GeneratorTable([(f"x{i}", e) for i, e in enumerate(degrees)])
+    vanishing = _random_supports(rng, n)
+    for d in range(-1, 8):
+        expected = _monomials_oracle(degrees, d, vanishing) if d >= 0 else []
+        assert gens.monomials(d, vanishing) == expected
+        assert gens.monomials(d) == (_monomials_oracle(degrees, d, ())
+                                     if d >= 0 else [])
+
+
+@pytest.mark.parametrize("n", [4, 5, 6])
+def test_monomials_match_brute_force_on_keel_supports(n):
+    """The crossing products of the Keel presentation as supports: the
+    nested-set monomials of each degree, as the brute force lists them."""
+    from tautrings.boundary import keel_quotient
+    quotient = keel_quotient(n)
+    degrees = list(quotient.gens.degrees)
+    for d in range(n - 2):
+        expected = _monomials_oracle(degrees, d, quotient.vanishing)
+        assert quotient.gens.monomials(d, quotient.vanishing) == expected
+        assert quotient.monomials(d) == expected
 
 
 def _random_presentation(rng):

@@ -80,6 +80,18 @@ def test_ring_dims_rejects_low_genus():
         ring_dims(1)
 
 
+@pytest.mark.parametrize("source", ["fz", "XX", "sq", ""])
+def test_build_ring_rejects_unknown_source(source):
+    """A misspelt source is an error naming both sources, not the SQ ring
+    (whose genus-4 dims [1, 1, 2] differ from the FZ dims [1, 1, 1])."""
+    assert ring_dims(4, source="FZ") == [1, 1, 1]
+    assert ring_dims(4, source="SQ") == [1, 1, 2]
+    with pytest.raises(ValueError, match="'FZ' or 'SQ'"):
+        ring_dims(4, source=source)
+    with pytest.raises(ValueError, match="'FZ' or 'SQ'"):
+        build_ring(4, relations=[], source=source)
+
+
 @pytest.mark.parametrize("g", range(2, 9))
 def test_gorenstein_small_genera(g):
     rep = gorenstein_check(g)

@@ -98,7 +98,7 @@ class GeneratorTable:
                 out.append(tuple(mono))
                 continue
             # pushed last position first, so the first one's largest e pops first
-            free = fits[min(remaining, len(fits) - 1)] & ~ban >> i << i
+            free, have = fits[min(remaining, len(fits) - 1)] & ~ban >> i << i, dict(chosen)
             while free:
                 j = free.bit_length() - 1
                 free ^= 1 << j
@@ -106,8 +106,7 @@ class GeneratorTable:
                 for e in range(1, min(remaining // d, caps.get(j, remaining)) + 1):
                     b, c = ban, caps
                     for (f, below), (mask, more) in fire.items():
-                        if e >= f and all(dict(chosen).get(x, 0) >= y
-                                          for x, y in below):
+                        if e >= f and all(have.get(x, 0) >= y for x, y in below):
                             b |= mask
                             c = {**c, **{k: min(v, c.get(k, v))
                                          for k, v in more.items()}} if more else c

@@ -1,7 +1,7 @@
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 __all__ = ["SparseEchelon", "exact_rank", "field_scalar"]
@@ -41,13 +41,12 @@ class SparseEchelon:
     a row space is intrinsic, so ranks, pivot columns and `residual`
     representatives depend neither on insertion order nor on pivot scale.
 
-    Over Q, entries are ints where integral, `Fraction`s otherwise.  An
-    all-int pivot row is kept primitive (content 1, positive lead) and
-    meets an all-int row with lead a fraction-free: row * (b/g) - (a/g) *
-    pivot, b its lead, g = gcd(a, b); `residual` divides by the gathered
-    scale.  So the Keel rows never enter `Fraction` arithmetic.  Other
-    pivot rows have lead 1, and a row holding a `Fraction` is reduced by
-    the multiplier a/b.
+    Over Q a row entering the loop is cleared of denominators, the factor
+    gathered in a scale, so the loop runs on ints only.  Pivot rows are
+    primitive (content 1, positive lead), and a row with lead a meets a
+    pivot row with lead b fraction-free: row * (b/g) - (a/g) * pivot,
+    g = gcd(a, b).  `residual` divides by the gathered scale, so its
+    coefficients are exact.
 
     Over F_p the input entries are mapped by `field_scalar(p)`, so they
     must be p-integral, and the same loop runs on ints: pivot rows are
@@ -75,8 +74,14 @@ class SparseEchelon:
         """Eliminate leading columns while they hit pivots; stops at the
         first pivot-free leading column (or empties the row).  Returns it
         and the int s with result = s * row - (a span element)."""
-        p, scalar, pivots = self.p, self.scalar, self.pivot_rows
-        row, scale = {c: w for c, v in row.items() if (w := scalar(v))}, 1
+        p, pivots = self.p, self.pivot_rows
+        if p is None:
+            # clear denominators: from here on the row holds ints only
+            scale = lcm(*(v.denominator for v in row.values()))
+            row = {c: v.numerator * (scale // v.denominator)
+                   for c, v in row.items() if v}
+        else:
+            row, scale = {c: w for c, v in row.items() if (w := self.scalar(v))}, 1
         while row:
             lead = min(row)
             pivot = pivots.get(lead)
@@ -85,12 +90,10 @@ class SparseEchelon:
                     return row, scale
                 del row[lead]
                 continue
-            coef, b = scalar(row.pop(lead)), pivot[lead]
-            if b != 1 and type(coef) is int and {int}.issuperset(map(type, row.values())):
+            coef, b = row.pop(lead) if p is None else row.pop(lead) % p, pivot[lead]
+            if b != 1:
                 coef, m = coef // (g := gcd(coef, b)), b // g
                 scale, row = scale * m, {c: v * m for c, v in row.items()}
-            elif b != 1:
-                coef = _lean(Fraction(coef, b))
             for c, v in pivot.items():
                 if c == lead:
                     continue
@@ -107,17 +110,12 @@ class SparseEchelon:
         if not res:
             return False
         lead = min(res)
-        a, scalar = res[lead], self.scalar
-        if self.p is not None:
-            inv = pow(a, -1, self.p)
-        elif {int}.issuperset(map(type, res.values())):
-            g = gcd(*res.values()) if a > 0 else -gcd(*res.values())
+        if self.p is None:
+            g = gcd(*res.values()) if res[lead] > 0 else -gcd(*res.values())
             self.pivot_rows[lead] = {c: v // g for c, v in res.items()}
-            return True
         else:
-            inv = a if a in (1, -1) else Fraction(1) / a
-        self.pivot_rows[lead] = {c: w for c, v in res.items()
-                                 if (w := scalar(v * inv))}
+            inv, p = pow(res[lead], -1, self.p), self.p
+            self.pivot_rows[lead] = {c: w for c, v in res.items() if (w := v * inv % p)}
         return True
 
     def contains(self, row: Row) -> bool:
@@ -141,7 +139,7 @@ class SparseEchelon:
 
 def exact_rank(matrix: Iterable[Sequence[Fraction]]) -> int:
     """Rank over Q of a dense rectangular matrix of ints and rationals, by
-    plain rational Gaussian elimination with first-nonzero pivoting."""
+    fraction-free Gaussian elimination with first-nonzero pivoting."""
     ech = SparseEchelon()
     width: Optional[int] = None
     for r in matrix:

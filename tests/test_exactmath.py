@@ -612,8 +612,9 @@ def test_fraction_free_elimination_matches_fraction_reference(seed):
 
 @pytest.mark.parametrize("seed", range(10))
 def test_mixed_rows_match_fraction_reference(seed):
-    """Rows mixing ints and `Fraction`s, so that int pivot rows with
-    non-unit leads meet rows with fractions and the other way round."""
+    """Rows mixing ints and `Fraction`s with non-unit leads.  Each row's
+    denominators are cleared on entry, so every pivot row is primitive
+    ints here too, and the residuals are those of `Fraction` elimination."""
     rng = random.Random(seed)
     entry = lambda: rng.choice((rng.randint(-4, 4),
                                 F(rng.randint(-4, 4), rng.randint(1, 4))))
@@ -622,7 +623,10 @@ def test_mixed_rows_match_fraction_reference(seed):
             {c: entry() for c in row} for row in rows]
     rows = [{c: v for c, v in row.items() if v} for row in rows]
     probes = _random_rows(rng, 8, 10, entry)
-    _compare_with_reference([r for r in rows if r], probes)
+    ech = _compare_with_reference([r for r in rows if r], probes)
+    for lead, row in ech.pivot_rows.items():
+        assert all(type(v) is int for v in row.values())
+        assert row[lead] > 0 and gcd(*row.values()) == 1
 
 
 @pytest.mark.parametrize("seed", range(6))

@@ -77,8 +77,9 @@ class CacheFile:
         table.load(self.sections["correlators"])
 
     def collect(self, table: CorrelatorTable) -> bool:
-        """Add the table's entries that the section lacks; True if any."""
+        """Add the table's memo entries that the section lacks; True if any.
+        Unread loaded entries are not compared, so the work is the memo's."""
         section = self.sections["correlators"]
-        added = {k: v for k, v in table.snapshot().items() if k not in section}
+        added = {k: v for k, v in table.memo_entries().items() if k not in section}
         section.update(added)
         return bool(added)

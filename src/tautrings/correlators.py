@@ -77,7 +77,7 @@ def _key_text(g: int, exps: Tuple[int, ...]) -> str:
     return f"{g}:" + ",".join(map(str, exps))
 
 
-# The cache-entry grammar, the shape `snapshot` writes (though a value
+# The cache-entry grammar, the shape `memo_entries` writes (though a value
 # need not be in lowest terms): decimal ints with no sign, spaces,
 # underscores or leading zeros; keys stable (n >= 3 in genus 0, n >= 1 in
 # genus 1); values "num/den" with den > 0.
@@ -111,10 +111,10 @@ class CorrelatorTable:
     """Memo table of correlator values, safe for concurrent readers.
 
     The table is transparent: clearing it and recomputing reproduces every
-    value exactly.  `snapshot`/`load` exchange the content with the cache
-    file layer, keys "g:k1,k2,..." with the exponents non-increasing and
-    values "num/den".  `load` checks every entry against that grammar at
-    once but parses none: `get` parses an entry the first time its key
+    value exactly.  `memo_entries`/`load` exchange the content with the
+    cache file layer, keys "g:k1,k2,..." with the exponents non-increasing
+    and values "num/den".  `load` checks every entry against that grammar
+    at once but parses none: `get` parses an entry the first time its key
     misses the memo.  A key whose exponents are not sorted is never looked
     up, so such an entry is kept as read and never used.
     """
@@ -155,15 +155,13 @@ class CorrelatorTable:
         """The number of values in the memo: computed, put or read."""
         return len(self._data)
 
-    def snapshot(self) -> Dict[str, str]:
-        """The content in cache-file form; loaded entries are passed on
-        as read."""
+    def memo_entries(self) -> Dict[str, str]:
+        """The memo's values, computed, put or read, in cache-file form;
+        unread loaded entries are left out."""
         with self._lock:
             items = list(self._data.items())
-            out = dict(self._raw)
-        for (g, exps), v in items:
-            out.setdefault(_key_text(g, exps), f"{v.numerator}/{v.denominator}")
-        return out
+        return {_key_text(g, exps): f"{v.numerator}/{v.denominator}"
+                for (g, exps), v in items}
 
     def load(self, entries: Dict[str, str]) -> None:
         """Take in cache entries, keeping `entries` itself unless the table
@@ -255,8 +253,9 @@ def psi_intersection(g: int, exponents: Sequence[int],
 
     Everything is generated from the initial value <tau_0^3>_0 = 1, the
     string equation, and the KdV equation for the generating function of
-    these numbers, coefficient-matched into the recursion on the largest
-    exponent (see docs/correlator_recursion.md for the derivation).
+    these numbers, coefficient-matched into the recursion on the smallest
+    exponent, whose quadratic sums are the shortest (see
+    docs/correlator_recursion.md for the derivation).
     Off-degree queries return 0; unstable (g, n) and exponents or a genus
     that are not ints raise `ValueError`.
     """
@@ -326,7 +325,7 @@ def _steps(g: int, exps: Tuple[int, ...]) -> _Steps:
 
 
 def _dvv(g: int, exps: Tuple[int, ...]) -> _Steps:
-    """Recursion on the largest exponent d (exps sorted non-increasing, all
+    """Recursion on the smallest exponent d (exps sorted non-increasing, all
     >= 2 here), with X the remaining multiset:
 
     (2d+1)!! <tau_d X>_g =
@@ -334,23 +333,27 @@ def _dvv(g: int, exps: Tuple[int, ...]) -> _Steps:
       + 1/2 sum_{a+b=d-2} (2a+1)!!(2b+1)!! [ <tau_a tau_b X>_{g-1}
           + sum_{I + J = X} prod_k C(c_k, i_k) <tau_a I>_{g1} <tau_b J>_{g-g1} ]
 
-    The first sum runs over the distinct k in X, times their multiplicity;
-    the last over sub-multisets I of X (i_k copies of each k that occurs
-    c_k times), where the degree fixes g1 = (a + sum(I) - |I| + 2) / 3.
-    Each term is kept as an integer numerator and denominator, and the
-    value is one Fraction over their lcm.
+    The identity holds whichever exponent is distinguished; the smallest
+    makes the quadratic sums over a + b = d - 2 the shortest, and keeps
+    large exponents out of the memo.  The first sum runs over the distinct
+    k in X, times their multiplicity; the last over sub-multisets I of X
+    (i_k copies of each k that occurs c_k times), where the degree fixes
+    g1 = (a + sum(I) - |I| + 2) / 3.  Each term is kept as an integer
+    numerator and denominator, and the value is one Fraction over their lcm.
     """
-    d = exps[0]
-    rest = exps[1:]
+    d = exps[-1]
+    rest = exps[:-1]
     m = len(rest)
-    odd = [1]  # odd[i] = (2i-1)!!
-    for i in range(1, 2 * d + 1):
+    odd = [1]  # odd[i] = (2i-1)!! up to i = d + max(exps)
+    for i in range(1, d + exps[0] + 1):
         odd.append(odd[-1] * (2 * i - 1))
     terms = []  # (numerator, denominator): the sum is 2 (2d+1)!! <tau_d X>_g
 
     runs = _runs(rest)
     for k, c, last in runs:
-        merged = (d + k - 1,) + rest[:last] + rest[last + 1:]
+        # d >= 2, so d + k - 1 > k: the merged key needs sorting again
+        merged = tuple(sorted(rest[:last] + rest[last + 1:] + (d + k - 1,),
+                              reverse=True))
         v = yield g, merged
         terms.append((2 * c * (odd[d + k] // odd[k]) * v.numerator, v.denominator))
 

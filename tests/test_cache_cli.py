@@ -47,6 +47,21 @@ def test_cache_round_trip_byte_identical(tmp_path):
     assert path.read_bytes() == first
 
 
+def test_collect_adds_only_memo_entries(tmp_path):
+    """`collect` compares the memo with the section, not the table's
+    unread loaded entries: a table loaded from another file passes on only
+    the values it read or computed."""
+    table = CorrelatorTable()
+    table.load({"1:1": "1/24", "2:4": "1/1152", "3:7": "1/82944"})
+    cache = CacheFile(str(tmp_path / "c.json"))
+    assert cache.collect(table) is False
+    assert table.get(1, (1,)) == F(1, 24)
+    psi_intersection(1, [2, 0], table)
+    assert cache.collect(table) is True
+    assert cache.sections["correlators"] == {"1:1": "1/24", "1:2,0": "1/24"}
+    assert table.memo_entries() == cache.sections["correlators"]
+
+
 def test_cache_version_mismatch_rejected(tmp_path):
     path = tmp_path / "cache.json"
     path.write_text(json.dumps({"version": "999", "sections": {}, "checksum": ""}))

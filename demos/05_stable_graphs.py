@@ -1,8 +1,12 @@
 """Stable graphs: the combinatorics of boundary strata.
 
 Each graph carries vertex genera, numbered legs, and edges (nodes);
-self-loops and multi-edges are allowed.  The enumerator degenerates the
-smooth graph one edge at a time and deduplicates by canonical labeling.
+self-loops and multi-edges are allowed.  The enumerator builds type (g, n)
+from the graphs of type (g, n - 1) by inverting the forgetful map: leg n
+goes on a vertex, on a new genus-0 vertex bubbled off another leg, or on a
+new genus-0 vertex splitting an edge.  The types (g, 0), (0, 3) and (1, 1)
+degenerate the smooth graph one edge at a time.  Candidates are
+deduplicated by canonical labeling.
 """
 from tautrings import enumerate_graphs, generator_count, validate_graph
 

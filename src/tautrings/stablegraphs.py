@@ -299,19 +299,55 @@ def _check_type(g: int, n: int) -> None:
                          "otherwise g <= 3 and n <= 6")
 
 
+def _leg_steps(graph: StableGraph, n: int) -> Iterator[StableGraph]:
+    """The graphs of type (g, n) that forgetting leg n and stabilizing
+    takes to `graph`, of type (g, n - 1), at least one per isomorphism
+    class.  Forgetting leg n either leaves its vertex stable, or leaves a
+    genus-0 vertex with two other half-edges, which is contracted; so the
+    inverses are: leg n put on a vertex; a new genus-0 vertex carrying
+    legs (i, n), bubbled off the vertex of leg i; or a new genus-0 vertex
+    carrying leg n that splits an edge, one edge per bundle of parallel
+    edges (a split loop becomes two parallel edges).  Every other vertex
+    keeps its valence and the genus does not change."""
+    vertices, edges = graph.vertices, graph.edges
+    w = len(vertices)
+    for v, (gv, legs) in enumerate(vertices):
+        yield StableGraph._of(vertices[:v] + ((gv, legs + (n,)),) + vertices[v + 1:], edges)
+        for i, leg in enumerate(legs):
+            yield StableGraph._of(
+                vertices[:v] + ((gv, legs[:i] + legs[i + 1:]),) + vertices[v + 1:]
+                + ((0, (leg, n)),),
+                tuple(sorted(edges + ((v, w),))))
+    for k, (a, b) in enumerate(edges):
+        if k == 0 or edges[k - 1] != (a, b):
+            yield StableGraph._of(vertices + ((0, (n,)),),
+                                  tuple(sorted(edges[:k] + edges[k + 1:] + ((a, w), (b, w)))))
+
+
 def enumerate_graphs(g: int, n: int) -> List[StableGraph]:
     """One representative per isomorphism class of stable graphs of type
-    (g, n), sorted by edge count.  Generated by iterated one-edge
-    degenerations from the smooth graph, deduplicated by canonical form.
-    Desk scale: n <= 8 in genus 0, otherwise g <= 3 and n <= 6.  The
-    graphs are computed once per (g, n) and process; each call returns a
-    new list of them."""
+    (g, n), sorted by edge count.  Desk scale: n <= 8 in genus 0,
+    otherwise g <= 3 and n <= 6.  The graphs are computed once per (g, n)
+    and process, and computing (g, n) also memoizes every stable (g, k)
+    with k < n; each call returns a new list of them."""
     _check_type(g, n)
     return list(_graphs(g, n))
 
 
 @lru_cache(maxsize=None)
 def _graphs(g: int, n: int) -> Tuple[StableGraph, ...]:
+    """The graphs of type (g, n) in canonical form, sorted by (edge count,
+    vertices, edges).  Type (g, n) with (g, n - 1) stable is built by the
+    leg steps from the memoized graphs of type (g, n - 1), so computing
+    it memoizes every stable (g, k) with k < n.  The base types (g, 0),
+    (0, 3) and (1, 1) are built by iterated one-edge degenerations from
+    the smooth graph, one level per edge count.  Candidates are
+    deduplicated by canonical form."""
+    if n and 2 * g - 3 + n > 0:
+        keys = {cand.canonical_form()
+                for graph in _graphs(g, n - 1) for cand in _leg_steps(graph, n)}
+        return tuple(StableGraph._of(*key)
+                     for key in sorted(keys, key=lambda key: (len(key[1]), key)))
     smooth = StableGraph([(g, range(1, n + 1))], [])
     levels: List[List[StableGraph]] = [[smooth]]
     seen = {smooth.canonical_form()}

@@ -8,8 +8,8 @@ from math import factorial, prod
 import pytest
 
 from tautrings.boundary import keel_ring_dims
-from tautrings.stablegraphs import (StableGraph, _degenerations, enumerate_graphs,
-                                    generator_count, validate_graph)
+from tautrings.stablegraphs import (StableGraph, _degenerations, _leg_steps,
+                                    enumerate_graphs, generator_count, validate_graph)
 
 
 # ---------------------------------------------------------------------------
@@ -153,13 +153,17 @@ def test_degenerations_stable_and_without_mirror_twins():
 
 
 def test_degenerations_yield_normal_forms():
-    """`_degenerations` builds its candidates without the checking
-    constructor, so each must already be in the normalized form that
-    constructor would give it."""
+    """`_degenerations` and `_leg_steps` build their candidates without the
+    checking constructor, so each must already be in the normalized form
+    that constructor would give it."""
     for (g, n) in [(0, 5), (1, 3), (2, 2)]:
         for graph in enumerate_graphs(g, n):
             for cand in _degenerations(graph):
                 assert StableGraph(cand.vertices, cand.edges) == cand, cand
+        for graph in enumerate_graphs(g, n - 1):
+            for cand in _leg_steps(graph, n):
+                assert StableGraph(cand.vertices, cand.edges) == cand, cand
+                assert validate_graph(cand, g, n), cand
 
 
 def test_canonical_form_invariant_under_relabelling():
@@ -282,6 +286,9 @@ def test_export_shape():
 PINNED_TYPES = [(0, 3), (0, 4), (0, 5), (0, 6), (1, 1), (1, 2), (1, 3),
                 (1, 4), (1, 5), (2, 0), (2, 1), (2, 2), (2, 3), (2, 4), (3, 0)]
 
+# the types built by one-edge degenerations alone: (g, n - 1) is unstable
+LEG_STEP_BASES = {(0, 3), (1, 1), (2, 0), (3, 0)}
+
 
 def test_graph_exports_pinned():
     """The graph lists, order included, for every (g, n) that these tests,
@@ -392,11 +399,20 @@ def reference_degenerations(graph: StableGraph):
 def test_canonical_form_matches_reference_on_every_candidate():
     """The one-pass canonical form (relabel once when the colours differ
     pairwise) gives the reference key on every candidate the enumeration
-    keys, for every pinned type."""
+    keys, for every pinned type: the one-edge degenerations, and the leg
+    steps from type (g, n - 1), each a valid graph of type (g, n) in the
+    normalized form."""
     for g, n in PINNED_TYPES:
         for graph in enumerate_graphs(g, n):
             for cand in _degenerations(graph):
                 assert cand.canonical_form() == reference_canonical_form(cand), cand
+        if (g, n) in LEG_STEP_BASES:
+            continue
+        for graph in enumerate_graphs(g, n - 1):
+            for cand in _leg_steps(graph, n):
+                assert cand.canonical_form() == reference_canonical_form(cand), cand
+                assert validate_graph(cand, g, n), cand
+                assert StableGraph(cand.vertices, cand.edges) == cand, cand
 
 
 def test_pruned_splits_reach_every_class_of_the_full_split_loop():
@@ -416,3 +432,82 @@ def test_pruned_splits_reach_every_class_of_the_full_split_loop():
             assert all(cand in unordered for cand in pruned), graph
             keys = [unordered[cand] for cand in pruned]
             assert len(set(keys)) == len(keys) == len(set(unordered.values())), graph
+
+
+# ---------------------------------------------------------------------------
+# The forgetful map: the graphs of type (g, n) are the leg steps of those of
+# type (g, n - 1), checked against an independent forget-and-stabilize and
+# against the levelled enumeration by one-edge degenerations alone.
+# ---------------------------------------------------------------------------
+
+def forget_last_leg(graph: StableGraph) -> StableGraph:
+    """Remove the largest leg n and contract its vertex if that leaves it
+    unstable: a genus-0 vertex with one leg and one edge end passes the leg
+    along the edge; one with two edge ends becomes the edge joining their
+    other ends."""
+    n = max(graph.legs())
+    v = next(i for i, (_, legs) in enumerate(graph.vertices) if n in legs)
+    vertices = [(gv, [leg for leg in legs if leg != n]) for gv, legs in graph.vertices]
+    edges = [list(e) for e in graph.edges]
+    gv, legs = vertices[v]
+    if 2 * gv - 3 + graph.valences()[v] > 0:
+        return StableGraph(vertices, edges)
+    ends = [(k, side) for k, e in enumerate(edges) for side in (0, 1) if e[side] == v]
+    others = [edges[k][1 - side] for k, side in ends]
+    if legs:
+        vertices[others[0]][1].extend(legs)
+        edges = [e for k, e in enumerate(edges) if k != ends[0][0]]
+    else:
+        edges = [e for k, e in enumerate(edges) if k not in (ends[0][0], ends[1][0])]
+        edges.append(others)
+    del vertices[v]
+    return StableGraph(vertices, [[u - (u > v) for u in e] for e in edges])
+
+
+def test_every_graph_is_a_leg_step_of_its_image_under_forgetting():
+    """For every pinned type built by leg steps, forgetting leg n takes
+    each graph to a graph of type (g, n - 1) that the enumeration lists,
+    and the graph's class is among the leg steps of that image.  The list
+    holds the smooth graph and every one-edge degeneration of a listed
+    graph, so no class is missing."""
+    for g, n in PINNED_TYPES:
+        if (g, n) in LEG_STEP_BASES:
+            continue
+        lower = {graph.canonical_form() for graph in enumerate_graphs(g, n - 1)}
+        listed = {graph.canonical_form() for graph in enumerate_graphs(g, n)}
+        assert StableGraph([(g, range(1, n + 1))], []).canonical_form() in listed
+        for graph in enumerate_graphs(g, n):
+            image = forget_last_leg(graph)
+            assert validate_graph(image, g, n - 1), graph
+            assert image.canonical_form() in lower, graph
+            assert graph.canonical_form() in {cand.canonical_form()
+                                              for cand in _leg_steps(image, n)}, graph
+            assert all(cand.canonical_form() in listed
+                       for cand in _degenerations(graph)), graph
+
+
+def levelled_graphs(g, n):
+    """The enumeration by one-edge degenerations alone: one level per edge
+    count, each level's new classes sorted by (vertices, edges)."""
+    smooth = StableGraph([(g, range(1, n + 1))], [])
+    levels = [[smooth]]
+    seen = {smooth.canonical_form()}
+    while levels[-1]:
+        nxt = []
+        for graph in levels[-1]:
+            for cand in _degenerations(graph):
+                key = cand.canonical_form()
+                if key not in seen:
+                    seen.add(key)
+                    nxt.append(StableGraph(*key))
+        nxt.sort(key=lambda gr: (gr.vertices, gr.edges))
+        levels.append(nxt)
+    return [graph for level in levels for graph in level]
+
+
+@pytest.mark.parametrize("g,n", [(0, 7), (3, 1), (3, 2)])
+def test_leg_steps_equal_levelled_degenerations_beyond_pinned(g, n):
+    """Past the pinned digest, the enumeration through the forgetful map
+    lists the same graphs in the same order as the levelled one-edge
+    degenerations from the smooth graph."""
+    assert enumerate_graphs(g, n) == levelled_graphs(g, n)

@@ -5,8 +5,10 @@ self-loops and multi-edges are allowed.  The enumerator builds type (g, n)
 from the graphs of type (g, n - 1) by inverting the forgetful map: leg n
 goes on a vertex, on a new genus-0 vertex bubbled off another leg, or on a
 new genus-0 vertex splitting an edge.  The types (g, 0), (0, 3) and (1, 1)
-degenerate the smooth graph one edge at a time.  Candidates are
-deduplicated by canonical labeling.
+invert the gluing maps instead: besides the smooth graph, each graph of
+type (g - 1, n + 2) with its last two legs joined into an edge, and for
+n = 0 each pair of graphs of types (g1, 1) and (g - g1, 1) joined at their
+legs.  Candidates are deduplicated by canonical labeling.
 """
 from tautrings import enumerate_graphs, generator_count, validate_graph
 

@@ -178,6 +178,8 @@ def keel_pairing_check(n: int) -> bool:
 def psi_in_boundary_basis(n: int, z: int, x: int, y: int) -> GradedPolynomial:
     """psi_z as the sum of boundary divisors whose z-side avoids the two
     auxiliary markings x and y."""
+    for name, value in (("n", n), ("z", z), ("x", x), ("y", y)):
+        check_int(name, value)
     if len({z, x, y}) != 3 or not {z, x, y} <= set(range(1, n + 1)):
         raise ValueError("markings z, x, y must be distinct and in 1..n")
     divs, gens = _divisor_table(n)

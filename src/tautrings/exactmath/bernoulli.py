@@ -5,6 +5,8 @@ from fractions import Fraction
 from math import comb
 from typing import List
 
+from . import check_int
+
 __all__ = ["bernoulli"]
 
 # Convention: B_1 = -1/2 ("first" Bernoulli numbers).  Only even indices feed
@@ -35,7 +37,7 @@ def bernoulli(n: int) -> Fraction:
     Values are cached; the cache is extended under a lock so concurrent
     callers observe at-most-once computation.
     """
-    if n < 0:
+    if check_int("n", n) < 0:
         raise ValueError("Bernoulli index must be >= 0")
     if n < len(_cache):
         return _cache[n]

@@ -197,98 +197,6 @@ def validate_graph(graph: StableGraph, g: int, n: int) -> bool:
     return graph.legs() == list(range(1, n + 1))
 
 
-@lru_cache(maxsize=None)
-def _split_masks(bundles: Tuple[Tuple[int, bool], ...]) -> Tuple[Tuple[int, int, int], ...]:
-    """The masks of a vertex split, one per graph it builds, as (mask,
-    moved, mirror) triples: bit i of `mask` moves slot i to the new vertex,
-    `moved` counts the set bits and `mirror` is the complementary split in
-    the same form.  `bundles` gives the slots in order as (count, loop)
-    pairs of interchangeable slots: a leg (count 1), the ends of `count`
-    parallel edges to one neighbour, or the ends of `count` identical
-    loops, two per loop in a row.  Which slots of a bundle move does not
-    change the graph, only how many do, so each mask moves the first ones:
-    the first k parallel ends; the loops moved by both ends, then those
-    moved by their first end."""
-    def loop_bits(both: int, first: int) -> int:
-        # `both` loops moved by both ends, then `first` by their first end
-        return (1 << 2 * both) - 1 | (4 ** first - 1) // 3 << 2 * both
-
-    masks = [(0, 0, 0)]
-    pos = 0
-    for count, loop in bundles:
-        if loop:
-            options = [(loop_bits(both, first) << pos, 2 * both + first,
-                        loop_bits(count - both - first, first) << pos)
-                       for both in range(count + 1) for first in range(count + 1 - both)]
-            pos += 2 * count
-        else:
-            options = [(((1 << k) - 1) << pos, k, ((1 << count - k) - 1) << pos)
-                       for k in range(count + 1)]
-            pos += count
-        masks = [(mask | add, moved + k, mirror | flip)
-                 for mask, moved, mirror in masks for add, k, flip in options]
-    return tuple(masks)
-
-
-def _degenerations(graph: StableGraph) -> Iterator[StableGraph]:
-    """The one-edge degenerations, at least one per isomorphism class:
-    lower a vertex genus and add a loop, or split a vertex v of genus
-    g1 + g2 into v of genus g1 and a new vertex w of genus g2 joined by
-    the new edge.  The slots of v are its legs, then its edge ends in edge
-    order, and w takes the slots of a mask of `_split_masks`.  A split is
-    decided from counts before it is built: it is skipped when v or w
-    would be unstable, and when it is the mirror (v and w swapped) of a
-    split that is kept.  So g1 <= g2, and when g1 == g2 the mask is at
-    most its mirror, which leaves the last slot at v."""
-    vertices, edges = graph.vertices, graph.edges
-    w = len(vertices)
-    for v, (gv, legs) in enumerate(vertices):
-        if gv >= 1:
-            yield StableGraph._of(vertices[:v] + ((gv - 1, legs),) + vertices[v + 1:],
-                                  tuple(sorted(edges + ((v, v),))))
-        # the edges away from v, the edges at v with the slot bits of their
-        # sides (0 for a side away from v), and the bundles of the slots
-        rest, ends, bundles = [], [], [(1, False)] * len(legs)
-        bit, last = 1 << len(legs), None
-        for e in edges:
-            a, b = e
-            if a == b == v:
-                ends.append((a, b, bit, bit << 1))
-                bit <<= 2
-            elif a == v or b == v:
-                ends.append((a, b, bit if a == v else 0, bit if b == v else 0))
-                bit <<= 1
-            else:
-                rest.append(e)
-                continue
-            if e == last:
-                bundles[-1] = (bundles[-1][0] + 1, a == b)
-            else:
-                bundles.append((1, a == b))
-            last = e
-        slots = bit.bit_length() - 1
-        masks = _split_masks(tuple(bundles))
-        for g1 in range(gv // 2 + 1):
-            g2 = gv - g1
-            for mask, moved, mirror in masks:
-                if (2 * g1 - 1 + slots - moved <= 0 or 2 * g2 - 1 + moved <= 0
-                        or g1 == g2 and mirror < mask):
-                    continue
-                new_edges = rest + [(v, w)]
-                for a, b, bit_a, bit_b in ends:
-                    if mask & bit_a:
-                        a = w
-                    if mask & bit_b:
-                        b = w
-                    new_edges.append((a, b) if a <= b else (b, a))
-                new_edges.sort()
-                kept = tuple(l for i, l in enumerate(legs) if not mask >> i & 1)
-                gone = tuple(l for i, l in enumerate(legs) if mask >> i & 1)
-                yield StableGraph._of(
-                    vertices[:v] + ((g1, kept),) + vertices[v + 1:] + ((g2, gone),),
-                    tuple(new_edges))
-
-
 def _check_type(g: int, n: int) -> None:
     """Refuse a (g, n) that is not a stable pair of ints or lies beyond the
     desk-scale ceiling."""
@@ -324,12 +232,40 @@ def _leg_steps(graph: StableGraph, n: int) -> Iterator[StableGraph]:
                                   tuple(sorted(edges[:k] + edges[k + 1:] + ((a, w), (b, w)))))
 
 
+def _glue_steps(g: int, n: int) -> Iterator[StableGraph]:
+    """The graphs of type (g, n) that the gluing maps build, at least one
+    per isomorphism class: the smooth graph; each graph of type
+    (g - 1, n + 2) with legs n + 1 and n + 2 joined into one edge (a loop
+    when both are on one vertex); and, for n = 0, each pair of graphs of
+    types (g1, 1) and (g - g1, 1) with 1 <= g1 <= g // 2, joined at their
+    legs.  Cutting any edge of a stable graph of type (g, 0), (0, 3) or
+    (1, 1) gives one of these inputs, so every class is reached."""
+    def joined(vertices: Tuple, edges: Tuple) -> StableGraph:
+        a, b = (v for v, (_, legs) in enumerate(vertices) for leg in legs if leg > n)
+        return StableGraph._of(
+            tuple((gv, tuple(leg for leg in legs if leg <= n)) for gv, legs in vertices),
+            tuple(sorted(edges + ((a, b),))))
+
+    yield StableGraph._of(((g, tuple(range(1, n + 1))),), ())
+    if g:
+        for graph in _graphs(g - 1, n + 2):
+            yield joined(graph.vertices, graph.edges)
+    if n == 0:
+        for g1 in range(1, g // 2 + 1):
+            for left, right in product(_graphs(g1, 1), _graphs(g - g1, 1)):
+                k = len(left.vertices)
+                yield joined(left.vertices + tuple((gv, tuple(leg + 1 for leg in legs))
+                                                   for gv, legs in right.vertices),
+                             left.edges + tuple((u + k, v + k) for u, v in right.edges))
+
+
 def enumerate_graphs(g: int, n: int) -> List[StableGraph]:
     """One representative per isomorphism class of stable graphs of type
     (g, n), sorted by edge count.  Desk scale: n <= 8 in genus 0,
     otherwise g <= 3 and n <= 6.  The graphs are computed once per (g, n)
     and process, and computing (g, n) also memoizes every stable (g, k)
-    with k < n; each call returns a new list of them."""
+    with k < n, and for (g, 0) also (g - 1, 2) and every (g1, 1) with
+    1 <= g1 < g; each call returns a new list of them."""
     _check_type(g, n)
     return list(_graphs(g, n))
 
@@ -340,29 +276,16 @@ def _graphs(g: int, n: int) -> Tuple[StableGraph, ...]:
     vertices, edges).  Type (g, n) with (g, n - 1) stable is built by the
     leg steps from the memoized graphs of type (g, n - 1), so computing
     it memoizes every stable (g, k) with k < n.  The base types (g, 0),
-    (0, 3) and (1, 1) are built by iterated one-edge degenerations from
-    the smooth graph, one level per edge count.  Candidates are
-    deduplicated by canonical form."""
+    (0, 3) and (1, 1) are built by the glue steps from the memoized types
+    (g - 1, n + 2) and, for n = 0, (g1, 1) with 1 <= g1 < g.  Both kinds
+    of candidate are deduplicated by canonical form."""
     if n and 2 * g - 3 + n > 0:
-        keys = {cand.canonical_form()
-                for graph in _graphs(g, n - 1) for cand in _leg_steps(graph, n)}
-        return tuple(StableGraph._of(*key)
-                     for key in sorted(keys, key=lambda key: (len(key[1]), key)))
-    smooth = StableGraph([(g, range(1, n + 1))], [])
-    levels: List[List[StableGraph]] = [[smooth]]
-    seen = {smooth.canonical_form()}
-    max_edges = 3 * g - 3 + n
-    while len(levels[-1]) and len(levels) <= max_edges:
-        nxt: List[StableGraph] = []
-        for graph in levels[-1]:
-            for cand in _degenerations(graph):
-                key = cand.canonical_form()
-                if key not in seen:
-                    seen.add(key)
-                    nxt.append(StableGraph._of(*key))
-        nxt.sort(key=lambda gr: (gr.vertices, gr.edges))
-        levels.append(nxt)
-    return tuple(gr for level in levels for gr in level)
+        cands = (cand for graph in _graphs(g, n - 1) for cand in _leg_steps(graph, n))
+    else:
+        cands = _glue_steps(g, n)
+    keys = {cand.canonical_form() for cand in cands}
+    return tuple(StableGraph._of(*key)
+                 for key in sorted(keys, key=lambda key: (len(key[1]), key)))
 
 
 def _vertex_counts(nv: int, gv: int, top: int) -> List[int]:

@@ -62,6 +62,19 @@ def test_non_int_sizes_are_refused(call, match):
         call()
 
 
+@pytest.mark.parametrize("args, match", [
+    ((5, True, 2, 3), "z must be an int, got True"),
+    ((5.5, 1, 2, 3), "n must be an int, got 5.5"),
+    ((5, 1, 2.0, 3), "x must be an int, got 2.0"),
+    ((5, 1, 2, False), "y must be an int, got False"),
+])
+def test_psi_in_boundary_basis_refuses_non_int_arguments(args, match):
+    """A bool or float size or marking is refused by name: True was read
+    as marking 1, and n = 5.5 raised a TypeError."""
+    with pytest.raises(ValueError, match=match):
+        psi_in_boundary_basis(*args)
+
+
 @pytest.mark.parametrize("n", [4, 5, 6])
 def test_keel_pairing_perfect(n):
     assert keel_pairing_check(n)

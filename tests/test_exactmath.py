@@ -50,6 +50,14 @@ def test_bernoulli_rejects_negative():
         bernoulli(-1)
 
 
+@pytest.mark.parametrize("n", [True, 2.0])
+def test_bernoulli_refuses_non_int_index(n):
+    """A bool or float index is refused by name: True was read as 1 and
+    gave -1/2, and 2.0 raised a TypeError."""
+    with pytest.raises(ValueError, match=f"n must be an int, got {n!r}"):
+        bernoulli(n)
+
+
 # ---------------------------------------------------------------------------
 # Partitions
 # ---------------------------------------------------------------------------
@@ -64,6 +72,16 @@ def test_partition_enumeration_counts():
     for s in range(0, 12):
         assert len(_parts_table(range(1, 12)).monomials(s)) == partition_count(s)
     assert partition_count(8, 3) == len(_parts_table([1, 2, 3]).monomials(8))
+
+
+@pytest.mark.parametrize("args, name", [
+    ((True,), "size"), ((2.5,), "size"), ((8, 3.0), "max_part"), ((8, False), "max_part"),
+])
+def test_partition_count_refuses_non_int_arguments(args, name):
+    """A bool or float size or part bound is refused by name: True was
+    read as 1, and 2.5 raised a TypeError."""
+    with pytest.raises(ValueError, match=f"{name} must be an int"):
+        partition_count(*args)
 
 
 def test_partition_part_filter():

@@ -8,7 +8,7 @@ from math import factorial, prod
 import pytest
 
 from tautrings.boundary import keel_ring_dims
-from tautrings.stablegraphs import (StableGraph, _degenerations, _leg_steps,
+from tautrings.stablegraphs import (StableGraph, _glue_steps, _graphs, _leg_steps,
                                     enumerate_graphs, generator_count, validate_graph)
 
 
@@ -138,28 +138,15 @@ def test_graph_refuses_vertices_that_are_not_pairs(vertex):
         StableGraph([vertex], [])
 
 
-def test_degenerations_stable_and_without_mirror_twins():
-    """Every candidate is stable, and a vertex split is built once, not
-    also as its mirror image: the smooth (0, 4) graph splits three ways
-    (one per pair of legs), the smooth (1, 1) graph only into a loop."""
-    smooth04 = StableGraph([(0, [1, 2, 3, 4])], [])
-    smooth11 = StableGraph([(1, [1])], [])
-    assert len(list(_degenerations(smooth04))) == 3
-    assert list(_degenerations(smooth11)) == [StableGraph([(0, [1])], [[0, 0]])]
-    for (g, n) in [(1, 3), (2, 2), (3, 0)]:
-        for graph in enumerate_graphs(g, n):
-            for cand in _degenerations(graph):
-                assert validate_graph(cand, g, n), cand
-
-
 def test_degenerations_yield_normal_forms():
-    """`_degenerations` and `_leg_steps` build their candidates without the
+    """`_glue_steps` and `_leg_steps` build their candidates without the
     checking constructor, so each must already be in the normalized form
-    that constructor would give it."""
+    that constructor would give it, and be a valid graph of its type."""
+    for (g, n) in [(0, 3), (1, 1), (2, 0), (3, 0)]:
+        for cand in _glue_steps(g, n):
+            assert StableGraph(cand.vertices, cand.edges) == cand, cand
+            assert validate_graph(cand, g, n), cand
     for (g, n) in [(0, 5), (1, 3), (2, 2)]:
-        for graph in enumerate_graphs(g, n):
-            for cand in _degenerations(graph):
-                assert StableGraph(cand.vertices, cand.edges) == cand, cand
         for graph in enumerate_graphs(g, n - 1):
             for cand in _leg_steps(graph, n):
                 assert StableGraph(cand.vertices, cand.edges) == cand, cand
@@ -286,16 +273,16 @@ def test_export_shape():
 PINNED_TYPES = [(0, 3), (0, 4), (0, 5), (0, 6), (1, 1), (1, 2), (1, 3),
                 (1, 4), (1, 5), (2, 0), (2, 1), (2, 2), (2, 3), (2, 4), (3, 0)]
 
-# the types built by one-edge degenerations alone: (g, n - 1) is unstable
-LEG_STEP_BASES = {(0, 3), (1, 1), (2, 0), (3, 0)}
+# the pinned types built by the glue steps: (g, n - 1) is unstable
+GLUE_STEP_TYPES = {(0, 3), (1, 1), (2, 0), (3, 0)}
 
 
 def test_graph_exports_pinned():
     """The graph lists, order included, for every (g, n) that these tests,
     acceptance criterion 9 and the stable_graphs benchmark workload use,
     and the generator counts of (2, 2) and of genus 0, are pinned by
-    digest: any change to the degenerations, the canonical form or the
-    level sort that alters one graph or the order shows here."""
+    digest: any change to the glue or leg steps, the canonical form or
+    the sort that alters one graph or the order shows here."""
     table = {
         "graphs": {f"{g},{n}": [h.export() for h in enumerate_graphs(g, n)]
                    for g, n in PINNED_TYPES},
@@ -310,9 +297,9 @@ def test_graph_exports_pinned():
 
 
 # ---------------------------------------------------------------------------
-# Reference oracles for the lean enumeration: the canonical form with colour
-# refinement and class search on every graph, and the split loop over every
-# mask with the mirror rule on raw masks.
+# Reference oracles for the enumeration: the canonical form with colour
+# refinement and class search on every graph, and the one-edge degenerations
+# by the split loop over every mask with the mirror rule on raw masks.
 # ---------------------------------------------------------------------------
 
 def reference_canonical_form(graph: StableGraph):
@@ -399,14 +386,13 @@ def reference_degenerations(graph: StableGraph):
 def test_canonical_form_matches_reference_on_every_candidate():
     """The one-pass canonical form (relabel once when the colours differ
     pairwise) gives the reference key on every candidate the enumeration
-    keys, for every pinned type: the one-edge degenerations, and the leg
-    steps from type (g, n - 1), each a valid graph of type (g, n) in the
-    normalized form."""
+    keys, for every pinned type: the glue steps of the types with
+    (g, n - 1) unstable, and otherwise the leg steps from type (g, n - 1),
+    each a valid graph of type (g, n) in the normalized form."""
     for g, n in PINNED_TYPES:
-        for graph in enumerate_graphs(g, n):
-            for cand in _degenerations(graph):
+        if (g, n) in GLUE_STEP_TYPES:
+            for cand in _glue_steps(g, n):
                 assert cand.canonical_form() == reference_canonical_form(cand), cand
-        if (g, n) in LEG_STEP_BASES:
             continue
         for graph in enumerate_graphs(g, n - 1):
             for cand in _leg_steps(graph, n):
@@ -415,29 +401,12 @@ def test_canonical_form_matches_reference_on_every_candidate():
                 assert StableGraph(cand.vertices, cand.edges) == cand, cand
 
 
-def test_pruned_splits_reach_every_class_of_the_full_split_loop():
-    """From every graph of every pinned type, the mirror-bounded,
-    bundle-pruned split loop reaches the same isomorphism classes as the
-    loop over every mask, so every level of the enumeration is the same.
-    It builds each candidate of that loop once up to swapping v and w:
-    every candidate it builds is one of the loop's, and no two are equal
-    or mirror twins."""
-    for g, n in PINNED_TYPES:
-        for graph in enumerate_graphs(g, n):
-            unordered = {cand: min((cand.vertices, cand.edges), (twin.vertices, twin.edges))
-                         for cand, twin in reference_degenerations(graph)}
-            pruned = list(_degenerations(graph))
-            assert ({cand.canonical_form() for cand in pruned}
-                    == {cand.canonical_form() for cand in unordered}), graph
-            assert all(cand in unordered for cand in pruned), graph
-            keys = [unordered[cand] for cand in pruned]
-            assert len(set(keys)) == len(keys) == len(set(unordered.values())), graph
-
-
 # ---------------------------------------------------------------------------
-# The forgetful map: the graphs of type (g, n) are the leg steps of those of
-# type (g, n - 1), checked against an independent forget-and-stabilize and
-# against the levelled enumeration by one-edge degenerations alone.
+# The forgetful and gluing maps: the graphs of type (g, n) are the leg steps
+# of those of type (g, n - 1), or the glue steps when (g, n - 1) is unstable,
+# checked against an independent forget-and-stabilize, an independent cut of
+# one edge, and the levelled enumeration by the reference one-edge
+# degenerations.
 # ---------------------------------------------------------------------------
 
 def forget_last_leg(graph: StableGraph) -> StableGraph:
@@ -468,10 +437,10 @@ def test_every_graph_is_a_leg_step_of_its_image_under_forgetting():
     """For every pinned type built by leg steps, forgetting leg n takes
     each graph to a graph of type (g, n - 1) that the enumeration lists,
     and the graph's class is among the leg steps of that image.  The list
-    holds the smooth graph and every one-edge degeneration of a listed
-    graph, so no class is missing."""
+    holds the smooth graph and every reference one-edge degeneration of a
+    listed graph, so no class is missing."""
     for g, n in PINNED_TYPES:
-        if (g, n) in LEG_STEP_BASES:
+        if (g, n) in GLUE_STEP_TYPES:
             continue
         lower = {graph.canonical_form() for graph in enumerate_graphs(g, n - 1)}
         listed = {graph.canonical_form() for graph in enumerate_graphs(g, n)}
@@ -483,20 +452,21 @@ def test_every_graph_is_a_leg_step_of_its_image_under_forgetting():
             assert graph.canonical_form() in {cand.canonical_form()
                                               for cand in _leg_steps(image, n)}, graph
             assert all(cand.canonical_form() in listed
-                       for cand in _degenerations(graph)), graph
+                       for cand, _ in reference_degenerations(graph)), graph
 
 
 def levelled_graphs(g, n):
-    """The enumeration by one-edge degenerations alone: one level per edge
-    count, each level's new classes sorted by (vertices, edges)."""
+    """The enumeration by the reference one-edge degenerations alone: one
+    level per edge count, each level's new classes sorted by (vertices,
+    edges)."""
     smooth = StableGraph([(g, range(1, n + 1))], [])
     levels = [[smooth]]
     seen = {smooth.canonical_form()}
     while levels[-1]:
         nxt = []
         for graph in levels[-1]:
-            for cand in _degenerations(graph):
-                key = cand.canonical_form()
+            for cand, _ in reference_degenerations(graph):
+                key = reference_canonical_form(cand)
                 if key not in seen:
                     seen.add(key)
                     nxt.append(StableGraph(*key))
@@ -505,9 +475,61 @@ def levelled_graphs(g, n):
     return [graph for level in levels for graph in level]
 
 
-@pytest.mark.parametrize("g,n", [(0, 7), (3, 1), (3, 2)])
-def test_leg_steps_equal_levelled_degenerations_beyond_pinned(g, n):
-    """Past the pinned digest, the enumeration through the forgetful map
-    lists the same graphs in the same order as the levelled one-edge
-    degenerations from the smooth graph."""
-    assert enumerate_graphs(g, n) == levelled_graphs(g, n)
+@pytest.mark.parametrize("g,n", [(2, 0), (3, 0), (4, 0), (0, 7), (3, 1), (3, 2)])
+def test_enumeration_equals_levelled_degenerations(g, n):
+    """The glue steps of the types (g, 0), and past the pinned digest the
+    leg steps through the forgetful map, list the same graphs in the same
+    order as the levelled reference degenerations from the smooth graph.
+    (4, 0) lies past the ceiling of `enumerate_graphs`, so it is read from
+    the memo directly."""
+    assert list(_graphs(g, n)) == levelled_graphs(g, n)
+
+
+def cut_edge(graph, k):
+    """Cut edge k of a graph of type (g, n), its two ends becoming legs
+    n + 1 and n + 2.  A non-separating edge gives one graph of type
+    (g - 1, n + 2).  A separating edge of a graph with n = 0 gives the two
+    sides, each with its one new leg numbered 1."""
+    n = len(graph.legs())
+    a, b = graph.edges[k]
+    vertices = [(gv, list(legs)) for gv, legs in graph.vertices]
+    vertices[a][1].append(n + 1)
+    vertices[b][1].append(n + 2)
+    edges = graph.edges[:k] + graph.edges[k + 1:]
+    cut = StableGraph(vertices, edges)
+    if cut.is_connected():
+        return [cut]
+    assert n == 0
+    side, grew = {a}, True
+    while grew:
+        grew = False
+        for u, v in edges:
+            if (u in side) != (v in side):
+                side |= {u, v}
+                grew = True
+    pieces = []
+    for part in (sorted(side), sorted(set(range(graph.num_vertices)) - side)):
+        index = {v: i for i, v in enumerate(part)}
+        pieces.append(StableGraph([(vertices[v][0], [1] * len(vertices[v][1]))
+                                   for v in part],
+                                  [(index[u], index[v]) for u, v in edges
+                                   if u in index and v in index]))
+    return pieces
+
+
+@pytest.mark.parametrize("g,n", [(1, 1), (2, 0), (3, 0)])
+def test_every_graph_is_a_glue_step_of_each_of_its_cuts(g, n):
+    """Cutting any edge of any graph of the reference enumeration gives a
+    graph that the enumeration lists in type (g - 1, n + 2), or two graphs
+    that it lists in types (g1, 1) and (g - g1, 1); so the graph's class
+    is among the glue steps of type (g, n), and that is checked too."""
+    glued = {cand.canonical_form() for cand in _glue_steps(g, n)}
+    for graph in levelled_graphs(g, n):
+        assert graph.canonical_form() in glued, graph
+        for k in range(graph.num_edges):
+            pieces = cut_edge(graph, k)
+            for piece in pieces:
+                piece_type = (g - 1, n + 2) if len(pieces) == 1 else (piece.genus(), 1)
+                assert validate_graph(piece, *piece_type), (graph, k, piece)
+                assert piece.canonical_form() in {
+                    h.canonical_form() for h in enumerate_graphs(*piece_type)}, (graph, k, piece)

@@ -149,9 +149,9 @@ def keel_quotient(n: int) -> GradedQuotient:
     ring, reduced by the generic quotient engine through the top degree
     n-3.  The crossing products are single-term relations, so the engine
     eliminates the four-point relations over the nested-set monomials
-    only."""
-    if check_int("n", n) < 3:
-        raise ValueError("need n >= 3")
+    only.  Supports 3 <= n <= 7: n = 8 takes over ten minutes of CPU."""
+    if not (3 <= check_int("n", n) <= 7):
+        raise ValueError(f"the Keel presentation supports 3 <= n <= 7, got {n}")
     divs, gens = _divisor_table(n)
     rels = keel_fourpoint_relations(n) + keel_incompatibility_relations(n)
     return GradedQuotient(gens, rels, n - 3)
@@ -161,8 +161,6 @@ def keel_ring_dims(n: int) -> List[int]:
     """Graded dimensions (Betti numbers) of the genus-0 presentation,
     degrees 0..n-3.  n = 7 takes about 3 s of CPU: degree 4 eliminates
     over its 6,251 nested-set monomials (of 455,126 in its 56 divisors)."""
-    if not (3 <= check_int("n", n) <= 7):
-        raise ValueError("keel_ring_dims supports 3 <= n <= 7")
     return keel_quotient(n).dims
 
 
@@ -170,8 +168,6 @@ def keel_pairing_check(n: int) -> bool:
     """Poincare-duality check: palindromic dims and nonsingular
     complementary pairings into the one-dimensional top degree.  n = 7
     takes about 3.5 s of CPU, nearly all of it in building the quotient."""
-    if not (3 <= check_int("n", n) <= 7):
-        raise ValueError("keel_pairing_check supports 3 <= n <= 7")
     return bool(keel_quotient(n).report(with_pairings=True).gorenstein)
 
 

@@ -7,7 +7,7 @@ import os
 import signal
 import sys
 from fractions import Fraction
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from . import boundary, closedforms, correlators, jacobian, relationgen, stablegraphs, tautring
 from .cache import CacheError, CacheFile
@@ -29,6 +29,22 @@ def _plain_frac(x: Fraction) -> str:
     return str(x.numerator) if x.denominator == 1 else _frac_str(x)
 
 
+# what a command prints: the JSON payload, the plain text, the CSV text
+# (None: the plain text again), and the exit code
+_Result = Tuple[Dict[str, Any], str, Optional[str], int]
+
+
+def _value(payload: Dict[str, Any], value: Fraction) -> _Result:
+    """The output of a command whose answer is one rational number."""
+    payload["value"] = _frac_str(value)
+    return payload, _plain_frac(value), _frac_str(value), EXIT_OK
+
+
+def _dims(payload: Dict[str, Any], dims: List[int]) -> _Result:
+    """The output of a command whose answer is a list of dimensions."""
+    return payload, " ".join(map(str, dims)), ",".join(map(str, dims)), EXIT_OK
+
+
 def _parse_ints(text: str) -> List[int]:
     if not text:
         return []
@@ -40,19 +56,6 @@ def _seconds(text: str) -> int:
     if n < 0:
         raise argparse.ArgumentTypeError(f"must be >= 0, got {n}")
     return n
-
-
-class _Output:
-    def __init__(self, fmt: str) -> None:
-        self.fmt = fmt
-
-    def emit(self, payload: Dict[str, Any], plain: str, csv: Optional[str] = None) -> None:
-        if self.fmt == "json":
-            print(json.dumps(payload, sort_keys=True))
-        elif self.fmt == "csv":
-            print(csv if csv is not None else plain)
-        else:
-            print(plain)
 
 
 def _common_flags(top: bool) -> argparse.ArgumentParser:
@@ -141,7 +144,7 @@ def _build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def _cmd_correlator(args, out: _Output) -> int:
+def _cmd_correlator(args) -> _Result:
     # a table of its own, as a fresh process has, so that one process's
     # calls do not pass entries from one cache file into another
     table = correlators.CorrelatorTable()
@@ -154,42 +157,34 @@ def _cmd_correlator(args, out: _Output) -> int:
                                          table)
     if cache is not None and cache.collect(table):
         cache.save()
-    out.emit({"genus": args.genus, "exponents": _parse_ints(args.exponents),
-              "value": _frac_str(value)},
-             _plain_frac(value), _frac_str(value))
-    return EXIT_OK
+    return _value({"genus": args.genus, "exponents": _parse_ints(args.exponents)},
+                  value)
 
 
-def _cmd_hodge(args, out: _Output) -> int:
+def _cmd_hodge(args) -> _Result:
     alpha = _parse_ints(args.exponents)
     if args.flavor == "lambda-g":
         value = closedforms.lambda_g_eval(args.genus, alpha)
     else:
         value = closedforms.lambda_gm1_lambda_g_eval(args.genus, alpha)
-    out.emit({"flavor": args.flavor, "genus": args.genus, "alpha": alpha,
-              "value": _frac_str(value)},
-             _plain_frac(value), _frac_str(value))
-    return EXIT_OK
+    return _value({"flavor": args.flavor, "genus": args.genus, "alpha": alpha},
+                  value)
 
 
-def _cmd_lambda_in_kappa(args, out: _Output) -> int:
+def _cmd_lambda_in_kappa(args) -> _Result:
     lams = closedforms.lambda_from_kappa(args.genus, args.genus)
     payload = {"genus": args.genus,
                "lambda": [p.export() for p in lams]}
     plain = "\n".join(f"lambda_{i} = {p!r}" for i, p in enumerate(lams))
-    out.emit(payload, plain)
-    return EXIT_OK
+    return payload, plain, None, EXIT_OK
 
 
-def _cmd_euler(args, out: _Output) -> int:
+def _cmd_euler(args) -> _Result:
     value = closedforms.euler_orbifold(args.genus, args.markings)
-    out.emit({"genus": args.genus, "markings": args.markings,
-              "value": _frac_str(value)},
-             _plain_frac(value), _frac_str(value))
-    return EXIT_OK
+    return _value({"genus": args.genus, "markings": args.markings}, value)
 
 
-def _cmd_relations(args, out: _Output) -> int:
+def _cmd_relations(args) -> _Result:
     source = args.command.upper()
     build = relationgen.fz_relation_set if source == "FZ" else relationgen.sq_relation_set
     rels = build(args.genus, args.max_degree)
@@ -197,18 +192,15 @@ def _cmd_relations(args, out: _Output) -> int:
                "relations": [r.export() for r in rels]}
     plain = "\n".join(
         f"{r.source} r={r.r} index={list(r.index)}: {r.polynomial!r}" for r in rels)
-    out.emit(payload, plain if rels else "(none)")
-    return EXIT_OK
+    return payload, plain if rels else "(none)", None, EXIT_OK
 
 
-def _cmd_ring_dims(args, out: _Output) -> int:
+def _cmd_ring_dims(args) -> _Result:
     dims = tautring.ring_dims(args.genus)
-    out.emit({"dims": dims}, " ".join(str(d) for d in dims),
-             ",".join(str(d) for d in dims))
-    return EXIT_OK
+    return _dims({"dims": dims}, dims)
 
 
-def _cmd_gorenstein(args, out: _Output) -> int:
+def _cmd_gorenstein(args) -> _Result:
     report = tautring.gorenstein_check(args.genus)
     ratio = (closedforms.hyperelliptic_coeff(args.genus)
              if args.genus >= 3 else None)
@@ -216,27 +208,22 @@ def _cmd_gorenstein(args, out: _Output) -> int:
     payload["socle_ratio"] = _frac_str(ratio) if ratio is not None else None
     plain = (f"dims {report.dims} pairing-ranks {report.pairing_ranks} "
              f"gorenstein {report.gorenstein}")
-    out.emit(payload, plain)
-    return EXIT_OK if report.gorenstein else EXIT_CHECK_FAILED
+    return payload, plain, None, EXIT_OK if report.gorenstein else EXIT_CHECK_FAILED
 
 
-def _cmd_keel(args, out: _Output) -> int:
+def _cmd_keel(args) -> _Result:
     dims = boundary.keel_ring_dims(args.markings)
-    out.emit({"dims": dims}, " ".join(str(d) for d in dims),
-             ",".join(str(d) for d in dims))
-    return EXIT_OK
+    return _dims({"dims": dims}, dims)
 
 
-def _cmd_h2(args, out: _Output) -> int:
+def _cmd_h2(args) -> _Result:
     pres = boundary.h2_presentation(args.genus, args.markings)
     rank = pres.rank()
-    out.emit({"genus": args.genus, "markings": args.markings, "rank": rank,
-              "generators": pres.names},
-             str(rank), str(rank))
-    return EXIT_OK
+    return ({"genus": args.genus, "markings": args.markings, "rank": rank,
+             "generators": pres.names}, str(rank), str(rank), EXIT_OK)
 
 
-def _cmd_graphs(args, out: _Output) -> int:
+def _cmd_graphs(args) -> _Result:
     graphs = stablegraphs.enumerate_graphs(args.genus, args.markings)
     payload: Dict[str, Any] = {"genus": args.genus, "markings": args.markings,
                                "count": len(graphs)}
@@ -245,8 +232,7 @@ def _cmd_graphs(args, out: _Output) -> int:
         plain = "\n".join(repr(g) for g in graphs)
     else:
         plain = str(len(graphs))
-    out.emit(payload, plain, str(len(graphs)))
-    return EXIT_OK
+    return payload, plain, str(len(graphs)), EXIT_OK
 
 
 def _field(obj: Any, key: str) -> Any:
@@ -300,7 +286,7 @@ def _parse_jac_poly(text: str) -> jacobian.JacPolynomial:
     return acc
 
 
-def _cmd_jac_apply(args, out: _Output) -> int:
+def _cmd_jac_apply(args) -> _Result:
     ctx = jacobian.JacContext(args.genus)
     poly = _parse_jac_poly(args.poly)
     if args.operator == "D":
@@ -311,12 +297,11 @@ def _cmd_jac_apply(args, out: _Output) -> int:
         res = jacobian.apply_h(poly, ctx)
     else:
         res = jacobian.apply_h_raw(poly, ctx)
-    out.emit({"operator": args.operator, "genus": args.genus,
-              "result": res.export()}, repr(res))
-    return EXIT_OK
+    return ({"operator": args.operator, "genus": args.genus,
+             "result": res.export()}, repr(res), None, EXIT_OK)
 
 
-def _cmd_presentation_dims(args, out: _Output) -> int:
+def _cmd_presentation_dims(args) -> _Result:
     text = args.presentation
     if text.startswith("@"):
         try:
@@ -342,9 +327,7 @@ def _cmd_presentation_dims(args, out: _Output) -> int:
         raise ValueError(f"bad pairings {pairings!r}: expected true or false")
     report = graded_quotient(gens, rels, _integer("max_degree", _field(data, "max_degree"), 0),
                              with_pairings=pairings)
-    out.emit(report.export(), " ".join(str(d) for d in report.dims),
-             ",".join(str(d) for d in report.dims))
-    return EXIT_OK
+    return _dims(report.export(), report.dims)
 
 
 _HANDLERS = {
@@ -375,9 +358,13 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
             raise TimeoutError(f"exceeded --max-seconds={args.max_seconds}")
         signal.signal(signal.SIGALRM, _timeout)
         signal.alarm(args.max_seconds)
-    out = _Output(args.format)
     try:
-        return _HANDLERS[args.command](args, out)
+        payload, plain, csv, code = _HANDLERS[args.command](args)
+        if args.format == "json":
+            print(json.dumps(payload, sort_keys=True))
+        else:
+            print(csv if args.format == "csv" and csv is not None else plain)
+        return code
     except (ValueError, CacheError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

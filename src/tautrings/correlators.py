@@ -340,10 +340,15 @@ def _dvv(g: int, exps: Tuple[int, ...]) -> _Steps:
     (i_k copies of each k that occurs c_k times), where the degree fixes
     g1 = (a + sum(I) - |I| + 2) / 3.  Each term is kept as an integer
     numerator and denominator, and the value is one Fraction over their lcm.
+
+    Every exponent is at least 2, so no term needs a stability or genus
+    guard: the degree 3g - 2 + |X| = sum(exps) >= 2 |X| + 2 gives g >= 2, so
+    the genus-(g-1) key is stable; and sum(I) - |I| >= 0 gives g1 >= 1,
+    likewise g - g1 = (b + sum(J) - |J| + 2) / 3 >= 1, so both split keys
+    are stable with genus below g.
     """
     d = exps[-1]
     rest = exps[:-1]
-    m = len(rest)
     odd = [1]  # odd[i] = (2i-1)!! up to i = d + max(exps)
     for i in range(1, d + exps[0] + 1):
         odd.append(odd[-1] * (2 * i - 1))
@@ -367,18 +372,13 @@ def _dvv(g: int, exps: Tuple[int, ...]) -> _Steps:
     # terms, so only a <= b is summed, a < b twice.
     pair = [odd[a + 1] * odd[d - 1 - a] * (1 if 2 * a == d - 2 else 2)
             for a in range(d // 2)]
-    if g >= 1 and 2 * g - 2 + m > 0:
-        for a, w in enumerate(pair):
-            v = yield g - 1, tuple(sorted((a, d - 2 - a) + rest, reverse=True))
-            terms.append((w * v.numerator, v.denominator))
+    for a, w in enumerate(pair):
+        v = yield g - 1, tuple(sorted((a, d - 2 - a) + rest, reverse=True))
+        terms.append((w * v.numerator, v.denominator))
 
     for left, right, s, n, wt in splits:
         for a in range((n - s - 2) % 3, d // 2, 3):  # g1 is an integer
             g1 = (a + s - n + 2) // 3
-            if g1 > g:
-                break
-            if 2 * g1 - 1 + n <= 0 or 2 * (g - g1) - 1 + m - n <= 0:
-                continue
             v = yield g1, tuple(sorted((a,) + left, reverse=True))
             u = yield g - g1, tuple(sorted((d - 2 - a,) + right, reverse=True))
             terms.append((pair[a] * wt * v.numerator * u.numerator,

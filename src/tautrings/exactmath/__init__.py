@@ -29,7 +29,7 @@ from .gradedpoly import GeneratorTable, GradedPolynomial
 from .linalg import SparseEchelon, exact_rank
 from .partitions import partition_count
 from .quotient import (GradedQuotient, QuotientReport, graded_quotient,
-                       relation_echelon, relation_rows)
+                       relation_echelon)
 from .series import TruncatedSeries, series_exp, series_log, series_mul
 
 __all__ = [
@@ -43,7 +43,6 @@ __all__ = [
     "QuotientReport",
     "graded_quotient",
     "relation_echelon",
-    "relation_rows",
     "TruncatedSeries",
     "series_exp",
     "series_log",

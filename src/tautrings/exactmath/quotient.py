@@ -7,10 +7,10 @@ from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from . import check_int
 from .gradedpoly import GeneratorTable, GradedPolynomial, Monomial, Scalar
-from .linalg import SparseEchelon, exact_rank, field_scalar
+from .linalg import SparseEchelon, exact_rank
 
 __all__ = ["QuotientReport", "GradedQuotient", "graded_quotient",
-           "relation_echelon", "relation_rows"]
+           "relation_echelon"]
 
 
 @dataclass
@@ -41,28 +41,15 @@ class QuotientReport:
         }
 
 
-def relation_rows(gens: GeneratorTable,
-                  relations: Sequence[GradedPolynomial],
-                  d: int,
-                  vanishing: Sequence[Monomial] = (),
-                  p: Optional[int] = None) -> List[Dict[int, Scalar]]:
-    """Sparse rows of every product monomial * relation of degree d, with
-    columns indexing gens.monomials(d, vanishing).  Relations must be
-    homogeneous polynomials over `gens`; zero and constant ones give no
-    rows.  Monomials that a `vanishing` support divides are taken as zero:
-    they are no columns, no cofactors, and their product terms are dropped.
-    Entries are field elements (`field_scalar(p)`): rationals, ints where
-    integral, or residues mod a prime `p`, each relation mapped once.
-    Rows are sorted singletons first (free pivots, no fill-in)."""
-    index = {m: i for i, m in enumerate(gens.monomials(d, vanishing))}
-    return _product_rows(relations, d, lambda e: gens.monomials(e, vanishing),
-                         index, field_scalar(p))
-
-
 def _product_rows(relations: Sequence[GradedPolynomial], d: int, monomials: Callable,
                   index: Mapping[Monomial, int], scalar) -> List[Dict[int, Scalar]]:
-    """`relation_rows` over given lists: `monomials(e)` are the surviving
-    degree-e monomials, `index` numbers those of degree d."""
+    """Sparse rows of every product monomial * relation of degree d.
+    `monomials(e)` lists the degree-e cofactors and `index` numbers the
+    degree-d columns; product terms off those columns are dropped.
+    Relations must be homogeneous polynomials; zero and constant ones give
+    no rows.  Entries are `scalar(v)` of the coefficients, each relation
+    mapped once.  Rows are sorted singletons first (free pivots, no
+    fill-in)."""
     cofactors: Dict[int, List[Monomial]] = {}
     rows: List[Dict[int, Scalar]] = []
     for rel in relations:
@@ -87,13 +74,12 @@ def _product_rows(relations: Sequence[GradedPolynomial], d: int, monomials: Call
 
 def relation_echelon(gens: GeneratorTable,
                      relations: Sequence[GradedPolynomial],
-                     d: int,
-                     vanishing: Sequence[Monomial] = (),
-                     p: Optional[int] = None) -> SparseEchelon:
-    """Echelon form of the degree-d span of monomial * relation products,
-    over the columns of `relation_rows`, over Q or F_p."""
-    ech = SparseEchelon(p)
-    for row in relation_rows(gens, relations, d, vanishing, p):
+                     d: int) -> SparseEchelon:
+    """Echelon form over Q of the degree-d span of monomial * relation
+    products, with columns indexing gens.monomials(d)."""
+    ech = SparseEchelon()
+    index = {m: i for i, m in enumerate(gens.monomials(d))}
+    for row in _product_rows(relations, d, gens.monomials, index, ech.scalar):
         ech.add_row(row)
     return ech
 

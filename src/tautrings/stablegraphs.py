@@ -1,7 +1,7 @@
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import chain, permutations, product
+from itertools import chain, combinations_with_replacement, permutations, product
 from math import comb
 from typing import Dict, Iterable, Iterator, List, Sequence, Set, Tuple
 
@@ -238,8 +238,9 @@ def _glue_steps(g: int, n: int) -> Iterator[StableGraph]:
     (g - 1, n + 2) with legs n + 1 and n + 2 joined into one edge (a loop
     when both are on one vertex); and, for n = 0, each pair of graphs of
     types (g1, 1) and (g - g1, 1) with 1 <= g1 <= g // 2, joined at their
-    legs.  Cutting any edge of a stable graph of type (g, 0), (0, 3) or
-    (1, 1) gives one of these inputs, so every class is reached."""
+    legs, each unordered pair once.  Cutting any edge of a stable graph of
+    type (g, 0), (0, 3) or (1, 1) gives one of these inputs, so every
+    class is reached."""
     def joined(vertices: Tuple, edges: Tuple) -> StableGraph:
         a, b = (v for v, (_, legs) in enumerate(vertices) for leg in legs if leg > n)
         return StableGraph._of(
@@ -252,7 +253,10 @@ def _glue_steps(g: int, n: int) -> Iterator[StableGraph]:
             yield joined(graph.vertices, graph.edges)
     if n == 0:
         for g1 in range(1, g // 2 + 1):
-            for left, right in product(_graphs(g1, 1), _graphs(g - g1, 1)):
+            lefts = _graphs(g1, 1)
+            pairs = (combinations_with_replacement(lefts, 2) if 2 * g1 == g
+                     else product(lefts, _graphs(g - g1, 1)))
+            for left, right in pairs:
                 k = len(left.vertices)
                 yield joined(left.vertices + tuple((gv, tuple(leg + 1 for leg in legs))
                                                    for gv, legs in right.vertices),

@@ -45,6 +45,20 @@ def test_keel_ring_dims_range():
         keel_pairing_check(8)
 
 
+@pytest.mark.parametrize("n", [2, 8])
+def test_keel_quotient_range_refused_before_building(n, monkeypatch):
+    """keel_quotient itself refuses n outside 3..7, before it builds any
+    divisor table: n = 8 would otherwise run for over ten minutes."""
+    from tautrings import boundary
+
+    def unreachable(n):
+        raise AssertionError("divisor table built")
+
+    monkeypatch.setattr(boundary, "_divisor_table", unreachable)
+    with pytest.raises(ValueError, match="3 <= n <= 7"):
+        keel_quotient(n)
+
+
 @pytest.mark.parametrize("call, match", [
     (lambda: BoundaryDivisor(5.7, {1, 2}), "n must be an int, got 5.7"),
     (lambda: BoundaryDivisor(5, {1.2, 2}), "marking must be an int, got 1.2"),

@@ -354,6 +354,81 @@ def test_cli_unreadable_presentation_file_is_usage_error(tmp_path, capsys):
     assert err.startswith("error:") and str(missing) in err
 
 
+_JAC_INPUT = '[{"psi_power":0,"factors":[[3,1,2]],"coeff":"1/1"}]'
+_LAMBDA_3_PLAIN = ("lambda_0 = (1)*1\nlambda_1 = (1/12)*kappa_1\n"
+                   "lambda_2 = (1/288)*kappa_1^2\n"
+                   "lambda_3 = (1/10368)*kappa_1^3 + (-1/360)*kappa_3\n")
+
+
+@pytest.mark.parametrize("argv,outputs", [
+    (["hodge", "lambda-g", "2", "2,1"], {
+        "plain": "7/1920\n",
+        "json": '{"alpha": [2, 1], "flavor": "lambda-g", "genus": 2, '
+                '"value": "7/1920"}\n',
+        "csv": "7/1920\n"}),
+    (["lambda-in-kappa", "3"], {
+        "plain": _LAMBDA_3_PLAIN,
+        "json": '{"genus": 3, "lambda": [[[[0, 0, 0], "1/1"]], '
+                '[[[1, 0, 0], "1/12"]], [[[2, 0, 0], "1/288"]], '
+                '[[[3, 0, 0], "1/10368"], [[0, 0, 1], "-1/360"]]]}\n',
+        "csv": _LAMBDA_3_PLAIN}),
+    (["graphs", "1", "1", "--list"], {
+        "plain": "StableGraph([(1, (1,))], [])\n"
+                 "StableGraph([(0, (1,))], [(0, 0)])\n",
+        "json": '{"count": 2, "genus": 1, "graphs": [{"edges": [], '
+                '"vertices": [{"genus": 1, "legs": [1]}]}, {"edges": [[0, 0]], '
+                '"vertices": [{"genus": 0, "legs": [1]}]}], "markings": 1}\n',
+        "csv": "2\n"}),
+    (["jac-apply", "e", "3", _JAC_INPUT], {
+        "plain": "(1)*p(2,0)*p(3,1)^2\n",
+        "json": '{"genus": 3, "operator": "e", "result": [{"coeff": "1/1", '
+                '"factors": [[2, 0, 1], [3, 1, 2]], "psi_power": 0}]}\n',
+        "csv": "(1)*p(2,0)*p(3,1)^2\n"}),
+    (["jac-apply", "h", "3", _JAC_INPUT], {
+        "plain": "(3)*p(3,1)^2\n",
+        "json": '{"genus": 3, "operator": "h", "result": [{"coeff": "3/1", '
+                '"factors": [[3, 1, 2]], "psi_power": 0}]}\n',
+        "csv": "(3)*p(3,1)^2\n"}),
+    (["jac-apply", "h-raw", "3", _JAC_INPUT], {
+        "plain": "(-3)*p(3,1)^2\n",
+        "json": '{"genus": 3, "operator": "h-raw", "result": [{"coeff": "-3/1", '
+                '"factors": [[3, 1, 2]], "psi_power": 0}]}\n',
+        "csv": "(-3)*p(3,1)^2\n"}),
+])
+@pytest.mark.parametrize("fmt", ["plain", "json", "csv"])
+def test_cli_outputs_pinned(capsys, argv, outputs, fmt):
+    """Exact stdout, byte for byte, of each command in each format."""
+    assert run(argv + ["--format", fmt]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == outputs[fmt] and captured.err == ""
+
+
+def test_cli_jac_apply_h_needs_bihomogeneous_input(capsys):
+    poly = json.dumps([{"psi_power": 0, "factors": [[3, 1, 1]], "coeff": "1/1"},
+                       {"psi_power": 0, "factors": [[2, 0, 1]], "coeff": "1/1"}])
+    assert run(["jac-apply", "h", "3", poly]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: apply_h requires a bihomogeneous input\n"
+
+
+@pytest.mark.parametrize("fmt,out", [
+    ("plain", "1 2 2 1\n"),
+    ("json", '{"dims": [1, 2, 2, 1], "gorenstein": true, "max_degree": 3, '
+             '"pairing_ranks": [1, 2, 2, 1], "socle_dim": 1}\n'),
+    ("csv", "1,2,2,1\n"),
+])
+def test_cli_presentation_dims_from_file(tmp_path, capsys, fmt, out):
+    path = tmp_path / "presentation.json"
+    path.write_text(json.dumps({
+        "generators": [["l", 1], ["d", 1]],
+        "relations": [[[[0, 2], "1/1"], [[1, 1], "1/1"]],
+                      [[[3, 0], "5/1"], [[2, 1], "-1/1"]]],
+        "max_degree": 3, "pairings": True}), encoding="utf-8")
+    assert run(["presentation-dims", f"@{path}", "--format", fmt]) == 0
+    assert capsys.readouterr().out == out
+
+
 def _checksummed(sections):
     payload = json.dumps(sections, sort_keys=True, separators=(",", ":"))
     return json.dumps({"version": "1", "sections": sections,

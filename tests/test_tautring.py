@@ -225,15 +225,23 @@ def _kappa_indices(gens, mono):
     return out
 
 
-def _socle_rows(model):
+def _socle_products(model):
     """The degree-(g-2) kappa monomials, their socle evaluations, and the
-    monomial-times-relation rows of the model in that degree."""
-    from tautrings.exactmath import relation_rows
+    nonzero products monomial * relation of the model in that degree,
+    multiplied out by polynomial arithmetic."""
     g = model.genus
-    monos = model.gens.monomials(g - 2)
-    eps = {m: _socle_eval(g, _kappa_indices(model.gens, m)) for m in monos}
-    polys = [rel.polynomial for rel in model.relations]
-    return monos, eps, relation_rows(model.gens, polys, g - 2)
+    gens = model.gens
+    monos = gens.monomials(g - 2)
+    eps = {m: _socle_eval(g, _kappa_indices(gens, m)) for m in monos}
+    products = []
+    for rel in model.relations:
+        r = rel.polynomial.degree()
+        if 0 < r <= g - 2:
+            for cof in gens.monomials(g - 2 - r):
+                prod = GradedPolynomial(gens, {cof: F(1)}) * rel.polynomial
+                if not prod.is_zero():
+                    products.append(prod)
+    return monos, eps, products
 
 
 @pytest.mark.parametrize("g", [4, 5, 6, 7, 8])
@@ -243,12 +251,12 @@ def test_relation_span_is_killed_by_socle_evaluation(g):
     on the quotient basis monomial."""
     model = build_ring(g)
     top = g - 2
-    monos, eps, rows = _socle_rows(model)
+    monos, eps, products = _socle_products(model)
     # the functional annihilates every relation-times-monomial product
-    assert rows, g
-    for row in rows:
-        pairing = sum(c * eps[monos[i]] for i, c in row.items())
-        assert pairing == 0, (g, row)
+    assert products, g
+    for prod in products:
+        pairing = sum(c * eps[m] for m, c in prod.terms.items())
+        assert pairing == 0, (g, prod)
     # and it is nonzero on the surviving basis monomial
     basis = model.quotient.basis(top)
     assert len(basis) == 1
@@ -270,11 +278,11 @@ def test_sq_relations_are_killed_by_socle_evaluation(g):
     falling short of FZ comes from the family being small, not from wrong
     coefficients.  (g = 4 has no SQ row in degree 2: g - d - 1 is odd
     there, so the side conditions admit none.)"""
-    monos, eps, rows = _socle_rows(build_ring(g, source="SQ"))
-    assert rows, g
-    for row in rows:
-        pairing = sum(c * eps[monos[i]] for i, c in row.items())
-        assert pairing == 0, (g, row)
+    _, eps, products = _socle_products(build_ring(g, source="SQ"))
+    assert products, g
+    for prod in products:
+        pairing = sum(c * eps[m] for m, c in prod.terms.items())
+        assert pairing == 0, (g, prod)
 
 
 def test_socle_pairing_ranks_match_ring_dims_at_genus11():

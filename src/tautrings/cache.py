@@ -38,8 +38,13 @@ class CacheFile:
     def load(self) -> "CacheFile":
         if not os.path.exists(self.path):
             return self
-        with open(self.path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
+        try:
+            with open(self.path, "r", encoding="utf-8") as fh:
+                data = json.load(fh)
+        except TimeoutError:  # a wall-clock alarm, not a failure of the file
+            raise
+        except OSError as exc:
+            raise CacheError(f"cannot read {self.path!r}: {exc.strerror}") from exc
         if not isinstance(data, dict):
             raise CacheError("cache file is not a JSON object")
         if data.get("version") != CACHE_VERSION:
@@ -65,9 +70,14 @@ class CacheFile:
              "checksum": digest},
             sort_keys=True, indent=1)
         tmp = self.path + ".tmp"
-        with open(tmp, "w", encoding="utf-8") as fh:
-            fh.write(body + "\n")
-        os.replace(tmp, self.path)
+        try:
+            with open(tmp, "w", encoding="utf-8") as fh:
+                fh.write(body + "\n")
+            os.replace(tmp, self.path)
+        except TimeoutError:
+            raise
+        except OSError as exc:
+            raise CacheError(f"cannot write {self.path!r}: {exc.strerror}") from exc
 
     # -- section adapters ---------------------------------------------------
 

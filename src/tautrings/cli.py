@@ -3,7 +3,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import os
 import signal
 import sys
 from fractions import Fraction
@@ -69,10 +68,7 @@ def _common_flags(top: bool) -> argparse.ArgumentParser:
     common.add_argument("--format", choices=("plain", "json", "csv"),
                         default=default("plain"))
     common.add_argument("--cache", default=default(None),
-                        help="path of the persistent value cache "
-                             "(default: $TAUTRINGS_CACHE)")
-    common.add_argument("--no-cache", action="store_true", default=default(False),
-                        help="ignore any cache file for this invocation")
+                        help="path of the persistent value cache")
     common.add_argument("--max-seconds", type=_seconds, default=default(None),
                         help="abort with exit code 1 after this wall-clock budget")
     return common
@@ -148,10 +144,8 @@ def _cmd_correlator(args) -> _Result:
     # a table of its own, as a fresh process has, so that one process's
     # calls do not pass entries from one cache file into another
     table = correlators.CorrelatorTable()
-    path = os.environ.get("TAUTRINGS_CACHE") if args.cache is None else args.cache
-    cache = None
-    if path and not args.no_cache:
-        cache = CacheFile(path).load()
+    cache = CacheFile(args.cache).load() if args.cache else None
+    if cache is not None:
         cache.attach_correlators(table)
     value = correlators.psi_intersection(args.genus, _parse_ints(args.exponents),
                                          table)

@@ -2,8 +2,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from operator import add, le
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from operator import add
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from . import check_int
 from .gradedpoly import GeneratorTable
@@ -11,7 +11,6 @@ from .gradedpoly import GeneratorTable
 __all__ = ["TruncatedSeries", "series_log", "series_exp", "series_mul"]
 
 ExpVec = Tuple[int, ...]
-Caps = Tuple[Tuple[int, int], ...]
 # one weight slice: int numerators over one positive int denominator
 Slice = Tuple[Dict[ExpVec, int], int]
 Slices = Dict[int, Slice]
@@ -33,22 +32,15 @@ class TruncatedSeries:
     (Laurent directions), as long as every stored monomial has
     non-negative weight and the only weight-0 monomial is the constant
     one; the truncation `order` then stays a multiplicative quotient.
-    `caps` optionally bounds single exponents (terms beyond a cap are
-    discarded, a further quotient).  The order, the caps and the exponents
-    must be ints.
+    The order and the exponents must be ints.
     """
 
-    __slots__ = ("gens", "order", "caps", "_slices")
+    __slots__ = ("gens", "order", "_slices")
 
     def __init__(self, gens: GeneratorTable, order: int,
-                 coeffs: Optional[Mapping[ExpVec, Fraction]] = None,
-                 caps: Optional[Mapping[str, int]] = None) -> None:
+                 coeffs: Optional[Mapping[ExpVec, Fraction]] = None) -> None:
         self.gens = gens
         self.order = check_int("order", order)
-        # (generator index, largest exponent kept) pairs
-        self.caps: Caps = tuple(
-            (gens.index(n), check_int(f"cap on {n}", c))
-            for n, c in (caps or {}).items())
         kept: Dict[int, Dict[ExpVec, Fraction]] = {}
         for ev, c in (coeffs or {}).items():
             ev = gens.monomial(ev)
@@ -57,10 +49,9 @@ class TruncatedSeries:
                 continue
             if w == 0 and any(ev):
                 raise ValueError("weight-0 monomial other than the constant")
-            if all(ev[i] <= cap for i, cap in self.caps):
-                c = Fraction(c)
-                if c:
-                    kept.setdefault(w, {})[ev] = c
+            c = Fraction(c)
+            if c:
+                kept.setdefault(w, {})[ev] = c
         # over the lcm of its denominators a slice has no common factor
         self._slices: Slices = {}
         for w, terms in kept.items():
@@ -70,7 +61,7 @@ class TruncatedSeries:
 
     def _spawn(self, slices: Slices) -> "TruncatedSeries":
         s = TruncatedSeries.__new__(TruncatedSeries)
-        s.gens, s.order, s.caps, s._slices = self.gens, self.order, self.caps, slices
+        s.gens, s.order, s._slices = self.gens, self.order, slices
         return s
 
     # ---- coefficients as Fractions -------------------------------------
@@ -151,14 +142,14 @@ def _weighted(s: TruncatedSeries) -> Slices:
     return out
 
 
-def _combine(caps: Caps, pairs: Sequence[Tuple[Slice, Slice]],
+def _combine(pairs: Sequence[Tuple[Slice, Slice]],
              start: Optional[Slice] = None, divisor: int = 1) -> Optional[Slice]:
     """(start + sum of a * b over the slice pairs) / divisor as one slice,
     or None when it is zero.
 
     Every product is taken over the lcm of the denominators, so the terms
     add as ints.  Callers pair only slices whose weights sum to at most the
-    order, so only the exponent caps can reject a product."""
+    order, so every product is kept."""
     dens = [a[1] * b[1] for a, b in pairs]
     if start is not None:
         dens.append(start[1])
@@ -171,21 +162,11 @@ def _combine(caps: Caps, pairs: Sequence[Tuple[Slice, Slice]],
         acc = {ev: n * k for ev, n in start[0].items()}
     for ((na, _), (nb, _)), d in zip(pairs, dens):
         k = den // d
-        # b's terms grouped by their capped exponents, so that a cap is
-        # checked once per group rather than once per product
-        groups: Dict[ExpVec, Iterable[Tuple[ExpVec, int]]] = {(): nb.items()}
-        if caps:
-            groups = {}
-            for ev2, c2 in nb.items():
-                groups.setdefault(tuple(ev2[i] for i, _ in caps), []).append((ev2, c2))
         for ev1, c1 in na.items():
             c1 *= k
-            room = [cap - ev1[i] for i, cap in caps]
-            for capped, terms in groups.items():
-                if all(map(le, capped, room)):
-                    for ev2, c2 in terms:
-                        ev = tuple(map(add, ev1, ev2))
-                        acc[ev] = acc.get(ev, 0) + c1 * c2
+            for ev2, c2 in nb.items():
+                ev = tuple(map(add, ev1, ev2))
+                acc[ev] = acc.get(ev, 0) + c1 * c2
     return _reduced(acc, den * divisor)
 
 
@@ -201,8 +182,8 @@ def series_exp(s: TruncatedSeries) -> TruncatedSeries:
     ns = _weighted(s)
     out: Slices = {0: ({(0,) * len(s.gens): 1}, 1)}
     for w in range(1, s.order + 1):
-        sl = _combine(s.caps, [(ns[v], out[w - v]) for v in range(1, w + 1)
-                               if v in ns and w - v in out], divisor=w)
+        sl = _combine([(ns[v], out[w - v]) for v in range(1, w + 1)
+                        if v in ns and w - v in out], divisor=w)
         if sl:
             out[w] = sl
     return s._spawn(out)
@@ -224,8 +205,8 @@ def series_log(s: TruncatedSeries) -> TruncatedSeries:
     nl: Slices = {}
     out: Slices = {}
     for w in range(1, s.order + 1):
-        sl = _combine(s.caps, [(minus_s[v], nl[w - v]) for v in range(1, w)
-                               if v in minus_s and w - v in nl], ns.get(w))
+        sl = _combine([(minus_s[v], nl[w - v]) for v in range(1, w)
+                        if v in minus_s and w - v in nl], ns.get(w))
         if sl:
             nl[w] = sl
             out[w] = _reduced(sl[0], sl[1] * w)
@@ -233,8 +214,8 @@ def series_log(s: TruncatedSeries) -> TruncatedSeries:
 
 
 def series_mul(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
-    """The product a * b, truncated at a's order and caps; b must be over
-    a's generator table.  Pairs of weight slices past the order are never
+    """The product a * b, truncated at a's order; b must be over a's
+    generator table.  Pairs of weight slices past the order are never
     formed."""
     if a.gens != b.gens:
         raise ValueError("series_mul needs series over the same generators")
@@ -245,7 +226,7 @@ def series_mul(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
                 pairs.setdefault(wa + wb, []).append((sa, sb))
     out: Slices = {}
     for w in sorted(pairs):
-        sl = _combine(a.caps, pairs[w])
+        sl = _combine(pairs[w])
         if sl:
             out[w] = sl
     return a._spawn(out)

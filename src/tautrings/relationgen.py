@@ -107,13 +107,10 @@ def psi_series(order: int) -> TruncatedSeries:
 
 
 @lru_cache(maxsize=None)
-def _fz_log(order: int, tmax: int) -> TruncatedSeries:
+def _fz_log(order: int) -> TruncatedSeries:
     """log of the branch series, exact at every t^r p^sigma with
-    r + |sigma| <= order and r <= tmax: t-degree > tmax is an ideal, so
-    the cap is a quotient of the series ring."""
-    psi = psi_series(order)
-    return series_log(TruncatedSeries(psi.gens, order, psi.coeffs,
-                                      caps={"t": tmax}))
+    r + |sigma| <= order."""
+    return series_log(psi_series(order))
 
 
 Index = Tuple[int, Tuple[int, ...]]  # (r, sigma parts) or (r, (d,))
@@ -132,11 +129,11 @@ def _sigma(names: Sequence[str], ev: ExpVec) -> Tuple[int, ...]:
 
 def fz_coefficients(order: int) -> Dict[Index, Fraction]:
     """Coefficients C_r(sigma) of log of the branch series, keyed by
-    (r, sigma parts), for r + |sigma| <= order."""
+    (r, sigma parts), for r + |sigma| <= order, sorted by (r, sigma)."""
     check_int("order", order)
-    log = _fz_log(order, order)
-    return {(ev[0], _sigma(log.gens.names[1:], ev[1:])): c
-            for ev, c in log.coeffs.items()}
+    log = _fz_log(order)
+    return dict(sorted(((ev[0], _sigma(log.gens.names[1:], ev[1:])), c)
+                       for ev, c in log.coeffs.items()))
 
 
 # ---------------------------------------------------------------------------
@@ -226,13 +223,13 @@ def fz_admissible(g: int, r: int, sigma: Sequence[int]) -> bool:
 def _fz_exp_minus_gamma(g: int, rmax: int, smax: int) -> RelationTable:
     """exp(-gamma) with gamma = sum C_r(sigma) kappa_r t^r p^sigma, exact on
     the box r <= rmax, |sigma| <= smax, keyed by (r, sigma parts)."""
-    log = _fz_log(rmax + smax, rmax)
+    log = _fz_log(rmax + smax)
     # the p_j with j <= smax come first in the log's variables
     variables = GeneratorTable(_p_vars(smax))
     n = len(variables)
     gamma: Dict[int, Dict[ExpVec, Fraction]] = {}
     for ev, c in log.coeffs.items():
-        if log.gens.degree(ev) - ev[0] <= smax:
+        if ev[0] <= rmax and log.gens.degree(ev) - ev[0] <= smax:
             gamma.setdefault(ev[0], {})[ev[1:n + 1]] = c
     table = _exp_minus_gamma(g, rmax, variables, smax, gamma)
     sigma = {ev: _sigma(variables.names, ev) for _, ev in table}
@@ -298,14 +295,10 @@ def sq_phi_series(order: int) -> TruncatedSeries:
 
 
 @lru_cache(maxsize=None)
-def _sq_log(dmax: int, rmax: int) -> TruncatedSeries:
-    """log Phi, exact at every t^r x^d with r <= rmax and d <= dmax: all
-    weights are non-negative and x-degree > dmax is an ideal, so both
-    truncations are quotients of the series ring."""
-    order = max(rmax + 2 * dmax, 0)
-    phi = sq_phi_series(order)
-    return series_log(TruncatedSeries(_SQ_GENS, order, phi.coeffs,
-                                      caps={"x": dmax}))
+def _sq_log(order: int) -> TruncatedSeries:
+    """log Phi, exact at every t^r x^d with r + 2d <= order (every weight
+    is non-negative, so truncating by weight is a quotient)."""
+    return series_log(sq_phi_series(order))
 
 
 def sq_coefficients(dmax: int, rmax: int) -> Dict[Tuple[int, int], Fraction]:
@@ -314,9 +307,10 @@ def sq_coefficients(dmax: int, rmax: int) -> Dict[Tuple[int, int], Fraction]:
     The t-order is -1 at every x-degree (deeper poles cancel)."""
     check_int("dmax", dmax)
     check_int("rmax", rmax)
+    log = _sq_log(max(rmax + 2 * dmax, 0))
     return dict(sorted(((d, r), c * factorial(d))
-                       for (r, d), c in _sq_log(dmax, rmax).coeffs.items()
-                       if r <= rmax))
+                       for (r, d), c in log.coeffs.items()
+                       if d <= dmax and r <= rmax))
 
 
 def sq_admissible(g: int, r: int, d: int) -> bool:
@@ -334,8 +328,9 @@ def _sq_exp_minus_gamma(g: int, rmax: int, dmax: int) -> RelationTable:
     truncated to t-exponent <= rmax and x-degree <= dmax, keyed by (r, (d,))."""
     gamma: Dict[int, Dict[ExpVec, Fraction]] = {
         r: {(0,): c} for r, c in mumford_terms(rmax)}
-    # log Phi has no x^0 term, so no log term meets a Mumford term
-    for (r, d), c in _sq_log(dmax, rmax).coeffs.items():
+    # log Phi has no x^0 term, so no log term meets a Mumford term; the
+    # series over _X at order dmax drop its terms with d > dmax
+    for (r, d), c in _sq_log(max(rmax + 2 * dmax, 0)).coeffs.items():
         gamma.setdefault(r, {})[(d,)] = c
     return _exp_minus_gamma(g, rmax, _X, dmax, gamma)
 
@@ -384,8 +379,8 @@ def ideal_equivalence_check(g: int, degree: int) -> bool:
     """Whether the FZ span and the stable-quotient span coincide in the
     given degree: both ranks equal the rank of their joint span.
 
-    The SQ side is generated with increasing x-degree cap until two
-    consecutive caps add no rank (the documented stabilization rule)."""
+    The SQ side grows its x-degree bound dmax by 2 until a step adds no
+    rank (the documented stabilization rule)."""
     check_int("g", g)
     if check_int("degree", degree) <= 0:
         return True

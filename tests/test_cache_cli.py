@@ -7,6 +7,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from tautrings import cache as cache_module
 from tautrings.cache import CacheError, CacheFile
 from tautrings.cli import run
 from tautrings.correlators import CorrelatorTable, default_table, psi_intersection
@@ -482,7 +483,7 @@ def test_cli_cache_equivalence(tmp_path, capsys):
     with_cache = capsys.readouterr().out
     assert run(["correlator", "2", "4", "--cache", path]) == 0
     warm = capsys.readouterr().out
-    assert run(["correlator", "2", "4", "--no-cache"]) == 0
+    assert run(["correlator", "2", "4"]) == 0
     without = capsys.readouterr().out
     assert with_cache == warm == without
     # cached file round-trips byte-identically when nothing new is added
@@ -560,21 +561,40 @@ def test_cli_cached_calls_in_one_process_keep_files_apart(tmp_path, capsys):
     assert len(json.loads(b.read_text())["sections"]["correlators"]) == 3
 
 
-def test_cli_cache_env_read_per_call(tmp_path, capsys, monkeypatch):
-    """The parser is built once per process, but $TAUTRINGS_CACHE is read
-    on each call, and a --cache on the command line wins over it."""
-    a, b, c = tmp_path / "a.json", tmp_path / "b.json", tmp_path / "c.json"
-    monkeypatch.setenv("TAUTRINGS_CACHE", str(a))
-    assert run(["correlator", "1", "1"]) == 0
-    monkeypatch.setenv("TAUTRINGS_CACHE", str(b))
-    assert run(["correlator", "2", "4"]) == 0
-    assert run(["correlator", "1", "1", "--cache", str(c)]) == 0
-    capsys.readouterr()
-    entries = {p.name: json.loads(p.read_text())["sections"]["correlators"]
-               for p in (a, b, c)}
-    assert len(entries["a.json"]) == 3
-    assert "2:4" in entries["b.json"] and "2:4" not in entries["a.json"]
-    assert c.read_bytes() == a.read_bytes()
+def test_cli_cache_in_missing_directory_is_usage_error(tmp_path, capsys):
+    """A cache path that cannot be written is bad input (exit 2) naming
+    the path, and leaves no temporary file."""
+    path = tmp_path / "no" / "such" / "c.json"
+    assert run(["correlator", "2", "4", "--cache", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and repr(str(path)) in captured.err
+    assert os.listdir(tmp_path) == []
+
+
+def test_cli_cache_that_is_a_directory_is_usage_error(tmp_path, capsys):
+    """A cache path that names a directory cannot be read: exit 2 naming
+    the path, and no temporary file beside or inside it."""
+    assert run(["correlator", "2", "4", "--cache", str(tmp_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and repr(str(tmp_path)) in captured.err
+    assert os.listdir(tmp_path) == []
+    assert not os.path.exists(str(tmp_path) + ".tmp")
+
+
+def test_cache_io_lets_an_alarm_through(tmp_path, monkeypatch):
+    """A wall-clock alarm's TimeoutError (an OSError too) during cache file
+    I/O stays a TimeoutError, the CLI's internal failure, not a CacheError."""
+    def alarm(*args, **kwargs):
+        raise TimeoutError("exceeded --max-seconds=1")
+    path = tmp_path / "c.json"
+    path.write_text("{}")
+    monkeypatch.setattr(cache_module, "open", alarm, raising=False)
+    with pytest.raises(TimeoutError):
+        CacheFile(str(path)).load()
+    with pytest.raises(TimeoutError):
+        CacheFile(str(path)).save()
 
 
 def _flags_placed(before, flags, command):
@@ -591,18 +611,12 @@ def test_cli_format_flag_on_either_side(capsys, before):
 
 
 @pytest.mark.parametrize("before", [True, False])
-def test_cli_cache_flags_on_either_side(tmp_path, capsys, monkeypatch, before):
-    """--cache and --no-cache act wherever they stand; --no-cache also
-    overrides $TAUTRINGS_CACHE."""
-    kept, skipped, env = (tmp_path / "kept.json", tmp_path / "skipped.json",
-                          tmp_path / "env.json")
+def test_cli_cache_flags_on_either_side(tmp_path, capsys, before):
+    """--cache acts wherever it stands."""
+    kept = tmp_path / "kept.json"
     command = ["correlator", "1", "1"]
     assert run(_flags_placed(before, ["--cache", str(kept)], command)) == 0
-    assert run(_flags_placed(before, ["--cache", str(skipped), "--no-cache"],
-                             command)) == 0
-    monkeypatch.setenv("TAUTRINGS_CACHE", str(env))
-    assert run(_flags_placed(before, ["--no-cache"], command)) == 0
-    assert capsys.readouterr().out.split() == ["1/24"] * 3
+    assert capsys.readouterr().out.split() == ["1/24"]
     assert os.listdir(tmp_path) == ["kept.json"]
 
 
@@ -623,6 +637,6 @@ def test_cli_max_seconds_budget(capsys):
     """A command that exceeds its wall-clock budget exits 1.  The H^2
     rank of M_{0,11} takes over ten seconds, so the 1 s alarm always
     interrupts it."""
-    assert run(["h2", "0", "11", "--max-seconds", "1", "--no-cache"]) == 1
+    assert run(["h2", "0", "11", "--max-seconds", "1"]) == 1
     err = capsys.readouterr().err
     assert "max-seconds" in err

@@ -3,7 +3,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction as F
 from itertools import combinations_with_replacement
-from math import comb, gcd
+from math import comb, factorial, gcd
 
 import pytest
 
@@ -101,9 +101,10 @@ def test_mercator_series():
     assert log.coefficient((1,)) == 1
     assert log.coefficient((2,)) == F(-1, 2)
     assert log.coefficient((3,)) == F(1, 3)
-    # the cap x <= 2 cuts log(1 + x) at order 5 down to x - x^2/2
-    capped = TruncatedSeries(GeneratorTable([("x", 1)]), 5, {(1,): F(1)}, caps={"x": 2}) + 1
-    assert series_log(capped).coeffs == {(1,): 1, (2,): F(-1, 2)}
+    # log(1 + x) at order 5 is x - x^2/2 + x^3/3 - x^4/4 + x^5/5
+    s = TruncatedSeries(GeneratorTable([("x", 1)]), 5, {(1,): F(1)}) + 1
+    assert series_log(s).coeffs == {(1,): 1, (2,): F(-1, 2), (3,): F(1, 3),
+                                    (4,): F(-1, 4), (5,): F(1, 5)}
 
 
 def test_log_of_unit_and_exp_of_zero():
@@ -118,14 +119,14 @@ def test_exp_examples():
     assert e.coefficient((0,)) == 1
     assert e.coefficient((1,)) == 1
     assert e.coefficient((2,)) == F(1, 2)
-    # under the cap x <= 2, exp(x) is 1 + x + x^2/2
-    e = series_exp(TruncatedSeries(GeneratorTable([("x", 1)]), 5, {(1,): F(1)}, caps={"x": 2}))
-    assert e.coeffs == {(0,): 1, (1,): 1, (2,): F(1, 2)}
-    # a Laurent direction: exp(t^-1 x) with t of weight 1, x of weight 2
-    # and x <= 2 is 1 + t^-1 x + t^-2 x^2/2
+    # exp(x) at order 5 is the sum of x^k/k! for k <= 5
+    e = series_exp(TruncatedSeries(GeneratorTable([("x", 1)]), 5, {(1,): F(1)}))
+    assert e.coeffs == {(k,): F(1, factorial(k)) for k in range(6)}
+    # a Laurent direction: with t of weight 1 and x of weight 2, t^-1 x has
+    # weight 1, so exp(t^-1 x) at order 5 is the sum of t^-k x^k/k!, k <= 5
     e = series_exp(TruncatedSeries(GeneratorTable([("t", 1), ("x", 2)]), 5,
-                                   {(-1, 1): F(1)}, caps={"x": 2}))
-    assert e.coeffs == {(0, 0): 1, (-1, 1): 1, (-2, 2): F(1, 2)}
+                                   {(-1, 1): F(1)}))
+    assert e.coeffs == {(-k, k): F(1, factorial(k)) for k in range(6)}
 
 
 def test_exp_requires_zero_constant_and_log_requires_one():
@@ -136,7 +137,7 @@ def test_exp_requires_zero_constant_and_log_requires_one():
         series_log(s - 1)
 
 
-def _random_series(rng, gens, order, constant, low=None, caps=None):
+def _random_series(rng, gens, order, constant, low=None):
     """Up to 12 random terms of weight 1..order; exponents are drawn from
     low[i]..2 (default 0..2), so a negative low gives a Laurent direction."""
     coeffs = {}
@@ -145,8 +146,7 @@ def _random_series(rng, gens, order, constant, low=None, caps=None):
         ev = tuple(rng.randint(lo, 2) for lo in low)
         if gens.degree(ev) in range(1, order + 1):
             coeffs[ev] = F(rng.randint(-5, 5), rng.randint(1, 4))
-    s = TruncatedSeries(gens, order, coeffs, caps=caps)
-    return s + constant
+    return TruncatedSeries(gens, order, coeffs) + constant
 
 
 @pytest.mark.parametrize("seed", range(8))
@@ -157,28 +157,28 @@ def test_exp_log_round_trip(seed):
     assert series_exp(series_log(s)).coeffs == s.coeffs
     v = _random_series(rng, variables, 6, 0)
     assert series_log(series_exp(v)).coeffs == v.coeffs
-    # the stable-quotient shape: t^-1 allowed, the x-degree capped
-    sq_variables, low, caps = GeneratorTable([("t", 1), ("x", 2)]), (-1, 0), {"x": 2}
-    s = _random_series(rng, sq_variables, 6, 1, low, caps)
+    # the stable-quotient shape: t^-1 allowed
+    sq_variables, low = GeneratorTable([("t", 1), ("x", 2)]), (-1, 0)
+    s = _random_series(rng, sq_variables, 6, 1, low)
     assert series_exp(series_log(s)).coeffs == s.coeffs
-    v = _random_series(rng, sq_variables, 6, 0, low, caps)
+    v = _random_series(rng, sq_variables, 6, 0, low)
     assert series_log(series_exp(v)).coeffs == v.coeffs
 
 
 @pytest.mark.parametrize("seed", range(4))
 def test_series_mul_adds_exponents(seed):
-    """exp(u) * exp(v) == exp(u + v), also in the capped Laurent shape;
-    factors over different generator tables are refused."""
+    """exp(u) * exp(v) == exp(u + v), also in the Laurent shape; factors
+    over different generator tables are refused."""
     rng = random.Random(seed)
-    for variables, low, caps in (
-            (GeneratorTable([("t", 1), ("u", 2)]), None, None),
-            (GeneratorTable([("t", 1), ("x", 2)]), (-1, 0), {"x": 2})):
-        u = _random_series(rng, variables, 6, 0, low, caps)
-        v = _random_series(rng, variables, 6, 0, low, caps)
+    for variables, low in (
+            (GeneratorTable([("t", 1), ("u", 2)]), None),
+            (GeneratorTable([("t", 1), ("x", 2)]), (-1, 0))):
+        u = _random_series(rng, variables, 6, 0, low)
+        v = _random_series(rng, variables, 6, 0, low)
         both = dict(u.coeffs)
         for ev, c in v.coeffs.items():
             both[ev] = both.get(ev, 0) + c
-        w = TruncatedSeries(variables, 6, both, caps=caps)
+        w = TruncatedSeries(variables, 6, both)
         assert (series_mul(series_exp(u), series_exp(v)).coeffs
                 == series_exp(w).coeffs)
     with pytest.raises(ValueError):
@@ -201,26 +201,25 @@ def test_series_rejects_bad_weights_and_coefficients():
 
 # The int kernel against a Fraction oracle.  A series is a dict exponent
 # vector -> Fraction; every product is a naive convolution over all pairs of
-# terms, truncated at the order and the caps (a quotient of the series
-# ring, so truncating after each product is exact).
+# terms, truncated at the order (a quotient of the series ring, so
+# truncating after each product is exact).
 
 # pairwise coprime denominators, so common denominators grow large
 _BIG_DENOMINATORS = (2 ** 61 - 1, 10 ** 9 + 7, 998244353, 10 ** 9 + 9,
                      3 ** 30, 5 ** 20, 7 ** 15)
 
 
-def _oracle_mul(gens, order, caps, a, b):
+def _oracle_mul(gens, order, a, b):
     out = {}
     for ev1, c1 in a.items():
         for ev2, c2 in b.items():
             ev = tuple(x + y for x, y in zip(ev1, ev2))
-            if (0 <= gens.degree(ev) <= order
-                    and all(ev[gens.index(n)] <= c for n, c in caps.items())):
+            if 0 <= gens.degree(ev) <= order:
                 out[ev] = out.get(ev, 0) + c1 * c2
     return {ev: F(c) for ev, c in out.items() if c}
 
 
-def _oracle_power_sum(gens, order, caps, s, coefficient):
+def _oracle_power_sum(gens, order, s, coefficient):
     """sum over k = 0..order of coefficient(k) * s^k; s has no constant
     term, so s^k has weight >= k and higher powers vanish."""
     one = {(0,) * len(gens): F(1)}
@@ -228,22 +227,22 @@ def _oracle_power_sum(gens, order, caps, s, coefficient):
     for k in range(order + 1):
         for ev, c in power.items():
             total[ev] = total.get(ev, 0) + coefficient(k) * c
-        power = _oracle_mul(gens, order, caps, power, s)
+        power = _oracle_mul(gens, order, power, s)
     return {ev: c for ev, c in total.items() if c}
 
 
-def _oracle_exp(gens, order, caps, s):
+def _oracle_exp(gens, order, s):
     """exp s = sum s^k / k!."""
     fact = [1]
     for k in range(1, order + 1):
         fact.append(fact[-1] * k)
-    return _oracle_power_sum(gens, order, caps, s, lambda k: F(1, fact[k]))
+    return _oracle_power_sum(gens, order, s, lambda k: F(1, fact[k]))
 
 
-def _oracle_log(gens, order, caps, s):
+def _oracle_log(gens, order, s):
     """log s = sum_{k >= 1} (-1)^(k+1) (s - 1)^k / k."""
     shifted = {ev: c for ev, c in s.items() if any(ev)}
-    return _oracle_power_sum(gens, order, caps, shifted,
+    return _oracle_power_sum(gens, order, shifted,
                              lambda k: F((-1) ** (k + 1), k) if k else F(0))
 
 
@@ -263,16 +262,16 @@ def _assert_clean(series, expected):
 
 
 _SHAPES = (
-    # plain weights, no caps
-    (GeneratorTable([("t", 1), ("u", 2)]), None, {}),
-    # the stable-quotient shape: a Laurent t^-1 direction, the x-degree capped
-    (GeneratorTable([("t", 1), ("x", 2)]), (-1, 0), {"x": 2}),
-    # the FZ-log shape: two weight-1 generators, one capped
-    (GeneratorTable([("t", 1), ("p1", 1), ("p3", 3)]), None, {"t": 2}),
+    # plain weights
+    (GeneratorTable([("t", 1), ("u", 2)]), None),
+    # the stable-quotient shape: a Laurent t^-1 direction
+    (GeneratorTable([("t", 1), ("x", 2)]), (-1, 0)),
+    # the FZ-log shape: two weight-1 generators
+    (GeneratorTable([("t", 1), ("p1", 1), ("p3", 3)]), None),
 )
 
 
-def _big_random(rng, gens, order, low, caps):
+def _big_random(rng, gens, order, low):
     """Random coefficients over large pairwise coprime denominators."""
     coeffs = {}
     low = low or (0,) * len(gens)
@@ -290,19 +289,19 @@ def test_int_kernel_matches_fraction_oracle(seed, shape):
     """exp, log and products over int slices equal the naive Fraction
     computations, on small and on large coprime denominators."""
     rng = random.Random(seed)
-    gens, low, caps = _SHAPES[shape]
+    gens, low = _SHAPES[shape]
     order = 6
     for big in (False, True):
         if big:
-            u = TruncatedSeries(gens, order, _big_random(rng, gens, order, low, caps), caps)
-            v = TruncatedSeries(gens, order, _big_random(rng, gens, order, low, caps), caps)
+            u = TruncatedSeries(gens, order, _big_random(rng, gens, order, low))
+            v = TruncatedSeries(gens, order, _big_random(rng, gens, order, low))
         else:
-            u = _random_series(rng, gens, order, 0, low, caps)
-            v = _random_series(rng, gens, order, 0, low, caps)
-        _assert_clean(series_exp(u), _oracle_exp(gens, order, caps, u.coeffs))
-        _assert_clean(series_log(v + 1), _oracle_log(gens, order, caps, (v + 1).coeffs))
+            u = _random_series(rng, gens, order, 0, low)
+            v = _random_series(rng, gens, order, 0, low)
+        _assert_clean(series_exp(u), _oracle_exp(gens, order, u.coeffs))
+        _assert_clean(series_log(v + 1), _oracle_log(gens, order, (v + 1).coeffs))
         a, b = u + F(3, 7), v - 2
-        _assert_clean(series_mul(a, b), _oracle_mul(gens, order, caps, a.coeffs, b.coeffs))
+        _assert_clean(series_mul(a, b), _oracle_mul(gens, order, a.coeffs, b.coeffs))
         _assert_clean(u * F(-5, 3), {ev: c * F(-5, 3) for ev, c in u.coeffs.items()})
 
 
@@ -313,7 +312,7 @@ def test_int_kernel_drops_cancelled_slices():
     b = TruncatedSeries(gens, 4, {(1, 0): F(-1, 3), (0, 1): F(-2, 5)}) + 1
     prod = series_mul(a, b)  # 1 - (t/3 + 2u/5)^2: weight 1 cancels
     assert 1 not in prod._slices
-    _assert_clean(prod, _oracle_mul(gens, 4, {}, a.coeffs, b.coeffs))
+    _assert_clean(prod, _oracle_mul(gens, 4, a.coeffs, b.coeffs))
     # exp(u) * exp(-u) == 1 on the large denominators: every positive weight cancels
     u = TruncatedSeries(gens, 4, {(1, 0): F(7, 2 ** 61 - 1), (1, 1): F(-3, 10 ** 9 + 7),
                                   (0, 2): F(5, 998244353)})
@@ -339,7 +338,6 @@ def test_series_scalar_edges_give_fractions():
 @pytest.mark.parametrize("make, match", [
     (lambda t: TruncatedSeries(t, 2.9), "order must be an int, got 2.9"),
     (lambda t: TruncatedSeries(t, True), "order must be an int, got True"),
-    (lambda t: TruncatedSeries(t, 3, caps={"t": 1.7}), "cap on t must be an int, got 1.7"),
     (lambda t: TruncatedSeries(t, 3, {(1.5,): 1}), "exponent must be an int, got 1.5"),
     (lambda t: TruncatedSeries(t, 3, {(True,): 1}), "exponent must be an int, got True"),
     (lambda t: TruncatedSeries(t, 3, {(1, 2): 1}), "has length 2, not 1"),
@@ -348,7 +346,7 @@ def test_series_scalar_edges_give_fractions():
     (lambda t: GradedPolynomial(t, {(1, 2): 1}), "has length 2, not 1"),
 ])
 def test_series_and_polynomial_refuse_non_int_inputs(make, match):
-    """An order, cap or exponent that is not an int, or an exponent vector
+    """An order or exponent that is not an int, or an exponent vector
     of the wrong length, is a ValueError naming it, not truncated."""
     with pytest.raises(ValueError, match=match):
         make(GeneratorTable([("t", 1)]))

@@ -49,6 +49,18 @@ def test_fz_coefficients_examples():
     assert c[(0, (1, 1))] == F(-1, 2)          # log(1 - p1) expansion
 
 
+@pytest.mark.parametrize("k", [0, 1, 4, 7])
+def test_fz_coefficients_key_range(k):
+    """The keys satisfy r + |sigma| <= k, come sorted by (r, sigma), and
+    the coefficients are those of a longer log restricted to them."""
+    c = fz_coefficients(k)
+    assert all(r + sum(sigma) <= k for r, sigma in c)
+    assert list(c) == sorted(c)
+    wide = fz_coefficients(k + 3)
+    assert c == {(r, sigma): v for (r, sigma), v in wide.items()
+                 if r + sum(sigma) <= k}
+
+
 # ---------------------------------------------------------------------------
 # FZ relations
 # ---------------------------------------------------------------------------
@@ -164,6 +176,16 @@ def test_fz_relations_homogeneous():
             assert rel.polynomial.degree() == rel.r
 
 
+@pytest.mark.parametrize("g, d, s", [(6, 4, 0), (6, 4, 3), (8, 5, 2),
+                                     (8, 6, 4), (9, 7, 5), (10, 8, 7)])
+def test_fz_relation_set_max_sigma_is_a_restriction(g, d, s):
+    """max_sigma keeps exactly the relations of the full set with
+    |sigma| <= max_sigma, in the same order."""
+    full = fz_relation_set(g, d)
+    assert ([r.export() for r in fz_relation_set(g, d, max_sigma=s)]
+            == [r.export() for r in full if sum(r.index) <= s])
+
+
 def test_fz_truncation_stability():
     """The extracted polynomial is unchanged when computed from a series
     truncated far beyond the minimum order."""
@@ -246,6 +268,18 @@ def test_sq_coefficients_closed_forms():
     for d in range(1, 16):
         assert c[(d, -1)] == F((-1) ** d * factorial(2 * d - 2), factorial(d))
         assert c[(d, 0)] == (-1) ** d * 4 ** (d - 1) * factorial(d - 1)
+
+
+@pytest.mark.parametrize("dmax, rmax", [(0, 2), (1, 0), (2, 3), (3, 1), (4, 4)])
+def test_sq_coefficients_key_range(dmax, rmax):
+    """The keys satisfy 1 <= d <= dmax and r <= rmax, come sorted, and the
+    coefficients are those of a wider box restricted to them."""
+    c = sq_coefficients(dmax, rmax)
+    assert all(1 <= d <= dmax and r <= rmax for d, r in c)
+    assert list(c) == sorted(c)
+    wide = sq_coefficients(dmax + 2, rmax + 2)
+    assert c == {(d, r): v for (d, r), v in wide.items()
+                 if d <= dmax and r <= rmax}
 
 
 def test_sq_admissibility():

@@ -9,7 +9,7 @@ from fractions import Fraction
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from . import boundary, closedforms, correlators, jacobian, relationgen, stablegraphs, tautring
-from .cache import CacheError, CacheFile
+from .cache import CacheFile
 from .exactmath import GeneratorTable, GradedPolynomial, graded_quotient, is_int
 
 __all__ = ["run", "main"]
@@ -147,12 +147,11 @@ def _cmd_correlator(args) -> _Result:
     cache = CacheFile(args.cache).load() if args.cache else None
     if cache is not None:
         cache.attach_correlators(table)
-    value = correlators.psi_intersection(args.genus, _parse_ints(args.exponents),
-                                         table)
+    exps = _parse_ints(args.exponents)
+    value = correlators.psi_intersection(args.genus, exps, table)
     if cache is not None and cache.collect(table):
         cache.save()
-    return _value({"genus": args.genus, "exponents": _parse_ints(args.exponents)},
-                  value)
+    return _value({"genus": args.genus, "exponents": exps}, value)
 
 
 def _cmd_hodge(args) -> _Result:
@@ -359,7 +358,7 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
         else:
             print(csv if args.format == "csv" and csv is not None else plain)
         return code
-    except (ValueError, CacheError, json.JSONDecodeError) as exc:
+    except ValueError as exc:  # CacheError and JSONDecodeError too
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except TimeoutError as exc:

@@ -1,10 +1,9 @@
 from __future__ import annotations
 
-import re
 import threading
 from fractions import Fraction
 from math import comb, factorial, lcm
-from typing import Dict, Generator, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Generator, Iterable, List, Optional, Sequence, Tuple
 
 from .exactmath import is_int
 
@@ -57,9 +56,6 @@ class CorrelatorKey:
         self.genus = genus
         self.exponents = exps
 
-    def serialize(self) -> str:
-        return _key_text(self.genus, self.exponents)
-
     def __eq__(self, other) -> bool:
         if isinstance(other, CorrelatorKey):
             return (self.genus, self.exponents) == (other.genus, other.exponents)
@@ -72,116 +68,61 @@ class CorrelatorKey:
         return f"CorrelatorKey({self.genus}, {list(self.exponents)})"
 
 
-def _key_text(g: int, exps: Tuple[int, ...]) -> str:
-    """The cache-file form "g:k1,k2,..." of a sorted key."""
-    return f"{g}:" + ",".join(map(str, exps))
-
-
-# The cache-entry grammar, the shape `memo_entries` writes (though a value
-# need not be in lowest terms): decimal ints with no sign, spaces,
-# underscores or leading zeros; keys stable (n >= 3 in genus 0, n >= 1 in
-# genus 1); values "num/den" with den > 0.
-_INT = "(?:0|[1-9][0-9]*)"
-_KEY = (rf"0:{_INT}(?:,{_INT}){{2,}}|1:{_INT}(?:,{_INT})*"
-        rf"|(?:[2-9]|[1-9][0-9]+):(?:{_INT}(?:,{_INT})*)?")
-_VALUE = "(?:0|-?[1-9][0-9]*)/[1-9][0-9]*"
-# A newline that does not start one well-formed item, ended by the next
-# newline or the end of the string.  Left to `re`'s cache to compile on
-# first use, so that a process that reads no cache file compiles nothing.
-_BAD_KEY = rf"\n(?!(?:{_KEY})(?:\n|\Z))"
-_BAD_VALUE = rf"\n(?!{_VALUE}(?:\n|\Z))"
-
-
-def _grammatical(entries: Dict[str, str]) -> bool:
-    """Whether every entry is in the grammar.  The keys, each after a
-    newline, form one string and the values another, and one search of
-    each finds any item that is not well formed.  The newline counts show
-    that no key or value holds a newline, so the items are the entries."""
-    try:
-        keys = "\n" + "\n".join(entries)
-        values = "\n" + "\n".join(entries.values())
-    except TypeError:
-        return False
-    return (keys.count("\n") == values.count("\n") == len(entries)
-            and re.search(_BAD_KEY, keys) is None
-            and re.search(_BAD_VALUE, values) is None)
-
-
 class CorrelatorTable:
     """Memo table of correlator values, safe for concurrent readers.
 
     The table is transparent: clearing it and recomputing reproduces every
-    value exactly.  `memo_entries`/`load` exchange the content with the
-    cache file layer, keys "g:k1,k2,..." with the exponents non-increasing
-    and values "num/den".  `load` checks every entry against that grammar
-    at once but parses none: `get` parses an entry the first time its key
-    misses the memo.  A key whose exponents are not sorted is never looked
-    up, so such an entry is kept as read and never used.
+    value exactly.  An attached lookup, such as a cache file's, answers
+    the keys that miss the memo: `get` and `put` ask it before they return
+    None or store a value, and a value it gives enters the memo then.
+    `items` and `len` see the memo alone, not what the lookup could answer.
     """
 
     def __init__(self) -> None:
         self._data: Dict[Tuple[int, Tuple[int, ...]], Fraction] = {}
-        self._raw: Dict[str, str] = {}  # loaded entries, checked, unparsed
+        self._lookup: Optional[Callable] = None
         self._lock = threading.Lock()
 
     def get(self, g: int, exps: Tuple[int, ...]) -> Optional[Fraction]:
         value = self._data.get((g, exps))
-        if value is None and self._raw:
-            value = self._read(g, exps)
+        lookup = self._lookup  # read once, since `clear` may drop it meanwhile
+        if value is None and lookup is not None:
+            value = lookup(g, exps)
+            if value is not None:
+                value = self._data.setdefault((g, exps), value)
         return value
 
     def put(self, g: int, exps: Tuple[int, ...], value: Fraction) -> None:
         with self._lock:
             prev = self._data.get((g, exps))
-            if prev is None and self._raw:
-                prev = self._read(g, exps)
+            if prev is None and self._lookup is not None:
+                prev = self._lookup(g, exps)
             if prev is not None and prev != value:
                 raise RuntimeError("divergent correlator values for one key")
             self._data[(g, exps)] = value
 
-    def _read(self, g: int, exps: Tuple[int, ...]) -> Optional[Fraction]:
-        """Parse the loaded entry of a key that missed the memo."""
-        text = self._raw.get(_key_text(g, exps))
-        if text is None:
-            return None
-        return self._data.setdefault((g, exps), Fraction(text))
+    def attach(self, lookup: Callable[[int, Tuple[int, ...]], Optional[Fraction]]) -> None:
+        """Answer memo misses with `lookup(g, exps)`, a value or None, in
+        place of any lookup attached before.  A memo value that `lookup`
+        contradicts raises `RuntimeError` and leaves the table unchanged."""
+        with self._lock:
+            if any(lookup(*key) not in (None, value) for key, value in self._data.items()):
+                raise RuntimeError("divergent correlator values for one key")
+            self._lookup = lookup
+
+    def items(self) -> List[Tuple[Tuple[int, Tuple[int, ...]], Fraction]]:
+        """The memo's ((g, exps), value) pairs: computed, put or read."""
+        with self._lock:
+            return list(self._data.items())
 
     def clear(self) -> None:
         with self._lock:
             self._data.clear()
-            self._raw = {}
+            self._lookup = None
 
     def __len__(self) -> int:
         """The number of values in the memo: computed, put or read."""
         return len(self._data)
-
-    def memo_entries(self) -> Dict[str, str]:
-        """The memo's values, computed, put or read, in cache-file form;
-        unread loaded entries are left out."""
-        with self._lock:
-            items = list(self._data.items())
-        return {_key_text(g, exps): f"{v.numerator}/{v.denominator}"
-                for (g, exps), v in items}
-
-    def load(self, entries: Dict[str, str]) -> None:
-        """Take in cache entries, keeping `entries` itself unless the table
-        already holds loaded entries.  A malformed entry raises `ValueError` and an entry
-        that disagrees with a value the table holds raises `RuntimeError`;
-        either way the table is left unchanged."""
-        if entries and not _grammatical(entries):
-            bad = next(k for k in entries if not _grammatical({k: entries[k]}))
-            raise ValueError(f"bad cache entry {bad!r}: {entries[bad]!r}")
-        with self._lock:
-            # The values held that `entries` may contradict: the memo's,
-            # and unread entries whose text `entries` changes.
-            held = [(_key_text(g, exps), v) for (g, exps), v in self._data.items()]
-            held += [(key, Fraction(text)) for key, text in self._raw.items()
-                     if entries.get(key, text) != text]
-            for key, v in held:
-                text = entries.get(key)
-                if text is not None and Fraction(text) != v:
-                    raise RuntimeError(f"divergent correlator values for {key}")
-            self._raw = {**self._raw, **entries} if self._raw else entries
 
 
 default_table = CorrelatorTable()

@@ -49,18 +49,21 @@ def test_cache_round_trip_byte_identical(tmp_path):
 
 
 def test_collect_adds_only_memo_entries(tmp_path):
-    """`collect` compares the memo with the section, not the table's
-    unread loaded entries: a table loaded from another file passes on only
-    the values it read or computed."""
+    """`collect` compares the memo with the section, not the entries the
+    table could still look up: a table attached to another file passes on
+    only the values it read or computed."""
+    source = CacheFile(str(tmp_path / "source.json"))
+    source.sections["correlators"].update(
+        {"1:1": "1/24", "2:4": "1/1152", "3:7": "1/82944"})
     table = CorrelatorTable()
-    table.load({"1:1": "1/24", "2:4": "1/1152", "3:7": "1/82944"})
+    source.attach_correlators(table)
     cache = CacheFile(str(tmp_path / "c.json"))
     assert cache.collect(table) is False
     assert table.get(1, (1,)) == F(1, 24)
     psi_intersection(1, [2, 0], table)
     assert cache.collect(table) is True
     assert cache.sections["correlators"] == {"1:1": "1/24", "1:2,0": "1/24"}
-    assert table.memo_entries() == cache.sections["correlators"]
+    assert dict(table.items()) == {(1, (1,)): F(1, 24), (1, (2, 0)): F(1, 24)}
 
 
 def test_cache_version_mismatch_rejected(tmp_path):
@@ -459,17 +462,36 @@ _BAD_ENTRIES = [
     ("[]", "not a JSON object"),
     (_checksummed([]), "sections"),
     (_checksummed({"correlators": {"1:1": "1/0"}}), "'1:1'"),
+    ("", "Expecting value"),
+    (b"\xff", "can't decode byte 0xff"),
 ] + [(_beside_good_entry(k, v), repr(k)) for k, v in _BAD_ENTRIES],
-    ids=["top-level", "sections", "value"] + [f"{k!r}={v!r}" for k, v in _BAD_ENTRIES])
+    ids=["top-level", "sections", "value", "not-json", "not-utf-8"]
+    + [f"{k!r}={v!r}" for k, v in _BAD_ENTRIES])
 def test_cli_malformed_cache_is_usage_error(tmp_path, capsys, text, fragment):
-    """A cache file of the wrong shape, or a checksummed entry outside the
-    entry grammar, is bad input (exit 2), not an internal failure, even
-    when the query never reads that entry."""
+    """A cache file that is not JSON, of the wrong shape, or with a
+    checksummed entry outside the entry grammar, is bad input (exit 2)
+    naming the file, not an internal failure, even when the query never
+    reads that entry."""
     path = tmp_path / "cache.json"
-    path.write_text(text)
+    if isinstance(text, bytes):
+        path.write_bytes(text)
+    else:
+        path.write_text(text)
     assert run(["correlator", "1", "1", "--cache", str(path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and fragment in err
+    assert repr(str(path)) in err
+
+
+def test_cache_load_rejects_a_bad_entry(tmp_path):
+    """`load` checks every correlator entry, so a loaded file is valid as a
+    whole: a checksummed entry outside the grammar is a `CacheError`
+    naming the file and the entry, before any table reads the file."""
+    path = tmp_path / "cache.json"
+    path.write_text(_beside_good_entry("2:4", "1/0"))
+    with pytest.raises(CacheError) as info:
+        CacheFile(str(path)).load()
+    assert "'2:4'" in str(info.value) and repr(str(path)) in str(info.value)
 
 
 def test_cli_negative_max_seconds_rejected(capsys):
@@ -570,6 +592,23 @@ def test_cli_cache_in_missing_directory_is_usage_error(tmp_path, capsys):
     assert captured.out == ""
     assert captured.err.startswith("error:") and repr(str(path)) in captured.err
     assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.parametrize("parent", ["missing", "file"])
+@pytest.mark.parametrize("genus, exps", [("0", "0,0,0"), ("2", "4")])
+def test_cli_cache_without_its_directory_fails_before_computing(
+        tmp_path, capsys, parent, genus, exps):
+    """A cache path whose directory is missing, or is a file, is refused
+    when the file is read: exit 2 naming the path, nothing on stdout and
+    no temporary file, whether or not the call would add an entry."""
+    if parent == "file":
+        (tmp_path / "file").write_text("")
+    path = tmp_path / parent / "c.json"
+    assert run(["correlator", genus, exps, "--cache", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and repr(str(path)) in captured.err
+    assert os.listdir(tmp_path) == ([] if parent == "missing" else ["file"])
 
 
 def test_cli_cache_that_is_a_directory_is_usage_error(tmp_path, capsys):

@@ -8,6 +8,7 @@ from math import factorial
 
 import pytest
 
+from tautrings.cache import CacheFile
 from tautrings.correlators import (CorrelatorKey, CorrelatorTable,
                                    default_table, genus0_closed_form,
                                    psi_intersection, string_reduce)
@@ -232,68 +233,83 @@ def test_cache_transparency():
         assert psi_intersection(g, exps, table) == v
 
 
-def test_table_memo_entries_round_trip():
+def _lookup(values):
+    """A lookup that answers the keys of `values`, a dict."""
+    return lambda g, exps: values.get((g, exps))
+
+
+def _cache_of(tmp_path, entries):
+    """A cache file that holds `entries`, saved and loaded again."""
+    cache = CacheFile(str(tmp_path / "c.json"))
+    cache.sections["correlators"].update(entries)
+    cache.save()
+    return CacheFile(cache.path).load()
+
+
+def test_table_items_round_trip():
     table = CorrelatorTable()
     psi_intersection(2, [4], table)
-    snap = table.memo_entries()
-    assert snap["2:4"] == "1/1152"
+    items = dict(table.items())
+    assert items[(2, (4,))] == F(1, 1152)
     fresh = CorrelatorTable()
-    fresh.load(snap)
+    fresh.attach(_lookup(items))
     assert fresh.get(2, (4,)) == F(1, 1152)
 
 
-def test_table_load_rejects_divergent_value():
-    """A cache entry that disagrees with a value already in the memo is
-    rejected, as `put` rejects it, and the memo keeps the old value."""
+def test_table_attach_rejects_divergent_value():
+    """A lookup that disagrees with a value already in the memo is
+    rejected, as `put` rejects it, and the table keeps the old value and
+    does not use the lookup."""
     table = CorrelatorTable()
     table.put(0, (0, 0, 0), F(1))
     with pytest.raises(RuntimeError, match="divergent"):
-        table.load({"0:0,0,0": "5/1"})
-    assert table.get(0, (0, 0, 0)) == F(1)
-    table.load({"0:0,0,0": "1/1"})  # an agreeing entry is accepted
+        table.attach(_lookup({(0, (0, 0, 0)): F(5), (1, (1,)): F(1, 24)}))
+    assert table.items() == [((0, (0, 0, 0)), F(1))]
+    assert table.get(1, (1,)) is None
+    table.attach(_lookup({(0, (0, 0, 0)): F(1)}))  # an agreeing lookup is accepted
 
 
-def test_table_parses_an_entry_when_first_read():
-    """`load` parses no entry; `get` parses one when its key first misses
-    the memo, and `len` counts only the entries read so far."""
+def test_table_parses_an_entry_when_first_read(tmp_path):
+    """Attaching a cache file parses no entry; `get` parses one when its
+    key first misses the memo, and `len` counts only the entries read so
+    far."""
     table = CorrelatorTable()
-    table.load({"1:1": "1/24", "2:4": "1/1152"})
+    _cache_of(tmp_path, {"1:1": "1/24", "2:4": "1/1152"}).attach_correlators(table)
     assert len(table) == 0
     assert table.get(1, (1,)) == F(1, 24)
     assert len(table) == 1
-    assert table.memo_entries() == {"1:1": "1/24"}
+    assert table.items() == [((1, (1,)), F(1, 24))]
     assert psi_intersection(2, [4], table) == F(1, 1152)
 
 
-def test_table_load_accepts_the_written_grammar():
+def test_cache_load_accepts_the_written_grammar(tmp_path):
     """Two-digit genera, stable keys with no markings and fractions not in
     lowest terms are entries too."""
     table = CorrelatorTable()
-    table.load({"0:0,0,0": "1/1", "2:": "0/1", "10:28": "1/2", "3:7": "-2/4"})
+    _cache_of(tmp_path, {"0:0,0,0": "1/1", "2:": "0/1", "10:28": "1/2",
+                         "3:7": "-2/4"}).attach_correlators(table)
     assert table.get(3, (7,)) == F(-1, 2)
     assert table.get(10, (28,)) == F(1, 2)
+    assert table.get(2, ()) == 0
 
 
-def test_table_unread_entries_keep_the_divergence_rule():
-    """An entry not yet read still counts as held: `put` and a second
-    `load` that disagree with it are rejected."""
+def test_table_unread_entries_keep_the_divergence_rule(tmp_path):
+    """An entry not yet read still counts as held: a `put` that disagrees
+    with it is rejected and leaves the memo unchanged."""
     table = CorrelatorTable()
-    table.load({"1:1": "1/24"})
+    _cache_of(tmp_path, {"1:1": "1/24", "2:4": "1/1152"}).attach_correlators(table)
     with pytest.raises(RuntimeError, match="divergent"):
         table.put(1, (1,), F(1, 25))
-    with pytest.raises(RuntimeError, match="divergent"):
-        table.load({"1:1": "1/25"})
-    table.load({"1:1": "2/48", "2:4": "1/1152"})  # the same value
-    table.put(1, (1,), F(1, 24))
+    assert len(table) == 0
+    table.put(1, (1,), F(2, 48))  # the same value
     assert table.get(2, (4,)) == F(1, 1152)
 
 
-def test_canonical_key_sorting():
+def test_canonical_key_sorting(tmp_path):
     k = CorrelatorKey(1, [0, 2, 1])
     assert k.exponents == (2, 1, 0)
-    assert k.serialize() == "1:2,1,0"
     table = CorrelatorTable()
-    table.load({k.serialize(): "1/12"})
+    _cache_of(tmp_path, {"1:2,1,0": "1/12"}).attach_correlators(table)
     assert table.get(k.genus, k.exponents) == F(1, 12)
 
 

@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 import re
@@ -19,6 +18,8 @@ class CacheError(ValueError):
 
 
 def _checksum(sections: Dict[str, Dict[str, str]]) -> str:
+    import hashlib  # loads OpenSSL: only cache users pay for it
+
     payload = json.dumps(sections, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 

@@ -8,7 +8,7 @@ import sys
 from fractions import Fraction
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from . import boundary, closedforms, correlators, jacobian, relationgen, stablegraphs, tautring
+from . import boundary, closedforms, correlators, relationgen, stablegraphs, tautring
 from .cache import CacheFile
 from .exactmath import GeneratorTable, GradedPolynomial, graded_quotient, is_int
 
@@ -268,20 +268,17 @@ def _coefficient(value: Any) -> Fraction:
                      f"a \"num/den\" string with den != 0")
 
 
-def _parse_jac_poly(text: str) -> jacobian.JacPolynomial:
-    acc = jacobian.JacPolynomial()
-    for term in _list("polynomial", json.loads(text)):
+def _cmd_jac_apply(args) -> _Result:
+    from . import jacobian  # no other command uses it
+
+    ctx = jacobian.JacContext(args.genus)
+    poly = jacobian.JacPolynomial()
+    for term in _list("polynomial", json.loads(args.poly)):
         coeff = _coefficient(_field(term, "coeff"))
         psi_power = _integer("psi_power", term.get("psi_power", 0))
         factors = [[_integer("factor entry", v) for v in _list("factor", f, 3)]
                    for f in _list("factors", term.get("factors", []))]
-        acc = acc + jacobian.jac_monomial(psi_power, factors) * coeff
-    return acc
-
-
-def _cmd_jac_apply(args) -> _Result:
-    ctx = jacobian.JacContext(args.genus)
-    poly = _parse_jac_poly(args.poly)
+        poly = poly + jacobian.jac_monomial(psi_power, factors) * coeff
     if args.operator == "D":
         res = jacobian.apply_D(poly, ctx)
     elif args.operator == "e":

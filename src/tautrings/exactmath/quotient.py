@@ -1,9 +1,8 @@
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import add
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from . import check_int
 from .gradedpoly import GeneratorTable, GradedPolynomial, Monomial, Scalar
@@ -13,8 +12,7 @@ __all__ = ["QuotientReport", "GradedQuotient", "graded_quotient",
            "relation_echelon"]
 
 
-@dataclass
-class QuotientReport:
+class QuotientReport(NamedTuple):
     """Per-degree data of a graded quotient ring, plus the Gorenstein verdict.
 
     dims[d] = (number of degree-d monomials) - (rank of the degree-d span of

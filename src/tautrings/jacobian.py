@@ -1,9 +1,8 @@
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from .exactmath import is_int
 
@@ -21,13 +20,17 @@ Monomial = Tuple[int, Factors]
 Terms = Dict[Monomial, Fraction]
 
 
-@dataclass(frozen=True)
-class JacContext:
-    genus: int
+class JacContext(NamedTuple("JacContext", [("genus", int)])):
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not is_int(self.genus) or self.genus < 1:
-            raise ValueError(f"genus must be an int >= 1, got {self.genus!r}")
+    def __new__(cls, genus: int) -> JacContext:
+        if not is_int(genus) or genus < 1:
+            raise ValueError(f"genus must be an int >= 1, got {genus!r}")
+        return super().__new__(cls, genus)
+
+    @classmethod
+    def _make(cls, iterable) -> JacContext:  # `_replace` goes through here
+        return cls(*iterable)
 
 
 def _add(terms: Terms, psi: int, factors: Iterable[Factor], c: Fraction) -> None:

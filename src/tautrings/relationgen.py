@@ -1,10 +1,9 @@
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .exactmath import (GeneratorTable, GradedPolynomial, SparseEchelon,
                         TruncatedSeries, check_int, relation_echelon,
@@ -28,8 +27,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class KappaRelation:
+class KappaRelation(NamedTuple):
     """A homogeneous kappa-polynomial relation with its provenance index:
     source "FZ" with index (r, sigma) or "SQ" with index (r, d)."""
 

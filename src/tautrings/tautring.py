@@ -1,9 +1,8 @@
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import add
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .exactmath import (GeneratorTable, GradedPolynomial, GradedQuotient,
                         QuotientReport, SparseEchelon, check_int, exact_rank,
@@ -32,8 +31,7 @@ PRIME = 2 ** 61 - 1
 MAX_GENUS = 23
 
 
-@dataclass(frozen=True)
-class Certificate:
+class Certificate(NamedTuple):
     """How the default FZ ring was certified: the rank mod `prime` of the
     FZ relations with |sigma| <= `max_sigma` met the socle ranks in every
     degree, so the quotient was built from the socle functional."""
@@ -42,8 +40,7 @@ class Certificate:
     prime: int
 
 
-@dataclass
-class RingModel:
+class RingModel(NamedTuple):
     """The candidate tautological ring of genus g: the quotient of
     Q[kappa_1..kappa_{g-2}] by the FZ relation ideal, in degrees 0..g-2.
 

@@ -3,7 +3,6 @@ from __future__ import annotations
 import hashlib
 import json
 import random
-from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
@@ -158,7 +157,7 @@ def test_dims_invariant_under_larger_truncation():
     table = _fz_exp_minus_gamma(g, g, 3 * g)
     regenerated = []
     for rel in bigger:
-        again = replace(rel, polynomial=table[(rel.r, rel.index)])
+        again = rel._replace(polynomial=table[(rel.r, rel.index)])
         assert again.polynomial == rel.polynomial
         regenerated.append(again)
     assert build_ring(g, relations=regenerated).dims == base
@@ -427,7 +426,7 @@ def test_denominator_divisible_by_prime_propagates(g, monkeypatch):
     prime, original = 1000003, tautring.fz_relation_set
 
     def scaled(*args, **kwargs):
-        return [replace(rel, polynomial=rel.polynomial / prime)
+        return [rel._replace(polynomial=rel.polynomial / prime)
                 for rel in original(*args, **kwargs)]
 
     monkeypatch.setattr(tautring, "fz_relation_set", scaled)

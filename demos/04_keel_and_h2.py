@@ -23,9 +23,8 @@ print("  n=4:", psi_in_boundary_basis(4, 1, 2, 3))
 print("  n=5:", psi_in_boundary_basis(5, 1, 2, 3))
 print("(different auxiliary choices differ by four-point relations only)")
 
-print("\nkappa_1 in the divisor basis, both printed conventions:")
-print("  canonical:  ", kappa1_in_boundary_basis(5))
-print("  all-subsets:", kappa1_in_boundary_basis(5, convention="all-subsets"))
+print("\nkappa_1 in the divisor basis, weight (|S|-1)(n-|S|-1)/(n-1) on D_S:")
+print("  n=5:", kappa1_in_boundary_basis(5))
 
 print("\nSecond-cohomology ranks across genera:")
 for (g, n) in [(0, 4), (0, 5), (0, 6), (1, 1), (1, 2), (2, 0), (2, 1), (3, 0)]:

@@ -66,8 +66,11 @@ class CacheFile:
     load-then-save is byte-identical when nothing was added.  `load` raises
     a `CacheError` naming the path, never migrating, for a file of another
     version, checksum or shape, an entry outside the grammar, or a missing
-    directory.  `collect` adds only keys the section lacks and says whether
-    it added any, so a caller saves only when the file would change.
+    directory.  `collect` adds only the values that need a DVV step and
+    that the section lacks, and says whether it added any, so a caller
+    saves only when the file would change.  Every other value follows from
+    them by a few string or dilaton steps; an older file that holds such
+    values still loads and answers, and keeps them.
     """
 
     def __init__(self, path: str) -> None:
@@ -136,10 +139,13 @@ class CacheFile:
         table.attach(lookup)
 
     def collect(self, table: CorrelatorTable) -> bool:
-        """Add the table's memo entries that the section lacks; True if any.
-        Entries the table never looked up are not compared."""
+        """Add the table's memo entries that the section lacks and whose
+        key `correlators._steps` evaluates by a DVV step (every exponent at
+        least 2); True if any.  Entries the table never looked up are not
+        compared."""
         section = self.sections["correlators"]
-        memo = {_key_text(g, exps): v for (g, exps), v in table.items()}
+        memo = {_key_text(g, exps): v for (g, exps), v in table.items()
+                if exps and exps[-1] >= 2}
         added = {k: f"{v.numerator}/{v.denominator}" for k, v in memo.items() if k not in section}
         section.update(added)
         return bool(added)

@@ -10,7 +10,8 @@ from tautrings.boundary import (BoundaryDivisor, h2_presentation, h2_rank,
                                 keel_generators, keel_pairing_check,
                                 keel_quotient, keel_ring_dims,
                                 psi_in_boundary_basis)
-from tautrings.exactmath import SparseEchelon
+from tautrings.correlators import psi_intersection
+from tautrings.exactmath import GradedPolynomial, SparseEchelon
 
 
 def test_generator_counts():
@@ -162,24 +163,59 @@ def test_psi_expressions_differ_formally():
 
 
 def test_kappa1_conventions():
-    k = kappa1_in_boundary_basis(4)
-    by_name = {tuple(n for n, e in zip(k.gens.names, mono) if e): c
-               for mono, c in k.terms.items()}
-    assert by_name == {("D{1,2}",): 1, ("D{1,3}",): 1, ("D{2,3}",): 1}
-    k5 = kappa1_in_boundary_basis(5)
-    weights = sorted(set(k5.terms.values()))
-    assert weights == [1, 2]
-    alt = kappa1_in_boundary_basis(4, convention="all-subsets")
-    assert set(alt.terms.values()) == {2}
+    """Arbarello-Cornalba kappa_1: weight (|S| - 1)(n - |S| - 1)/(n - 1)
+    on D_S, whichever side S is; there is no other convention to pick."""
+    def weights(n):
+        k = kappa1_in_boundary_basis(n)
+        return {tuple(m for m, e in zip(k.gens.names, mono) if e): c
+                for mono, c in k.terms.items()}
+    assert weights(4) == {("D{1,2}",): F(1, 3), ("D{1,3}",): F(1, 3),
+                          ("D{2,3}",): F(1, 3)}
+    assert set(weights(5).values()) == {F(1, 2)}
+    w6 = weights(6)
+    assert w6[("D{1,2}",)] == w6[("D{1,2,3,4}",)] == F(3, 5)
+    assert w6[("D{1,2,3}",)] == F(4, 5)
+    with pytest.raises(TypeError):
+        kappa1_in_boundary_basis(4, convention="canonical")
     with pytest.raises(ValueError):
-        kappa1_in_boundary_basis(4, convention="bogus")
+        kappa1_in_boundary_basis(3)
 
 
 def test_kappa1_nonzero_in_quotient():
     q = keel_quotient(4)
-    for convention in ("canonical", "all-subsets"):
-        k = kappa1_in_boundary_basis(4, convention=convention)
-        assert q.reduce(k), convention
+    assert q.reduce(kappa1_in_boundary_basis(4))
+
+
+def _top_integral(q, poly, n):
+    """The integral of a top-degree class: its reduction over that of the
+    point class, the product of the divisors of the nested chain
+    {1,2} < {1,2,3} < ... < {1,...,n-2}."""
+    point = GradedPolynomial.constant(poly.gens, 1)
+    for m in range(2, n - 1):
+        point = point * GradedPolynomial.generator(
+            poly.gens, BoundaryDivisor(n, range(1, m + 1)).name())
+    (mono, value), = q.reduce(poly).items()
+    (point_mono, point_value), = q.reduce(point).items()
+    assert point_mono == mono
+    return value / point_value
+
+
+def test_kappa1_top_power_integrates_as_pushforward():
+    """kappa_1^(n-3) on the n-pointed genus-0 space integrates to 1, 5, 61
+    for n = 4, 5, 6.  For n = 4 and 5 the pushforward formula over the
+    correlator engine gives the same: <tau_2 tau_0^4>_0, and
+    <tau_2^2 tau_0^5>_0 - <tau_3 tau_0^5>_0 = 6 - 1."""
+    integrals = []
+    for n in (4, 5, 6):
+        kappa = kappa1_in_boundary_basis(n)
+        power = GradedPolynomial.constant(kappa.gens, 1)
+        for _ in range(n - 3):
+            power = power * kappa
+        integrals.append(_top_integral(keel_quotient(n), power, n))
+    assert integrals == [1, 5, 61]
+    assert psi_intersection(0, [2, 0, 0, 0, 0]) == integrals[0]
+    assert (psi_intersection(0, [2, 2] + [0] * 5)
+            - psi_intersection(0, [3] + [0] * 5)) == integrals[1]
 
 
 # ---------------------------------------------------------------------------

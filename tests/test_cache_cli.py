@@ -4,10 +4,12 @@ import hashlib
 import json
 import os
 from fractions import Fraction as F
+from itertools import combinations_with_replacement
 
 import pytest
 
 from tautrings import cache as cache_module
+from tautrings import correlators
 from tautrings.cache import CacheError, CacheFile
 from tautrings.cli import run
 from tautrings.correlators import CorrelatorTable, default_table, psi_intersection
@@ -51,19 +53,104 @@ def test_cache_round_trip_byte_identical(tmp_path):
 def test_collect_adds_only_memo_entries(tmp_path):
     """`collect` compares the memo with the section, not the entries the
     table could still look up: a table attached to another file passes on
-    only the values it read or computed."""
+    only the DVV-step values it read or computed."""
     source = CacheFile(str(tmp_path / "source.json"))
     source.sections["correlators"].update(
-        {"1:1": "1/24", "2:4": "1/1152", "3:7": "1/82944"})
+        {"2:3,2": "29/5760", "2:4": "1/1152", "3:7": "1/82944"})
     table = CorrelatorTable()
     source.attach_correlators(table)
     cache = CacheFile(str(tmp_path / "c.json"))
     assert cache.collect(table) is False
-    assert table.get(1, (1,)) == F(1, 24)
-    psi_intersection(1, [2, 0], table)
+    assert table.get(2, (4,)) == F(1, 1152)
+    assert psi_intersection(2, [5, 0], table) == F(1, 1152)
+    assert psi_intersection(2, [3, 2, 1], table) == F(29, 1440)
     assert cache.collect(table) is True
-    assert cache.sections["correlators"] == {"1:1": "1/24", "1:2,0": "1/24"}
-    assert dict(table.items()) == {(1, (1,)): F(1, 24), (1, (2, 0)): F(1, 24)}
+    assert cache.sections["correlators"] == {"2:3,2": "29/5760", "2:4": "1/1152"}
+    assert dict(table.items()) == {
+        (2, (4,)): F(1, 1152), (2, (5, 0)): F(1, 1152),
+        (2, (3, 2)): F(29, 5760), (2, (3, 2, 1)): F(29, 1440)}
+
+
+def _sweep():
+    """Every degree-matching stable key with g, n <= 6, exponents sorted
+    non-increasing."""
+    return [(g, exps[::-1]) for g in range(7) for n in range(7)
+            if 2 * g - 2 + n > 0
+            for exps in combinations_with_replacement(range(3 * g - 2 + n), n)
+            if sum(exps) == 3 * g - 3 + n]
+
+
+def _counting_dvv(monkeypatch):
+    """Count the DVV frames that `psi_intersection` runs from now on."""
+    frames = []
+    dvv = correlators._dvv
+
+    def counted(g, exps):
+        frames.append((g, exps))
+        return dvv(g, exps)
+    monkeypatch.setattr(correlators, "_dvv", counted)
+    return frames
+
+
+def test_collect_keeps_only_dvv_step_values(tmp_path):
+    """`collect` skips every key with an exponent 0 or 1, <tau_1>_1 among
+    them, and says it added nothing when only such keys are new."""
+    table = CorrelatorTable()
+    for g, exps, v in [(1, (1,), F(1, 24)), (0, (1, 0, 0, 0), F(1)),
+                       (2, (5, 0), F(1, 1152)), (2, (3, 2, 1), F(29, 1440)),
+                       (2, (4, 1, 1), F(5, 1152))]:
+        table.put(g, exps, v)
+    cache = CacheFile(str(tmp_path / "c.json"))
+    assert cache.collect(table) is False
+    assert cache.sections["correlators"] == {}
+    table.put(2, (4,), F(1, 1152))
+    assert cache.collect(table) is True
+    assert cache.sections["correlators"] == {"2:4": "1/1152"}
+
+
+def test_dvv_values_answer_the_sweep_without_dvv(tmp_path, monkeypatch):
+    """A file built from the whole g, n <= 6 sweep holds only DVV-step
+    values, and a fresh table attached to it answers every sweep key with
+    the value an empty memo computes, without running one DVV frame."""
+    cold = CorrelatorTable()
+    expected = {key: psi_intersection(*key, cold) for key in _sweep()}
+    path = tmp_path / "c.json"
+    cache = CacheFile(str(path))
+    assert cache.collect(cold) is True
+    cache.save()
+    entries = json.loads(path.read_text())["sections"]["correlators"]
+    dvv_keys = [key for key, _ in cold.items() if min(key[1]) >= 2]
+    assert len(entries) == len(dvv_keys) < len(cold)
+    frames = _counting_dvv(monkeypatch)
+    warm = CorrelatorTable()
+    CacheFile(str(path)).load().attach_correlators(warm)
+    assert {key: psi_intersection(*key, warm) for key in expected} == expected
+    assert frames == []
+
+
+def test_full_file_still_answers_and_round_trips(tmp_path, capsys, monkeypatch):
+    """A file holding every memo key, as older versions wrote it, loads and
+    answers without a DVV frame; load-then-save and a cached call leave its
+    bytes as they were."""
+    cold = CorrelatorTable()
+    psi_intersection(3, [7], cold)
+    path = tmp_path / "c.json"
+    full = CacheFile(str(path))
+    full.sections["correlators"].update(
+        {cache_module._key_text(g, exps): f"{v.numerator}/{v.denominator}"
+         for (g, exps), v in cold.items()})
+    full.save()
+    before = path.read_bytes()
+    CacheFile(str(path)).load().save()
+    assert path.read_bytes() == before
+    frames = _counting_dvv(monkeypatch)
+    warm = CorrelatorTable()
+    CacheFile(str(path)).load().attach_correlators(warm)
+    assert all(psi_intersection(g, exps, warm) == v for (g, exps), v in cold.items())
+    assert run(["correlator", "3", "7", "--cache", str(path)]) == 0
+    assert capsys.readouterr().out.strip() == "1/82944"
+    assert frames == []
+    assert path.read_bytes() == before
 
 
 def test_cache_version_mismatch_rejected(tmp_path):
@@ -518,13 +605,14 @@ def test_cli_cache_equivalence(tmp_path, capsys):
 def test_cli_unsorted_cache_key_is_kept_and_never_read(tmp_path, capsys,
                                                       empty_memo):
     """A key whose exponents are not non-increasing is never looked up, so
-    its value, right or wrong, is not used; the entry stays as written."""
+    its value, right or wrong, is not used; the entry stays as written, and
+    the call, which needs no DVV step, leaves the file untouched."""
     path = tmp_path / "c.json"
     path.write_text(_checksummed({"correlators": {"0:0,1,0,0": "7/1"}}))
+    before = path.read_bytes()
     assert run(["correlator", "0", "1,0,0,0", "--cache", str(path)]) == 0
     assert capsys.readouterr().out.strip() == "1"
-    assert json.loads(path.read_text())["sections"]["correlators"] == {
-        "0:0,1,0,0": "7/1", "0:1,0,0,0": "1/1"}
+    assert path.read_bytes() == before
 
 
 def test_cli_cache_untouched_when_nothing_is_added(tmp_path, capsys, empty_memo):
@@ -569,18 +657,20 @@ def test_cli_cache_after_adding_calls_matches_one_save(tmp_path, capsys,
 
 def test_cli_cached_calls_in_one_process_keep_files_apart(tmp_path, capsys):
     """Two cached calls in one process write what two fresh processes
-    write: the second file holds only its own query's entries."""
+    write: the second file holds only its own query's entries, not the
+    genus-2 DVV values that the first query computed."""
     a, b = tmp_path / "a.json", tmp_path / "b.json"
-    assert run(["correlator", "2", "4", "--cache", str(a)]) == 0
-    assert run(["correlator", "1", "1", "--cache", str(b)]) == 0
+    assert run(["correlator", "3", "7", "--cache", str(a)]) == 0
+    assert run(["correlator", "2", "4", "--cache", str(b)]) == 0
     capsys.readouterr()
+    assert {"2:4", "3:7"} < set(json.loads(a.read_text())["sections"]["correlators"])
     table = CorrelatorTable()
-    psi_intersection(1, [1], table)
+    psi_intersection(2, [4], table)
     alone = CacheFile(str(tmp_path / "alone.json"))
     alone.collect(table)
     alone.save()
     assert b.read_bytes() == (tmp_path / "alone.json").read_bytes()
-    assert len(json.loads(b.read_text())["sections"]["correlators"]) == 3
+    assert json.loads(b.read_text())["sections"]["correlators"] == {"2:4": "1/1152"}
 
 
 def test_cli_cache_in_missing_directory_is_usage_error(tmp_path, capsys):
@@ -653,9 +743,9 @@ def test_cli_format_flag_on_either_side(capsys, before):
 def test_cli_cache_flags_on_either_side(tmp_path, capsys, before):
     """--cache acts wherever it stands."""
     kept = tmp_path / "kept.json"
-    command = ["correlator", "1", "1"]
+    command = ["correlator", "2", "4"]
     assert run(_flags_placed(before, ["--cache", str(kept)], command)) == 0
-    assert capsys.readouterr().out.split() == ["1/24"]
+    assert capsys.readouterr().out.split() == ["1/1152"]
     assert os.listdir(tmp_path) == ["kept.json"]
 
 

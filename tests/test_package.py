@@ -57,7 +57,7 @@ def test_cache_checksum_loads_hashlib(tmp_path):
     added = _added_by(
         "import contextlib, io\nfrom tautrings import cli\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
-        f"    assert cli.run(['correlator', '1', '1', '--cache', {str(path)!r}]) == 0")
+        f"    assert cli.run(['correlator', '2', '4', '--cache', {str(path)!r}]) == 0")
     assert path.exists()
     assert "hashlib" in added
     assert "tautrings.jacobian" not in added

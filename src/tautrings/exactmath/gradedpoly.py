@@ -2,7 +2,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from operator import mul
-from typing import Dict, Iterable, List, Mapping, Optional, Tuple, Union
+from typing import Callable, Dict, Iterable, List, Mapping, Optional, Tuple, Union
 
 from . import check_int
 
@@ -20,7 +20,7 @@ class GeneratorTable:
     used everywhere downstream (earlier generator = more significant).
     """
 
-    __slots__ = ("names", "degrees", "_index", "_units")
+    __slots__ = ("names", "degrees", "_index", "_units", "_weighted")
 
     def __init__(self, gens: Iterable[Tuple[str, int]]) -> None:
         gens = tuple((str(n), check_int("generator degree", d)) for n, d in gens)
@@ -32,6 +32,8 @@ class GeneratorTable:
         self.degrees = tuple(d for _, d in gens)
         self._index = {n: i for i, n in enumerate(self.names)}
         self._units: Dict[str, Monomial] = {}
+        # with every degree 1 the degree of a monomial is its exponent sum
+        self._weighted = any(d != 1 for d in self.degrees)
 
     def __len__(self) -> int:
         return len(self.names)
@@ -40,7 +42,7 @@ class GeneratorTable:
         return self._index[name]
 
     def degree(self, mono: Monomial) -> int:
-        return sum(map(mul, mono, self.degrees))
+        return sum(map(mul, mono, self.degrees)) if self._weighted else sum(mono)
 
     def monomial(self, mono) -> Monomial:
         """`mono` as an exponent tuple over this table, or a ValueError
@@ -68,10 +70,17 @@ class GeneratorTable:
                   vanishing: Iterable[Monomial] = ()) -> List[Monomial]:
         """All exponent tuples of the given weighted degree that no
         exponent tuple in `vanishing` divides, graded-lex order (within the
-        fixed degree: lexicographically decreasing exponents).  A walk on
-        an explicit stack chooses the nonzero exponents only, by increasing
-        position, each from the largest down, under the caps the supports
-        impose: a support caps its last generator once its others are."""
+        fixed degree: lexicographically decreasing exponents)."""
+        return self.monomial_lister(vanishing)(degree)
+
+    def monomial_lister(self, vanishing: Iterable[Monomial] = ()
+                        ) -> Callable[[int], List[Monomial]]:
+        """The function degree -> `monomials(degree, vanishing)`, which
+        reads the supports once for every degree it is called with.  A walk
+        on an explicit stack chooses the nonzero exponents only, by
+        increasing position, each from the largest down, under the caps the
+        supports impose: a support caps its last generator once its others
+        are."""
         n, degs = len(self.degrees), self.degrees
         # second-to-last position j (None: one-generator supports) -> (its
         # exponent, needs below j) -> [mask of last positions capped at 0, caps]
@@ -84,35 +93,38 @@ class GeneratorTable:
                 cut[0] |= 1 << k
             else:
                 cut[1][k] = min(cut[1].get(k, e), e - 1)
-        ban, caps = cuts.pop(None, {}).get((0, ()), (0, {}))
-        fits = [sum(1 << j for j, d in enumerate(degs) if d <= r)  # degree <= r
-                for r in range(min(degree, max(degs, default=0)) + 1)]
-        out: List[Monomial] = []
-        stack = [(0, degree, (), ban, caps)] if degree >= 0 else []
-        while stack:
-            i, remaining, chosen, ban, caps = stack.pop()
-            if remaining == 0:
-                mono = [0] * n
-                for j, e in chosen:
-                    mono[j] = e
-                out.append(tuple(mono))
-                continue
-            # pushed last position first, so the first one's largest e pops first
-            free, have = fits[min(remaining, len(fits) - 1)] & ~ban >> i << i, dict(chosen)
-            while free:
-                j = free.bit_length() - 1
-                free ^= 1 << j
-                d, fire = degs[j], cuts.get(j, {})
-                for e in range(1, min(remaining // d, caps.get(j, remaining)) + 1):
-                    b, c = ban, caps
-                    for (f, below), (mask, more) in fire.items():
-                        if e >= f and all(have.get(x, 0) >= y for x, y in below):
-                            b |= mask
-                            c = {**c, **{k: min(v, c.get(k, v))
-                                         for k, v in more.items()}} if more else c
-                    stack.append((j + 1, remaining - e * d,
-                                  chosen + ((j, e),), b, c))
-        return out
+        top_ban, top_caps = cuts.pop(None, {}).get((0, ()), (0, {}))
+
+        def lister(degree: int) -> List[Monomial]:
+            fits = [sum(1 << j for j, d in enumerate(degs) if d <= r)  # degree <= r
+                    for r in range(min(degree, max(degs, default=0)) + 1)]
+            out: List[Monomial] = []
+            stack = [(0, degree, (), top_ban, top_caps)] if degree >= 0 else []
+            while stack:
+                i, remaining, chosen, ban, caps = stack.pop()
+                if remaining == 0:
+                    mono = [0] * n
+                    for j, e in chosen:
+                        mono[j] = e
+                    out.append(tuple(mono))
+                    continue
+                # pushed last position first, so the first one's largest e pops first
+                free, have = fits[min(remaining, len(fits) - 1)] & ~ban >> i << i, dict(chosen)
+                while free:
+                    j = free.bit_length() - 1
+                    free ^= 1 << j
+                    d, fire = degs[j], cuts.get(j, {})
+                    for e in range(1, min(remaining // d, caps.get(j, remaining)) + 1):
+                        b, c = ban, caps
+                        for (f, below), (mask, more) in fire.items():
+                            if e >= f and all(have.get(x, 0) >= y for x, y in below):
+                                b |= mask
+                                c = {**c, **{k: min(v, c.get(k, v))
+                                             for k, v in more.items()}} if more else c
+                        stack.append((j + 1, remaining - e * d,
+                                      chosen + ((j, e),), b, c))
+            return out
+        return lister
 
     def __eq__(self, other) -> bool:
         if isinstance(other, GeneratorTable):
@@ -177,7 +189,7 @@ class GradedPolynomial:
 
     def degree(self) -> int:
         """Weighted degree of a homogeneous polynomial (0 for the zero one)."""
-        degs = {self.gens.degree(m) for m in self.terms}
+        degs = set(map(self.gens.degree, self.terms))
         if len(degs) > 1:
             raise ValueError("polynomial is not homogeneous")
         return degs.pop() if degs else 0

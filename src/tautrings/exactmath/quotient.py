@@ -1,8 +1,10 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import islice
 from operator import add
-from typing import Callable, Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
+from typing import (Callable, Container, Dict, Iterable, List, Mapping, NamedTuple, Optional,
+                    Sequence, Tuple)
 
 from . import check_int
 from .gradedpoly import GeneratorTable, GradedPolynomial, Monomial, Scalar
@@ -39,33 +41,39 @@ class QuotientReport(NamedTuple):
         }
 
 
-def _product_rows(relations: Sequence[GradedPolynomial], d: int, monomials: Callable,
-                  index: Mapping[Monomial, int], scalar) -> List[Dict[int, Scalar]]:
-    """Sparse rows of every product monomial * relation of degree d.
-    `monomials(e)` lists the degree-e cofactors and `index` numbers the
-    degree-d columns; product terms off those columns are dropped.
-    Relations must be homogeneous polynomials; zero and constant ones give
-    no rows.  Entries are `scalar(v)` of the coefficients, each relation
-    mapped once.  Rows are sorted singletons first (free pivots, no
-    fill-in)."""
-    cofactors: Dict[int, List[Monomial]] = {}
+# a relation as its degree and its terms, coefficients mapped to the field
+FieldRelation = Tuple[int, List[Tuple[Monomial, Scalar]]]
+
+
+def _field_relation(r: int, rel: GradedPolynomial, scalar) -> FieldRelation:
+    """A homogeneous relation of degree r with its coefficients mapped by
+    `scalar` (`SparseEchelon.scalar`), the terms that map to 0 dropped."""
+    return r, [(t, c) for t, v in rel.terms.items() if (c := scalar(v))]
+
+
+def _product_rows(relations: Iterable[Tuple[int, List[Tuple[Monomial, Scalar]],
+                                             Container[int]]],
+                  d: int, products: Callable[[int, int, Monomial], List[Optional[int]]]
+                  ) -> List[Dict[int, Scalar]]:
+    """Sparse rows of every product cofactor * relation of degree d, each
+    relation given as its degree, its terms over the field (as from
+    `_field_relation`) and the positions of the cofactors that give no row.
+    `products(k, d, t)` is the multiplication map of the term t on the
+    degree-k cofactors: per cofactor, the degree-d column of cofactor * t,
+    or None for a product off the columns, which is dropped.  Zero and
+    constant relations give no rows.  Rows are sorted singletons first
+    (free pivots, no fill-in)."""
     rows: List[Dict[int, Scalar]] = []
-    for rel in relations:
-        r = rel.degree()
+    for r, terms, skip in relations:
         if r > d or r == 0:
             continue
-        if r not in cofactors:
-            cofactors[r] = monomials(d - r)
-        terms = [(mono, c) for mono, v in rel.terms.items() if (c := scalar(v))]
-        for cof in cofactors[r]:
-            # distinct terms times one cofactor are distinct monomials
-            row = {}
-            for mono, c in terms:
-                i = index.get(tuple(map(add, mono, cof)) if r < d else mono)
-                if i is not None:
-                    row[i] = c
-            if row:
-                rows.append(row)
+        coeffs = [c for _, c in terms]
+        for q, cols in enumerate(zip(*[products(d - r, d, t) for t, _ in terms])):
+            if q not in skip:
+                # distinct terms times one cofactor are distinct columns
+                row = {i: c for i, c in zip(cols, coeffs) if i is not None}
+                if row:
+                    rows.append(row)
     rows.sort(key=lambda row: (len(row), sorted(row.items())))
     return rows
 
@@ -73,11 +81,13 @@ def _product_rows(relations: Sequence[GradedPolynomial], d: int, monomials: Call
 def relation_echelon(gens: GeneratorTable,
                      relations: Sequence[GradedPolynomial],
                      d: int) -> SparseEchelon:
-    """Echelon form over Q of the degree-d span of monomial * relation
-    products, with columns indexing gens.monomials(d)."""
+    """Echelon form over Q of the degree-d span of every monomial *
+    relation product, with columns indexing gens.monomials(d): the rows
+    are built on the multiplication maps of the free ring's quotient."""
     ech = SparseEchelon()
-    index = {m: i for i, m in enumerate(gens.monomials(d))}
-    for row in _product_rows(relations, d, gens.monomials, index, ech.scalar):
+    free = GradedQuotient(gens, (), d)
+    for row in _product_rows([(*_field_relation(rel.degree(), rel, ech.scalar), ())
+                              for rel in relations], d, free._products):
         ech.add_row(row)
     return ech
 
@@ -104,6 +114,27 @@ class GradedQuotient:
     lies in the ideal of the kept ones plus the vanishing monomials, and so
     does every multiple of it: no degree's row space changes, only the rows
     that would reduce to zero are not built.
+
+    Products skip by a signature criterion (Faugere's F5, in its
+    Macaulay-matrix form).  Number the kept relations f_0, f_1, ... in the
+    order they are kept.  A degree is built one block of rows per relation
+    in that order, the products of f_i and then the own rows, and the rank
+    after each block is recorded: pivots are kept in the order they were
+    raised, so the first ones are those of the earlier blocks.  The row
+    m * f_i is skipped when m is a pivot of degree e - deg f_i raised by a
+    block j < i.  Its pivot row is an h with lead m in the span of the
+    earlier blocks, and m * f_i = h * f_i - (h - m) * f_i: the first term
+    lies in the earlier blocks of degree e, the second in the rows of f_i
+    with later cofactors.  So every degree's row space is unchanged, over
+    F_p and modulo the vanishing monomials too.  A degree whose pivots no
+    later block reads (it is above max_degree minus the least relation
+    degree) sorts all its product rows at once instead.
+
+    Rows are built on multiplication maps: for a cofactor degree k and a
+    term t, the list over the surviving degree-k monomials m of the column
+    of m * t, or None where m * t vanishes.  Each map is built once per
+    quotient and shared by every relation with the term t, so no product
+    exponent tuple is built per relation, term and cofactor.
 
     Given a prime `p`, the same elimination runs over F_p: the relations
     must be p-integral (a ZeroDivisionError otherwise), and `dim(d)` is
@@ -144,15 +175,22 @@ class GradedQuotient:
             else:
                 self.relations.setdefault(r, []).append(rel)
         # per degree: monomial list, index map, echelon of the relation span
+        lister = gens.monomial_lister(self.vanishing)
         self._monomials: Dict[int, List[Monomial]] = {
-            d: gens.monomials(d, self.vanishing)
-            for d in range(self.max_degree + 1)}
+            d: lister(d) for d in range(self.max_degree + 1)}
         self._index: Dict[int, Dict[Monomial, int]] = {
             d: {m: i for i, m in enumerate(monos)}
             for d, monos in self._monomials.items()}
         self._echelons: Dict[int, SparseEchelon] = {}
-        # the relations whose own row raised the rank of an eliminated degree
-        self._kept: List[GradedPolynomial] = []
+        # per eliminated degree: [0, the rank after block 0, after block 1,
+        # ...], so the first ends[i] pivots (in the order they were raised)
+        # are those of the blocks before i
+        self._ends: Dict[int, List[int]] = {}
+        # (cofactor degree, term) -> multiplication map (see _products)
+        self._maps: Dict[Tuple[int, Monomial], List[Optional[int]]] = {}
+        # the relations whose own row raised the rank of an eliminated
+        # degree, over the field, in the order they were kept: the blocks
+        self._kept: List[FieldRelation] = []
         if spans is not None and len(spans) != self.max_degree + 1:
             raise ValueError("spans must cover the degrees 0..max_degree")
         for d, span in enumerate(spans or ()):
@@ -172,21 +210,45 @@ class GradedQuotient:
         idx = self._index[d]
         return {idx[m]: c for m, c in terms.items() if m in idx}
 
+    def _products(self, k: int, d: int, t: Monomial) -> List[Optional[int]]:
+        """The multiplication map of the degree-(d - k) term t on degree k:
+        for each surviving degree-k monomial m, the column of m * t among
+        the surviving degree-d monomials, or None where m * t vanishes."""
+        if k == 0:
+            return [self._index[d].get(t)]
+        cols = self._maps.get((k, t))
+        if cols is None:
+            index = self._index[d]
+            cols = self._maps[k, t] = [index.get(tuple(map(add, m, t)))
+                                       for m in self._monomials[k]]
+        return cols
+
     def _echelon(self, d: int) -> SparseEchelon:
         """Echelon form of the degree-d relation span, built on first use
-        after the degrees below it (which fix the kept relations)."""
+        after the degrees below it (which fix the kept relations and the
+        block ranks the criterion reads)."""
         if d not in self._index:
             raise ValueError(f"degree {d} is outside the quotient's degrees "
                              f"0..{self.max_degree}")
         for e in range(len(self._echelons), d + 1):
-            ech = SparseEchelon(self.p)
-            for row in _product_rows(self._kept, e, self._monomials.__getitem__,
-                                     self._index[e], ech.scalar):
-                ech.add_row(row)
+            ech = self._echelons[e] = SparseEchelon(self.p)
+            ends = self._ends[e] = [0]
+            blocks = []
+            for i, (r, terms) in enumerate(self._kept):
+                # the pivots of degree e - r that a block before i raised
+                lower = self._ends[e - r]
+                blocks.append((r, terms, set(islice(self._echelons[e - r].pivot_rows,
+                                                    lower[min(i, len(lower) - 1)]))))
+            # a degree that no later block reads is one batch, sorted at once
+            read = e + min(self.relations, default=e) <= self.max_degree
+            for batch in ([b] for b in blocks) if read else [blocks]:
+                for row in _product_rows(batch, e, self._products):
+                    ech.add_row(row)
+                ends.append(ech.rank)
             for rel in self.relations.get(e, ()):
                 if ech.add_row(self._row(e, rel.terms)):
-                    self._kept.append(rel)
-            self._echelons[e] = ech
+                    self._kept.append(_field_relation(e, rel, ech.scalar))
+                    ends.append(ech.rank)
         return self._echelons[d]
 
     # ---- queries ----------------------------------------------------------
@@ -246,18 +308,16 @@ class GradedQuotient:
         palindromic = all(dims[d] == dims[D - d] for d in range(D + 1))
         if not with_pairings:
             return QuotientReport(D, dims, dims[D], None, None)
-        ok = palindromic
-        ranks: Optional[List[int]] = None
-        if dims[D] == 1:
-            ranks = []
-            for i in range(D + 1):
-                mat = self.pairing_matrix(i)
-                rk = exact_rank(mat) if (mat and mat[0]) else 0
-                ranks.append(rk)
-                if rk != min(dims[i], dims[D - i]):
-                    ok = False
-        else:
-            ok = False
+        if dims[D] != 1:
+            return QuotientReport(D, dims, dims[D], None, False)
+        # the pairing of degrees D - i and i is the transpose of that of i
+        # and D - i, so it has the same rank
+        ranks = [0] * (D + 1)
+        for i in range(D // 2 + 1):
+            mat = self.pairing_matrix(i)
+            ranks[i] = ranks[D - i] = exact_rank(mat) if (mat and mat[0]) else 0
+        ok = palindromic and all(rk == min(dims[i], dims[D - i])
+                                 for i, rk in enumerate(ranks))
         return QuotientReport(D, dims, dims[D], ranks, ok)
 
 

@@ -41,23 +41,41 @@ def test_keel_ring_dims_golden():
 
 def test_keel_ring_dims_range():
     with pytest.raises(ValueError):
-        keel_ring_dims(8)
-    with pytest.raises(ValueError, match="3 <= n <= 7"):
-        keel_pairing_check(8)
+        keel_ring_dims(9)
+    with pytest.raises(ValueError, match="3 <= n <= 8"):
+        keel_pairing_check(9)
 
 
-@pytest.mark.parametrize("n", [2, 8])
+@pytest.mark.parametrize("n", [2, 9])
 def test_keel_quotient_range_refused_before_building(n, monkeypatch):
-    """keel_quotient itself refuses n outside 3..7, before it builds any
-    divisor table: n = 8 would otherwise run for over ten minutes."""
+    """keel_quotient itself refuses n outside 3..8, before it builds any
+    divisor table: n = 9 has 246 divisors and 23,310 crossing products."""
     from tautrings import boundary
 
     def unreachable(n):
         raise AssertionError("divisor table built")
 
     monkeypatch.setattr(boundary, "_divisor_table", unreachable)
-    with pytest.raises(ValueError, match="3 <= n <= 7"):
+    with pytest.raises(ValueError, match="3 <= n <= 8"):
         keel_quotient(n)
+
+
+def test_keel_quotient_skips_products_by_the_criterion(monkeypatch):
+    """keel_quotient(6) feeds at most 663 rows to the echelon for its total
+    rank of 462: the product m * f_i is not built when m is a pivot that an
+    earlier relation's block raised.  Every product would be 1,110 rows."""
+    rows = []
+    add_row = SparseEchelon.add_row
+
+    def counted(self, row):
+        rows.append(row)
+        return add_row(self, row)
+
+    monkeypatch.setattr(SparseEchelon, "add_row", counted)
+    quotient = keel_quotient(6)
+    assert quotient.dims == [1, 16, 16, 1]
+    assert sum(quotient._echelon(d).rank for d in range(4)) == 462
+    assert len(rows) <= 663
 
 
 @pytest.mark.parametrize("call, match", [

@@ -20,7 +20,7 @@ class GeneratorTable:
     used everywhere downstream (earlier generator = more significant).
     """
 
-    __slots__ = ("names", "degrees", "_index", "_units", "_weighted")
+    __slots__ = ("names", "degrees", "_index", "_units")
 
     def __init__(self, gens: Iterable[Tuple[str, int]]) -> None:
         gens = tuple((str(n), check_int("generator degree", d)) for n, d in gens)
@@ -32,8 +32,6 @@ class GeneratorTable:
         self.degrees = tuple(d for _, d in gens)
         self._index = {n: i for i, n in enumerate(self.names)}
         self._units: Dict[str, Monomial] = {}
-        # with every degree 1 the degree of a monomial is its exponent sum
-        self._weighted = any(d != 1 for d in self.degrees)
 
     def __len__(self) -> int:
         return len(self.names)
@@ -42,7 +40,7 @@ class GeneratorTable:
         return self._index[name]
 
     def degree(self, mono: Monomial) -> int:
-        return sum(map(mul, mono, self.degrees)) if self._weighted else sum(mono)
+        return sum(map(mul, mono, self.degrees))
 
     def monomial(self, mono) -> Monomial:
         """`mono` as an exponent tuple over this table, or a ValueError

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from itertools import islice
 from operator import add
 from typing import (Callable, Container, Dict, Iterable, List, Mapping, NamedTuple, Optional,
@@ -78,16 +79,28 @@ def _product_rows(relations: Iterable[Tuple[int, List[Tuple[Monomial, Scalar]],
     return rows
 
 
+def _multiplication_map(cofactors: Sequence[Monomial], index: Mapping[Monomial, int],
+                        t: Monomial) -> List[Optional[int]]:
+    """The multiplication map of the term t on `cofactors`: per cofactor m,
+    the column of m * t in `index`, or None where m * t is not a column."""
+    return [index.get(tuple(map(add, m, t))) for m in cofactors]
+
+
 def relation_echelon(gens: GeneratorTable,
                      relations: Sequence[GradedPolynomial],
                      d: int) -> SparseEchelon:
     """Echelon form over Q of the degree-d span of every monomial *
-    relation product, with columns indexing gens.monomials(d): the rows
-    are built on the multiplication maps of the free ring's quotient."""
+    relation product, with columns indexing gens.monomials(d)."""
     ech = SparseEchelon()
-    free = GradedQuotient(gens, (), d)
-    for row in _product_rows([(*_field_relation(rel.degree(), rel, ech.scalar), ())
-                              for rel in relations], d, free._products):
+    rels = [(*_field_relation(rel.degree(), rel, ech.scalar), ()) for rel in relations]
+    index = {m: i for i, m in enumerate(gens.monomials(d))}
+    cofactors = {k: gens.monomials(k) for k in {d - r for r, _, _ in rels if 0 < r <= d}}
+
+    @lru_cache(maxsize=None)
+    def products(k: int, _: int, t: Monomial) -> List[Optional[int]]:
+        return _multiplication_map(cofactors[k], index, t)
+
+    for row in _product_rows(rels, d, products):
         ech.add_row(row)
     return ech
 
@@ -126,9 +139,7 @@ class GradedQuotient:
     earlier blocks, and m * f_i = h * f_i - (h - m) * f_i: the first term
     lies in the earlier blocks of degree e, the second in the rows of f_i
     with later cofactors.  So every degree's row space is unchanged, over
-    F_p and modulo the vanishing monomials too.  A degree whose pivots no
-    later block reads (it is above max_degree minus the least relation
-    degree) sorts all its product rows at once instead.
+    F_p and modulo the vanishing monomials too.
 
     Rows are built on multiplication maps: for a cofactor degree k and a
     term t, the list over the surviving degree-k monomials m of the column
@@ -211,16 +222,13 @@ class GradedQuotient:
         return {idx[m]: c for m, c in terms.items() if m in idx}
 
     def _products(self, k: int, d: int, t: Monomial) -> List[Optional[int]]:
-        """The multiplication map of the degree-(d - k) term t on degree k:
-        for each surviving degree-k monomial m, the column of m * t among
-        the surviving degree-d monomials, or None where m * t vanishes."""
-        if k == 0:
-            return [self._index[d].get(t)]
+        """The multiplication map of the degree-(d - k) term t on the
+        surviving degree-k monomials, into the surviving degree-d ones
+        (see `_multiplication_map`), built once per (k, t)."""
         cols = self._maps.get((k, t))
         if cols is None:
-            index = self._index[d]
-            cols = self._maps[k, t] = [index.get(tuple(map(add, m, t)))
-                                       for m in self._monomials[k]]
+            cols = self._maps[k, t] = _multiplication_map(self._monomials[k],
+                                                          self._index[d], t)
         return cols
 
     def _echelon(self, d: int) -> SparseEchelon:
@@ -233,16 +241,12 @@ class GradedQuotient:
         for e in range(len(self._echelons), d + 1):
             ech = self._echelons[e] = SparseEchelon(self.p)
             ends = self._ends[e] = [0]
-            blocks = []
             for i, (r, terms) in enumerate(self._kept):
                 # the pivots of degree e - r that a block before i raised
                 lower = self._ends[e - r]
-                blocks.append((r, terms, set(islice(self._echelons[e - r].pivot_rows,
-                                                    lower[min(i, len(lower) - 1)]))))
-            # a degree that no later block reads is one batch, sorted at once
-            read = e + min(self.relations, default=e) <= self.max_degree
-            for batch in ([b] for b in blocks) if read else [blocks]:
-                for row in _product_rows(batch, e, self._products):
+                skip = set(islice(self._echelons[e - r].pivot_rows,
+                                  lower[min(i, len(lower) - 1)]))
+                for row in _product_rows([(r, terms, skip)], e, self._products):
                     ech.add_row(row)
                 ends.append(ech.rank)
             for rel in self.relations.get(e, ()):

@@ -5,8 +5,7 @@ from itertools import combinations
 from operator import add
 from typing import Dict, FrozenSet, Iterable, List, Set, Tuple
 
-from .exactmath import (GeneratorTable, GradedPolynomial, GradedQuotient,
-                        check_int, relation_echelon)
+from .exactmath import GeneratorTable, GradedPolynomial, GradedQuotient, check_int
 from .exactmath.gradedpoly import Scalar
 
 __all__ = [
@@ -280,8 +279,9 @@ class H2Presentation:
         return []
 
     def rank(self) -> int:
-        """Number of generators minus the rank of the relation span."""
-        return len(self.names) - relation_echelon(self.gens, self.relations, 1).rank
+        """Number of generators minus the rank of the relation span: the
+        degree-1 dimension of the quotient by the relations."""
+        return GradedQuotient(self.gens, self.relations, 1).dim(1)
 
     def export(self) -> dict:
         return {

@@ -28,8 +28,7 @@ from .bernoulli import bernoulli
 from .gradedpoly import GeneratorTable, GradedPolynomial
 from .linalg import SparseEchelon, exact_rank
 from .partitions import partition_count
-from .quotient import (GradedQuotient, QuotientReport, graded_quotient,
-                       relation_echelon)
+from .quotient import GradedQuotient, QuotientReport, graded_quotient
 from .series import TruncatedSeries, series_exp, series_log, series_mul
 
 __all__ = [
@@ -42,7 +41,6 @@ __all__ = [
     "GradedQuotient",
     "QuotientReport",
     "graded_quotient",
-    "relation_echelon",
     "TruncatedSeries",
     "series_exp",
     "series_log",

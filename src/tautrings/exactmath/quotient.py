@@ -1,18 +1,15 @@
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 from itertools import islice
 from operator import add
-from typing import (Callable, Container, Dict, Iterable, List, Mapping, NamedTuple, Optional,
-                    Sequence, Tuple)
+from typing import Container, Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from . import check_int
 from .gradedpoly import GeneratorTable, GradedPolynomial, Monomial, Scalar
 from .linalg import SparseEchelon, exact_rank
 
-__all__ = ["QuotientReport", "GradedQuotient", "graded_quotient",
-           "relation_echelon"]
+__all__ = ["QuotientReport", "GradedQuotient", "graded_quotient"]
 
 
 class QuotientReport(NamedTuple):
@@ -44,65 +41,6 @@ class QuotientReport(NamedTuple):
 
 # a relation as its degree and its terms, coefficients mapped to the field
 FieldRelation = Tuple[int, List[Tuple[Monomial, Scalar]]]
-
-
-def _field_relation(r: int, rel: GradedPolynomial, scalar) -> FieldRelation:
-    """A homogeneous relation of degree r with its coefficients mapped by
-    `scalar` (`SparseEchelon.scalar`), the terms that map to 0 dropped."""
-    return r, [(t, c) for t, v in rel.terms.items() if (c := scalar(v))]
-
-
-def _product_rows(relations: Iterable[Tuple[int, List[Tuple[Monomial, Scalar]],
-                                             Container[int]]],
-                  d: int, products: Callable[[int, int, Monomial], List[Optional[int]]]
-                  ) -> List[Dict[int, Scalar]]:
-    """Sparse rows of every product cofactor * relation of degree d, each
-    relation given as its degree, its terms over the field (as from
-    `_field_relation`) and the positions of the cofactors that give no row.
-    `products(k, d, t)` is the multiplication map of the term t on the
-    degree-k cofactors: per cofactor, the degree-d column of cofactor * t,
-    or None for a product off the columns, which is dropped.  Zero and
-    constant relations give no rows.  Rows are sorted singletons first
-    (free pivots, no fill-in)."""
-    rows: List[Dict[int, Scalar]] = []
-    for r, terms, skip in relations:
-        if r > d or r == 0:
-            continue
-        coeffs = [c for _, c in terms]
-        for q, cols in enumerate(zip(*[products(d - r, d, t) for t, _ in terms])):
-            if q not in skip:
-                # distinct terms times one cofactor are distinct columns
-                row = {i: c for i, c in zip(cols, coeffs) if i is not None}
-                if row:
-                    rows.append(row)
-    rows.sort(key=lambda row: (len(row), sorted(row.items())))
-    return rows
-
-
-def _multiplication_map(cofactors: Sequence[Monomial], index: Mapping[Monomial, int],
-                        t: Monomial) -> List[Optional[int]]:
-    """The multiplication map of the term t on `cofactors`: per cofactor m,
-    the column of m * t in `index`, or None where m * t is not a column."""
-    return [index.get(tuple(map(add, m, t))) for m in cofactors]
-
-
-def relation_echelon(gens: GeneratorTable,
-                     relations: Sequence[GradedPolynomial],
-                     d: int) -> SparseEchelon:
-    """Echelon form over Q of the degree-d span of every monomial *
-    relation product, with columns indexing gens.monomials(d)."""
-    ech = SparseEchelon()
-    rels = [(*_field_relation(rel.degree(), rel, ech.scalar), ()) for rel in relations]
-    index = {m: i for i, m in enumerate(gens.monomials(d))}
-    cofactors = {k: gens.monomials(k) for k in {d - r for r, _, _ in rels if 0 < r <= d}}
-
-    @lru_cache(maxsize=None)
-    def products(k: int, _: int, t: Monomial) -> List[Optional[int]]:
-        return _multiplication_map(cofactors[k], index, t)
-
-    for row in _product_rows(rels, d, products):
-        ech.add_row(row)
-    return ech
 
 
 class GradedQuotient:
@@ -219,17 +157,37 @@ class GradedQuotient:
     def _row(self, d: int, terms: Mapping[Monomial, Scalar]) -> Dict[int, Scalar]:
         """Degree-d terms as a row over the surviving monomials."""
         idx = self._index[d]
-        return {idx[m]: c for m, c in terms.items() if m in idx}
+        return {i: c for m, c in terms.items() if (i := idx.get(m)) is not None}
 
     def _products(self, k: int, d: int, t: Monomial) -> List[Optional[int]]:
         """The multiplication map of the degree-(d - k) term t on the
-        surviving degree-k monomials, into the surviving degree-d ones
-        (see `_multiplication_map`), built once per (k, t)."""
+        surviving degree-k monomials: per monomial m, the column of m * t
+        among the surviving degree-d ones, or None where m * t vanishes.
+        Built once per (k, t)."""
         cols = self._maps.get((k, t))
         if cols is None:
-            cols = self._maps[k, t] = _multiplication_map(self._monomials[k],
-                                                          self._index[d], t)
+            index = self._index[d]
+            cols = self._maps[k, t] = [index.get(tuple(map(add, m, t)))
+                                       for m in self._monomials[k]]
         return cols
+
+    def _product_rows(self, d: int, r: int, terms: List[Tuple[Monomial, Scalar]],
+                      skip: Container[int]) -> List[Dict[int, Scalar]]:
+        """Sparse rows of the degree-d products cofactor * relation, for a
+        kept relation of degree r with its terms over the field, except
+        the cofactors whose positions are in `skip`.  Vanishing product
+        terms are dropped.  Rows are sorted singletons first (free pivots,
+        no fill-in)."""
+        coeffs = [c for _, c in terms]
+        rows: List[Dict[int, Scalar]] = []
+        for q, cols in enumerate(zip(*[self._products(d - r, d, t) for t, _ in terms])):
+            if q not in skip:
+                # distinct terms times one cofactor are distinct columns
+                row = {i: c for i, c in zip(cols, coeffs) if i is not None}
+                if row:
+                    rows.append(row)
+        rows.sort(key=lambda row: (len(row), sorted(row.items())))
+        return rows
 
     def _echelon(self, d: int) -> SparseEchelon:
         """Echelon form of the degree-d relation span, built on first use
@@ -246,12 +204,13 @@ class GradedQuotient:
                 lower = self._ends[e - r]
                 skip = set(islice(self._echelons[e - r].pivot_rows,
                                   lower[min(i, len(lower) - 1)]))
-                for row in _product_rows([(r, terms, skip)], e, self._products):
+                for row in self._product_rows(e, r, terms, skip):
                     ech.add_row(row)
                 ends.append(ech.rank)
             for rel in self.relations.get(e, ()):
                 if ech.add_row(self._row(e, rel.terms)):
-                    self._kept.append(_field_relation(e, rel, ech.scalar))
+                    self._kept.append((e, [(t, c) for t, v in rel.terms.items()
+                                           if (c := ech.scalar(v))]))
                     ends.append(ech.rank)
         return self._echelons[d]
 

@@ -5,9 +5,9 @@ from functools import lru_cache
 from math import factorial
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
-from .exactmath import (GeneratorTable, GradedPolynomial, SparseEchelon,
-                        TruncatedSeries, check_int, relation_echelon,
-                        series_exp, series_log, series_mul)
+from .exactmath import (GeneratorTable, GradedPolynomial, GradedQuotient,
+                        TruncatedSeries, check_int, series_exp, series_log,
+                        series_mul)
 from .closedforms import complete_homogeneous, kappa_table, mumford_terms
 
 __all__ = [
@@ -23,7 +23,7 @@ __all__ = [
     "sq_relation",
     "sq_relation_set",
     "ideal_equivalence_check",
-    "relation_span",
+    "relation_rank",
 ]
 
 
@@ -363,19 +363,26 @@ def sq_relation_set(g: int, max_degree: int,
 # Span comparison
 # ---------------------------------------------------------------------------
 
-def relation_span(relations: Sequence[KappaRelation], g: int,
-                  degree: int) -> SparseEchelon:
-    """Echelonized span at the given degree of {monomial * relation} inside
-    the degree-`degree` monomial space of Q[kappa_1..kappa_{g-2}]."""
+def relation_rank(relations: Sequence[KappaRelation], g: int,
+                  degree: int) -> int:
+    """Rank of the degree-`degree` span of {monomial * relation} inside the
+    monomials of Q[kappa_1..kappa_{g-2}]: their number minus the dimension
+    of the quotient by the relations, whose thinning and signature
+    criterion skip the products that reduce to zero.  A negative degree
+    is an empty request, rank 0; relations over another kappa table are a
+    ValueError."""
     check_int("g", g)
-    check_int("degree", degree)
-    return relation_echelon(kappa_table(g - 2),
-                            [rel.polynomial for rel in relations], degree)
+    if check_int("degree", degree) < 0:
+        return 0
+    gens = kappa_table(g - 2)
+    quotient = GradedQuotient(gens, [rel.polynomial for rel in relations], degree)
+    return len(gens.monomials(degree)) - quotient.dim(degree)
 
 
 def ideal_equivalence_check(g: int, degree: int) -> bool:
     """Whether the FZ span and the stable-quotient span coincide in the
-    given degree: both ranks equal the rank of their joint span.
+    given degree: both ranks (`relation_rank`) equal the rank of their
+    joint span.
 
     The SQ side grows its x-degree bound dmax by 2 until a step adds no
     rank (the documented stabilization rule)."""
@@ -383,17 +390,16 @@ def ideal_equivalence_check(g: int, degree: int) -> bool:
     if check_int("degree", degree) <= 0:
         return True
     fz = fz_relation_set(g, degree)
-    fz_span = relation_span(fz, g, degree)
+    fz_rank = relation_rank(fz, g, degree)
 
     dmax = max((g + 2) // 2, 1) + degree
     sq_rank = None
     while True:
         sq = sq_relation_set(g, degree, dmax=dmax)
-        rank = relation_span(sq, g, degree).rank
+        rank = relation_rank(sq, g, degree)
         if rank == sq_rank:
             break
         sq_rank = rank
         dmax += 2
 
-    return (fz_span.rank == sq_rank
-            == relation_span(fz + sq, g, degree).rank)
+    return fz_rank == sq_rank == relation_rank(fz + sq, g, degree)

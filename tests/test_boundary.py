@@ -1,7 +1,7 @@
 from __future__ import annotations
 
 from fractions import Fraction as F
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement
 
 import pytest
 
@@ -236,6 +236,24 @@ def test_kappa1_top_power_integrates_as_pushforward():
             - psi_intersection(0, [3] + [0] * 5)) == integrals[1]
 
 
+@pytest.mark.parametrize("n", [5, 6])
+def test_psi_monomials_integrate_as_correlators(n):
+    """Every psi-monomial of degree n - 3, with each psi_z from
+    psi_in_boundary_basis, integrates through keel_quotient(n) to the
+    correlator psi_intersection(0, a): 15 monomials at n = 5, 56 at n = 6.
+    n = 7 (210 monomials) is left out for its time."""
+    quotient = keel_quotient(n)
+    psis = [psi_in_boundary_basis(n, z, *[x for x in range(1, n + 1) if x != z][:2])
+            for z in range(1, n + 1)]
+    for chosen in combinations_with_replacement(range(n), n - 3):
+        poly = GradedPolynomial.constant(psis[0].gens, 1)
+        for z in chosen:
+            poly = poly * psis[z]
+        exponents = [chosen.count(z) for z in range(n)]
+        assert (_top_integral(quotient, poly, n)
+                == psi_intersection(0, exponents)), exponents
+
+
 # ---------------------------------------------------------------------------
 # H^2 presentations
 # ---------------------------------------------------------------------------
@@ -263,6 +281,22 @@ def test_h2_known_ranks():
     assert h2_rank(5, 0) == 4
     assert h2_rank(2, 2) == 6
     assert h2_rank(3, 1) == 5
+
+
+def test_h2_ranks_match_dense_oracle():
+    """Each of the 16 presentations with g <= 2 and n <= 7 (n <= 5 for
+    g > 0) has rank the number of generators minus the dense rank of its
+    relation matrix."""
+    from test_exactmath import dense_rank_oracle
+    for g in range(3):
+        for n in range(8 if g == 0 else 6):
+            if 2 * g - 2 + n > 0:
+                pres = h2_presentation(g, n)
+                monos = pres.gens.monomials(1)
+                matrix = [[rel.terms.get(m, 0) for m in monos]
+                          for rel in pres.relations]
+                assert (pres.rank() == len(pres.names)
+                        - dense_rank_oracle(matrix)), (g, n)
 
 
 def test_h2_rank_past_recursion_limit():

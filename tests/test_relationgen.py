@@ -9,10 +9,10 @@ import pytest
 
 from tautrings.closedforms import (kappa_table, lambda_from_kappa,
                                    lambda_gm1_lambda_g_eval)
-from tautrings.exactmath import GeneratorTable, GradedPolynomial
+from tautrings.exactmath import GeneratorTable, GradedPolynomial, GradedQuotient
 from tautrings.relationgen import (fz_admissible, fz_coefficients, fz_relation,
                                    fz_relation_set, ideal_equivalence_check,
-                                   psi_series, relation_span, sq_admissible,
+                                   psi_series, relation_rank, sq_admissible,
                                    sq_coefficients, sq_phi_series, sq_relation,
                                    sq_relation_set)
 
@@ -153,7 +153,7 @@ def test_fz_relation_absent_cases():
     (lambda: sq_coefficients(2, 1.5), "rmax must be an int, got 1.5"),
     (lambda: sq_phi_series(2.5), "order must be an int, got 2.5"),
     (lambda: sq_admissible(6, 3, 1.0), "d must be an int, got 1.0"),
-    (lambda: relation_span([], 6.0, 2), "g must be an int, got 6.0"),
+    (lambda: relation_rank([], 6.0, 2), "g must be an int, got 6.0"),
     (lambda: ideal_equivalence_check(6, 2.0), "degree must be an int, got 2.0"),
 ])
 def test_relation_entry_points_refuse_non_int_arguments(call, match):
@@ -162,6 +162,19 @@ def test_relation_entry_points_refuse_non_int_arguments(call, match):
     range()."""
     with pytest.raises(ValueError, match=match):
         call()
+
+
+def test_relation_rank_refuses_relations_over_another_table():
+    """Genus-6 relations live over kappa_table(4), so in genus 7 (over
+    kappa_table(5)) none of their products is a column: the rank is
+    refused, not read as 0."""
+    with pytest.raises(ValueError, match="mixed generator tables"):
+        relation_rank(fz_relation_set(6, 3), 7, 3)
+
+
+def test_relation_rank_of_a_negative_degree_is_zero():
+    """A negative degree has no monomials: an empty request, rank 0."""
+    assert relation_rank(fz_relation_set(6, 3), 6, -1) == 0
 
 
 def test_fz_relation_set_counts():
@@ -302,22 +315,16 @@ def test_sq_side_conditions_are_sharp_at_genus5():
     """d = 1 is excluded at (g, r) = (5, 2) and is genuinely not a relation;
     every admitted d >= 2 lies in the FZ span."""
     fz = fz_relation_set(5, 2)
-    span = relation_span(fz, 5, 2)
-    gens = kappa_table(3)
-    monos = gens.monomials(2)
-    index = {m: i for i, m in enumerate(monos)}
-
-    def row_of(poly):
-        return {index[m]: c for m, c in poly.terms.items()}
+    span = GradedQuotient(kappa_table(3), [rel.polynomial for rel in fz], 2)
 
     from tautrings.relationgen import _sq_exp_minus_gamma
     table = _sq_exp_minus_gamma(5, 2, 6)
     bad = table[(2, (1,))]
-    assert not span.contains(row_of(bad))
+    assert span.reduce(bad) != {}
     for d in range(2, 7):
         rel = table.get((2, (d,)))
         assert rel is not None
-        assert span.contains(row_of(rel))
+        assert span.reduce(rel) == {}
 
 
 @pytest.mark.parametrize("g", range(3, 9))
@@ -325,18 +332,30 @@ def test_sq_span_contained_in_fz_span(g):
     """One half of the equivalence claim holds degreewise: every
     stable-quotient relation lies in the FZ ideal."""
     for degree in range(1, g - 1):
-        fz_span = relation_span(fz_relation_set(g, degree), g, degree)
         gens = kappa_table(max(g - 2, 1))
-        monos = gens.monomials(degree)
-        index = {m: i for i, m in enumerate(monos)}
+        fz_span = GradedQuotient(gens, [rel.polynomial for rel in
+                                        fz_relation_set(g, degree)], degree)
         for rel in sq_relation_set(g, degree):
             r = rel.polynomial.degree()
             for cof in gens.monomials(degree - r):
-                row = {}
-                for mono, c in rel.polynomial.terms.items():
-                    m = tuple(a + b for a, b in zip(mono, cof))
-                    row[index[m]] = row.get(index[m], F(0)) + c
-                assert fz_span.contains(row), (g, degree, rel.index)
+                product = rel.polynomial * GradedPolynomial(gens, {cof: F(1)})
+                assert fz_span.reduce(product) == {}, (g, degree, rel.index)
+
+
+@pytest.mark.parametrize("g", range(3, 9))
+def test_criterion_6_ranks_match_product_oracle(g):
+    """relation_rank of the FZ, SQ and joint relation sets, in every degree
+    1..g-2, is the rank of eliminating every product monomial * relation
+    over all kappa monomials (`_ProductOracle`: no vanishing supports, no
+    thinning, no criterion)."""
+    from test_exactmath import _ProductOracle
+    gens = kappa_table(g - 2)
+    for degree in range(1, g - 1):
+        fz, sq = fz_relation_set(g, degree), sq_relation_set(g, degree)
+        for rels in (fz, sq, fz + sq):
+            oracle = _ProductOracle(gens, [rel.polynomial for rel in rels], degree)
+            assert (relation_rank(rels, g, degree)
+                    == oracle.ech[degree].rank), (g, degree, len(rels))
 
 
 def test_ideal_equivalence_trivial_and_odd_genus_cells():
@@ -379,11 +398,10 @@ def _stabilized_sq_rank(g, degree):
     """SQ span rank under the stabilization rule of ideal_equivalence_check:
     raise the x-degree cap by 2 until two consecutive caps add no rank."""
     dmax = max((g + 2) // 2, 1) + degree
-    rank = relation_span(sq_relation_set(g, degree, dmax=dmax), g, degree).rank
+    rank = relation_rank(sq_relation_set(g, degree, dmax=dmax), g, degree)
     while True:
         dmax += 2
-        bigger = relation_span(sq_relation_set(g, degree, dmax=dmax),
-                               g, degree).rank
+        bigger = relation_rank(sq_relation_set(g, degree, dmax=dmax), g, degree)
         if bigger == rank:
             return rank
         rank = bigger
@@ -397,6 +415,6 @@ def test_sq_shortfall_is_not_truncation(g, degree, sq_rank, fz_rank):
     12, and it stays below the FZ rank: the shortfall does not come from
     truncating the x-degree."""
     stable = _stabilized_sq_rank(g, degree)
-    capped = relation_span(sq_relation_set(g, degree, dmax=12), g, degree)
-    assert capped.rank == stable == sq_rank, (g, degree, capped.rank, stable)
-    assert relation_span(fz_relation_set(g, degree), g, degree).rank == fz_rank
+    capped = relation_rank(sq_relation_set(g, degree, dmax=12), g, degree)
+    assert capped == stable == sq_rank, (g, degree, capped, stable)
+    assert relation_rank(fz_relation_set(g, degree), g, degree) == fz_rank

@@ -93,6 +93,7 @@ def lambda_gm1_lambda_g_eval(g: int, alpha: Sequence[int]) -> Fraction:
                                           for x in a)
 
 
+@lru_cache(maxsize=None)
 def _two_lambda_scale(g: int, n: int) -> Fraction:
     """C(g, n) = (2g+n-3)!(2g-1)!!/(2g-1)! times the one-point constant:
     the n-point psi^alpha lambda_{g-1} lambda_g integral is

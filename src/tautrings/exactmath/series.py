@@ -3,7 +3,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 from operator import add
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from . import check_int
 from .gradedpoly import GeneratorTable
@@ -69,8 +69,12 @@ class TruncatedSeries:
     @property
     def coeffs(self) -> Dict[ExpVec, Fraction]:
         """A new dict of every nonzero coefficient, weight by weight."""
-        return {ev: Fraction(n, den) for nums, den in self._slices.values()
-                for ev, n in nums.items()}
+        return self.coeffs_at(self._slices)
+
+    def coeffs_at(self, weights: Iterable[int]) -> Dict[ExpVec, Fraction]:
+        """`coeffs` on the given weights alone: only their slices become `Fraction`s."""
+        return {ev: Fraction(n, den) for w in weights if w in self._slices
+                for nums, den in (self._slices[w],) for ev, n in nums.items()}
 
     def __len__(self) -> int:
         """The number of nonzero coefficients."""

@@ -1,9 +1,10 @@
 from __future__ import annotations
 
+import threading
 from fractions import Fraction
-from functools import lru_cache
-from math import factorial
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
+from functools import lru_cache, partial
+from math import factorial, prod
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .exactmath import (GeneratorTable, GradedPolynomial, GradedQuotient,
                         TruncatedSeries, check_int, series_exp, series_log,
@@ -52,6 +53,13 @@ class KappaRelation(NamedTuple):
 # The hypergeometric-branch series and its log coefficients
 # ---------------------------------------------------------------------------
 
+Index = Tuple[int, Tuple[int, ...]]  # (r, sigma parts) or (r, (d,))
+RelationTable = Dict[Index, GradedPolynomial]
+ExpVec = Tuple[int, ...]
+Gamma = Dict[int, Dict[ExpVec, Fraction]]
+Keep = Callable[[int, int], bool]  # (r, weight of the index) -> materialise?
+
+
 def _branch_a(i: int) -> Fraction:
     return Fraction(factorial(6 * i), factorial(3 * i) * factorial(2 * i))
 
@@ -76,62 +84,67 @@ def psi_series(order: int) -> TruncatedSeries:
     if check_int("order", order) < 0:
         raise ValueError("order must be >= 0")
     gens = GeneratorTable([("t", 1)] + _p_vars(order))
-
-    def mono(t_exp: int, p_name: Optional[str] = None) -> Tuple[int, ...]:
-        ev = [0] * len(gens)
-        ev[0] = t_exp
-        if p_name is not None:
-            ev[gens.index(p_name)] = 1
-        return tuple(ev)
-
-    coeffs: Dict[Tuple[int, ...], Fraction] = {}
-    for i in range(order + 1):
-        a_i = _branch_a(i)
-        b_i = _branch_b(i)
-        # first branch: t^{k+i} p_{3k} (k = 0 term has no p factor)
-        coeffs[mono(i)] = coeffs.get(mono(i), Fraction(0)) + a_i
-        k = 1
-        while 4 * k + i <= order:
-            ev = mono(k + i, f"p{3 * k}")
-            coeffs[ev] = coeffs.get(ev, Fraction(0)) + a_i
-            k += 1
-        # second branch: t^{k+i} p_{3k+1}
-        k = 0
-        while 4 * k + 1 + i <= order:
-            ev = mono(k + i, f"p{3 * k + 1}")
-            coeffs[ev] = coeffs.get(ev, Fraction(0)) + b_i
-            k += 1
+    coeffs: Dict[ExpVec, Fraction] = {}
+    # t^(i + floor(j/3)) p_j, p_j at position pos of gens; j = 0: no p factor
+    for pos, j in enumerate((0,) + gens.degrees[1:]):
+        for i in range(order - j - j // 3 + 1):
+            ev = [i + j // 3] + [int(k == pos) for k in range(1, len(gens))]
+            coeffs[tuple(ev)] = (_branch_b if j % 3 == 1 else _branch_a)(i)
     return TruncatedSeries(gens, order, coeffs)
 
 
-@lru_cache(maxsize=None)
-def _fz_log(order: int) -> TruncatedSeries:
-    """log of the branch series, exact at every t^r p^sigma with
-    r + |sigma| <= order."""
-    return series_log(psi_series(order))
+# t-coefficients of log A, B/A and (B/A)^q for A = sum a_i t^i, B = sum b_i t^i,
+# appended to under the lock as requests grow (t^m needs only lower degrees)
+_LOG_A: List[Fraction] = []
+_RATIO: List[Fraction] = []
+_POWERS: List[List[Fraction]] = []
+_GROW = threading.Lock()
 
 
-Index = Tuple[int, Tuple[int, ...]]  # (r, sigma parts) or (r, (d,))
-RelationTable = Dict[Index, GradedPolynomial]
-ExpVec = Tuple[int, ...]
+def _fz_gamma(rmax: int, smax: int
+              ) -> Tuple[GeneratorTable, Dict[ExpVec, Tuple[int, ...]], Gamma]:
+    """The p_j with j <= smax, the parts of sigma at each exponent vector
+    ev of p^sigma, and gamma[r][ev] = C_r(sigma), the nonzero coefficients
+    of log psi (`psi_series`) on the box r <= rmax, |sigma| <= smax.  As
+    psi = A (1 + X), X = sum_{k>=1} t^k p_{3k} + (B/A) sum_{k>=0} t^k p_{3k+1}
+    linear in the p's, C_r() = [t^r] log A and, for sigma with l parts,
+    multiplicities m_j, K = sum m_j floor(j/3) and q parts 1 mod 3,
 
-
-def _sigma(names: Sequence[str], ev: ExpVec) -> Tuple[int, ...]:
-    """The parts of the partition sigma whose monomial p^sigma has
-    exponent vector ev over the variables `names` ("p1", "p3", ...)."""
-    sigma: List[int] = []
-    for name, e in zip(names, ev):
-        sigma.extend([int(name[1:])] * e)
-    return tuple(sorted(sigma, reverse=True))
+        C_r(sigma) = (-1)^(l-1) (l-1)!/prod m_j! [t^(r-K)] (B/A)^q."""
+    a = [_branch_a(i) for i in range(rmax + 1)]
+    with _GROW:
+        for m in range(len(_RATIO), rmax + 1):  # A N(log A) = N(A), N = t d/dt
+            _LOG_A.append(a[m] - Fraction(sum(a[i] * (m - i) * _LOG_A[m - i]
+                                              for i in range(1, m)), m) if m else Fraction(0))
+            _RATIO.append(_branch_b(m) - sum(a[i] * _RATIO[m - i] for i in range(1, m + 1)))
+        _POWERS.extend([] for _ in range(len(_POWERS), smax + 1))
+        for q, power in enumerate(_POWERS):
+            power.extend(sum(_POWERS[q - 1][i] * _RATIO[m - i] for i in range(m + 1))
+                         if q else Fraction(int(m == 0)) for m in range(len(power), rmax + 1))
+    variables = GeneratorTable(_p_vars(smax))
+    parts = variables.degrees
+    empty = (0,) * len(parts)
+    sigmas, gamma = {empty: ()}, {r: {empty: c} for r, c in enumerate(_LOG_A[:rmax + 1]) if c}
+    for w in range(1, smax + 1):
+        for ev in variables.monomials(w):
+            sigmas[ev] = tuple(j for j, e in zip(parts[::-1], ev[::-1]) for _ in range(e))
+            l, k = sum(ev), sum(e * (j // 3) for e, j in zip(ev, parts))
+            t_series = _POWERS[sum(e for e, j in zip(ev, parts) if j % 3 == 1)]
+            scale = Fraction((-1) ** (l - 1) * factorial(l - 1), prod(map(factorial, ev)))
+            for r in range(k, rmax + 1):
+                if c := scale * t_series[r - k]:
+                    gamma.setdefault(r, {})[ev] = c
+    return variables, sigmas, gamma
 
 
 def fz_coefficients(order: int) -> Dict[Index, Fraction]:
     """Coefficients C_r(sigma) of log of the branch series, keyed by
     (r, sigma parts), for r + |sigma| <= order, sorted by (r, sigma)."""
-    check_int("order", order)
-    log = _fz_log(order)
-    return dict(sorted(((ev[0], _sigma(log.gens.names[1:], ev[1:])), c)
-                       for ev, c in log.coeffs.items()))
+    if check_int("order", order) < 0:
+        raise ValueError("order must be >= 0")
+    _, sigmas, gamma = _fz_gamma(order, order)
+    return dict(sorted(((r, sigmas[ev]), c) for r, terms in gamma.items()
+                       for ev, c in terms.items() if r + sum(sigmas[ev]) <= order))
 
 
 # ---------------------------------------------------------------------------
@@ -139,12 +152,11 @@ def fz_coefficients(order: int) -> Dict[Index, Fraction]:
 # ---------------------------------------------------------------------------
 
 def _exp_minus_gamma(g: int, rmax: int, variables: GeneratorTable,
-                     order: int, gamma: Dict[int, Dict[ExpVec, Fraction]]
-                     ) -> RelationTable:
+                     order: int, gamma: Gamma, keep: Keep) -> RelationTable:
     """exp(-gamma) for gamma = sum_r kappa_r t^r A_r, where gamma[r] holds
     the coefficients of A_r, a series over `variables` truncated at weight
-    `order`; kept up to t-degree rmax, as {(r, exponent vector of m):
-    nonzero kappa-polynomial coefficient of t^r m}.
+    `order`; kept at the r <= rmax and weights of m that `keep` accepts, as
+    {(r, exponent vector of m): nonzero kappa-polynomial coefficient of t^r m}.
 
     kappa_0 = 2g-2 is substituted, and kappa_r = 0 for r < 0 and for
     r > g-2 (top-degree vanishing of the ring model).  gamma is linear in
@@ -158,8 +170,9 @@ def _exp_minus_gamma(g: int, rmax: int, variables: GeneratorTable,
     parent's last index, so its series is the parent's times
     -A_r/(m_r + 1), one truncated product.  The series stay in the int
     form of `TruncatedSeries` from parent to child; a coefficient becomes a
-    `Fraction` only when it enters the table."""
+    `Fraction` only when `keep` takes its slice into the table."""
     gens = kappa_table(g - 2)
+    kept = [[w for w in range(order + 1) if keep(r, w)] for r in range(rmax + 1)]
 
     a = {r: TruncatedSeries(variables, order, coeffs)
          for r, coeffs in gamma.items()}
@@ -170,7 +183,7 @@ def _exp_minus_gamma(g: int, rmax: int, variables: GeneratorTable,
     stack = [(0, (0,) * len(gens), 1, e0)]
     while stack:
         degree, mono, least, s = stack.pop()
-        for ev, c in s.coeffs.items():
+        for ev, c in s.coeffs_at(kept[degree]).items():
             grouped.setdefault((degree, ev), {})[mono] = c
         for r in range(least, min(g - 2, rmax - degree) + 1):
             if not gamma.get(r):
@@ -207,6 +220,10 @@ def _check_request(g: int, max_degree: int) -> None:
 # FZ relations
 # ---------------------------------------------------------------------------
 
+def _fz_admits(g: int, r: int, size: int) -> bool:
+    return (g - 1 + size < 3 * r) and ((g - r - size - 1) % 2 == 0)
+
+
 def fz_admissible(g: int, r: int, sigma: Sequence[int]) -> bool:
     """The two side conditions: g - 1 + |sigma| < 3r and
     g = r + |sigma| + 1 (mod 2)."""
@@ -215,23 +232,16 @@ def fz_admissible(g: int, r: int, sigma: Sequence[int]) -> bool:
     size = sum(check_int("sigma part", p) for p in sigma)
     if any(p % 3 == 2 for p in sigma):
         raise ValueError("sigma parts must not be 2 mod 3")
-    return (g - 1 + size < 3 * r) and ((g - r - size - 1) % 2 == 0)
+    return _fz_admits(g, r, size)
 
 
-def _fz_exp_minus_gamma(g: int, rmax: int, smax: int) -> RelationTable:
-    """exp(-gamma) with gamma = sum C_r(sigma) kappa_r t^r p^sigma, exact on
-    the box r <= rmax, |sigma| <= smax, keyed by (r, sigma parts)."""
-    log = _fz_log(rmax + smax)
-    # the p_j with j <= smax come first in the log's variables
-    variables = GeneratorTable(_p_vars(smax))
-    n = len(variables)
-    gamma: Dict[int, Dict[ExpVec, Fraction]] = {}
-    for ev, c in log.coeffs.items():
-        if ev[0] <= rmax and log.gens.degree(ev) - ev[0] <= smax:
-            gamma.setdefault(ev[0], {})[ev[1:n + 1]] = c
-    table = _exp_minus_gamma(g, rmax, variables, smax, gamma)
-    sigma = {ev: _sigma(variables.names, ev) for _, ev in table}
-    return {(r, sigma[ev]): poly for (r, ev), poly in table.items()}
+def _fz_exp_minus_gamma(g: int, rmax: int, smax: int,
+                        keep: Keep = lambda r, size: True) -> RelationTable:
+    """exp(-gamma), gamma = sum C_r(sigma) kappa_r t^r p^sigma, keyed by
+    (r, sigma parts), at the r <= rmax, |sigma| <= smax that `keep` accepts."""
+    variables, sigmas, gamma = _fz_gamma(rmax, smax)
+    table = _exp_minus_gamma(g, rmax, variables, smax, gamma, keep)
+    return {(r, sigmas[ev]): poly for (r, ev), poly in table.items()}
 
 
 def fz_relation(g: int, r: int, sigma) -> Optional[KappaRelation]:
@@ -244,7 +254,8 @@ def fz_relation(g: int, r: int, sigma) -> Optional[KappaRelation]:
         raise ValueError("partition parts must be positive")
     if not fz_admissible(g, r, sigma):
         return None
-    return _relation("FZ", g, r, sigma, _fz_exp_minus_gamma(g, r, sum(sigma)))
+    return _relation("FZ", g, r, sigma, _fz_exp_minus_gamma(
+        g, r, sum(sigma), lambda *key: key == (r, sum(sigma))))
 
 
 def fz_relation_set(g: int, max_degree: int, *,
@@ -262,9 +273,8 @@ def fz_relation_set(g: int, max_degree: int, *,
         if check_int("max_sigma", max_sigma) < 0:
             raise ValueError(f"max_sigma must be >= 0, got {max_sigma}")
         smax = min(smax, max_sigma)
-    table = _fz_exp_minus_gamma(g, max_degree, smax)
-    keys = sorted((key for key in table if fz_admissible(g, *key)),
-                  key=lambda k: (k[0], sum(k[1]), tuple(-p for p in k[1])))
+    table = _fz_exp_minus_gamma(g, max_degree, smax, partial(_fz_admits, g))
+    keys = sorted(table, key=lambda k: (k[0], sum(k[1]), tuple(-p for p in k[1])))
     return [_relation("FZ", g, r, sigma, table) for r, sigma in keys]
 
 
@@ -311,26 +321,30 @@ def sq_coefficients(dmax: int, rmax: int) -> Dict[Tuple[int, int], Fraction]:
                        if d <= dmax and r <= rmax))
 
 
+def _sq_admits(g: int, r: int, d: int) -> bool:
+    return d >= 1 and (g - 2 * d - 1 < r) and ((g - r - 1) % 2 == 0)
+
+
 def sq_admissible(g: int, r: int, d: int) -> bool:
     """Side conditions g - 2d - 1 < r and g = r + 1 (mod 2)."""
     check_int("g", g)
     check_int("r", r)
     check_int("d", d)
-    return d >= 1 and (g - 2 * d - 1 < r) and ((g - r - 1) % 2 == 0)
+    return _sq_admits(g, r, d)
 
 
-def _sq_exp_minus_gamma(g: int, rmax: int, dmax: int) -> RelationTable:
+def _sq_exp_minus_gamma(g: int, rmax: int, dmax: int,
+                        keep: Keep = lambda r, d: True) -> RelationTable:
     """exp(-gamma) for the stable-quotient gamma:
     sum B_{2i} kappa_{2i-1} t^{2i-1}/(2i(2i-1))
       + sum C_d^r kappa_r t^r x^d / d!,
-    truncated to t-exponent <= rmax and x-degree <= dmax, keyed by (r, (d,))."""
-    gamma: Dict[int, Dict[ExpVec, Fraction]] = {
-        r: {(0,): c} for r, c in mumford_terms(rmax)}
+    keyed by (r, (d,)), at the r <= rmax, d <= dmax that `keep` accepts."""
+    gamma: Gamma = {r: {(0,): c} for r, c in mumford_terms(rmax)}
     # log Phi has no x^0 term, so no log term meets a Mumford term; the
     # series over _X at order dmax drop its terms with d > dmax
     for (r, d), c in _sq_log(max(rmax + 2 * dmax, 0)).coeffs.items():
         gamma.setdefault(r, {})[(d,)] = c
-    return _exp_minus_gamma(g, rmax, _X, dmax, gamma)
+    return _exp_minus_gamma(g, rmax, _X, dmax, gamma, keep)
 
 
 def sq_relation(g: int, r: int, d: int) -> Optional[KappaRelation]:
@@ -339,7 +353,7 @@ def sq_relation(g: int, r: int, d: int) -> Optional[KappaRelation]:
     when (r, d) fails the side conditions."""
     if not sq_admissible(g, r, d) or r < 0:
         return None
-    return _relation("SQ", g, r, (d,), _sq_exp_minus_gamma(g, r, d))
+    return _relation("SQ", g, r, (d,), _sq_exp_minus_gamma(g, r, d, lambda *key: key == (r, d)))
 
 
 def sq_relation_set(g: int, max_degree: int,
@@ -354,9 +368,8 @@ def sq_relation_set(g: int, max_degree: int,
     if dmax is None:
         dmax = max((g + 2) // 2, 1) + max_degree + 2
     check_int("dmax", dmax)
-    table = _sq_exp_minus_gamma(g, max_degree, dmax)
-    return [_relation("SQ", g, r, index, table) for r, index in sorted(table)
-            if r >= 1 and sq_admissible(g, r, index[0])]
+    table = _sq_exp_minus_gamma(g, max_degree, dmax, partial(_sq_admits, g))
+    return [_relation("SQ", g, r, index, table) for r, index in sorted(table) if r >= 1]
 
 
 # ---------------------------------------------------------------------------
@@ -368,12 +381,12 @@ def relation_rank(relations: Sequence[KappaRelation], g: int,
     """Rank of the degree-`degree` span of {monomial * relation} inside the
     monomials of Q[kappa_1..kappa_{g-2}]: their number minus the dimension
     of the quotient by the relations, whose thinning and signature
-    criterion skip the products that reduce to zero.  A negative degree
-    is an empty request, rank 0; relations over another kappa table are a
-    ValueError."""
+    criterion skip the products that reduce to zero.  A negative degree,
+    like a negative max degree of the relation sets, and relations over
+    another kappa table are a ValueError."""
     check_int("g", g)
     if check_int("degree", degree) < 0:
-        return 0
+        raise ValueError(f"degree must be >= 0, got {degree}")
     gens = kappa_table(g - 2)
     quotient = GradedQuotient(gens, [rel.polynomial for rel in relations], degree)
     return len(gens.monomials(degree)) - quotient.dim(degree)

@@ -125,7 +125,7 @@ def _fz_quotient(g: int, max_degree: int,
     for s in [*range(min(5, cap), cap, 2), cap]:
         relations = fz_relation_set(g, max_degree, max_sigma=s)
         # PRIME divides no FZ denominator: its prime factors (6i - 1 of the
-        # branch series, weights w <= order in series_log / series_exp and
+        # branch series, factorials and weights <= cap in log psi and exp,
         # multiplicities k in the kappa walk) are <= 6 * (max_degree + cap).
         if certified(GradedQuotient(gens, [rel.polynomial for rel in relations],
                                     max_degree, PRIME)):
@@ -145,12 +145,13 @@ def _socle_pairing(g: int) -> List[Tuple[int, List[Dict[Monomial, Fraction]]]]:
     its own unit vector in columns after those of P_d: a row that reduces
     to zero on P_d leaves its kernel row in the unit columns."""
     gens = kappa_table(g - 2)
+    monomials = [gens.monomials(d) for d in range(g - 1)]
     eps = {m: kappa_socle_eval(g, [gens.degrees[i]
                                    for i, e in enumerate(m) for _ in range(e)])
-           for m in gens.monomials(g - 2)}
+           for m in monomials[g - 2]}
     out = []
     for d in range(g - 1):
-        left, right = gens.monomials(d), gens.monomials(g - 2 - d)
+        left, right = monomials[d], monomials[g - 2 - d]
         width = len(right)
         ech, kernel = SparseEchelon(), []
         for j in reversed(range(len(left))):

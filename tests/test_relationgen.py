@@ -3,13 +3,15 @@ from __future__ import annotations
 import hashlib
 import json
 from fractions import Fraction as F
+from functools import lru_cache, partial
 from math import factorial
 
 import pytest
 
 from tautrings.closedforms import (kappa_table, lambda_from_kappa,
                                    lambda_gm1_lambda_g_eval)
-from tautrings.exactmath import GeneratorTable, GradedPolynomial, GradedQuotient
+from tautrings.exactmath import (GeneratorTable, GradedPolynomial, GradedQuotient,
+                                 series_log)
 from tautrings.relationgen import (fz_admissible, fz_coefficients, fz_relation,
                                    fz_relation_set, ideal_equivalence_check,
                                    psi_series, relation_rank, sq_admissible,
@@ -59,6 +61,76 @@ def test_fz_coefficients_key_range(k):
     wide = fz_coefficients(k + 3)
     assert c == {(r, sigma): v for (r, sigma), v in wide.items()
                  if r + sum(sigma) <= k}
+
+
+@lru_cache(maxsize=None)
+def _series_log_of_psi(order):
+    """The log of the branch series as {(r, sigma parts): coefficient}:
+    the multivariate oracle of the closed form."""
+    log = series_log(psi_series(order))
+    parts = [int(name[1:]) for name in log.gens.names[1:]]
+    return {(ev[0], tuple(sorted((j for j, e in zip(parts, ev[1:])
+                                  for _ in range(e)), reverse=True))): c
+            for ev, c in log.coeffs.items()}
+
+
+def test_closed_form_gamma_matches_series_log_on_the_box():
+    """The closed-form C_r(sigma) on the box r <= rmax, |sigma| <= smax
+    equals, coefficient by coefficient, the box of the series log of psi
+    truncated at rmax + smax, for every rmax + smax <= 14 (smax > rmax
+    included); the univariate t-series grow between the calls."""
+    from tautrings.relationgen import _fz_gamma
+    pairs = [(rmax, smax) for total in range(15) for rmax in range(total + 1)
+             for smax in [total - rmax]]
+    assert any(smax > rmax for rmax, smax in pairs)
+    for rmax, smax in pairs:
+        _, sigmas, gamma = _fz_gamma(rmax, smax)
+        closed = {(r, sigmas[ev]): c
+                  for r, terms in gamma.items() for ev, c in terms.items()}
+        oracle = {(r, sigma): c
+                  for (r, sigma), c in _series_log_of_psi(rmax + smax).items()
+                  if r <= rmax and sum(sigma) <= smax}
+        assert closed == oracle, (rmax, smax)
+        assert all(type(c) is F for c in closed.values())
+
+
+def test_t_series_grow_safely_from_several_threads(monkeypatch):
+    """Eight threads that grow the shared t-series from empty at once, each
+    to its own order, read the coefficients a serial run reads (ten times
+    over, as an unlocked growth fails only now and then)."""
+    import sys
+    import threading
+    from tautrings import relationgen
+    orders = [3, 11, 6, 12, 2, 9, 12, 7]
+    expected = {k: fz_coefficients(k) for k in set(orders)}
+    got = {}
+
+    def work(i):
+        got[i] = fz_coefficients(orders[i])
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(10):
+            for name in ("_LOG_A", "_RATIO", "_POWERS"):
+                monkeypatch.setattr(relationgen, name, [])
+            threads = [threading.Thread(target=work, args=(i,))
+                       for i in range(len(orders))]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+            assert not any(t.is_alive() for t in threads)
+            assert got == {i: expected[k] for i, k in enumerate(orders)}
+    finally:
+        sys.setswitchinterval(interval)
+
+
+@pytest.mark.parametrize("k", range(13))
+def test_fz_coefficients_match_series_log_on_the_simplex(k):
+    """`fz_coefficients(k)` reads the closed form on r + |sigma| <= k and
+    equals the series log of psi truncated at k, keys in sorted order."""
+    assert list(fz_coefficients(k).items()) == sorted(_series_log_of_psi(k).items())
 
 
 # ---------------------------------------------------------------------------
@@ -172,9 +244,15 @@ def test_relation_rank_refuses_relations_over_another_table():
         relation_rank(fz_relation_set(6, 3), 7, 3)
 
 
-def test_relation_rank_of_a_negative_degree_is_zero():
-    """A negative degree has no monomials: an empty request, rank 0."""
-    assert relation_rank(fz_relation_set(6, 3), 6, -1) == 0
+def test_relation_rank_refuses_a_negative_degree():
+    """A negative degree is refused like a negative max degree of the
+    relation sets, while the span comparison holds trivially there."""
+    with pytest.raises(ValueError, match="degree must be >= 0, got -1"):
+        relation_rank(fz_relation_set(6, 3), 6, -1)
+    for call in (fz_relation_set, sq_relation_set):
+        with pytest.raises(ValueError, match="max degree must be >= 0, got -1"):
+            call(6, -1)
+    assert ideal_equivalence_check(6, -1) and ideal_equivalence_check(6, 0)
 
 
 def test_fz_relation_set_counts():
@@ -206,6 +284,65 @@ def test_fz_truncation_stability():
     small = fz_relation(4, 2, [1])
     big = _fz_exp_minus_gamma(4, 4, 6)[(2, (1,))]
     assert small.polynomial == big
+
+
+def _exports(table):
+    return {key: poly.export() for key, poly in table.items()}
+
+
+@pytest.mark.parametrize("g", range(2, 13))
+def test_admissible_fz_walk_is_the_full_walk_restricted(g):
+    """The walk that materialises only the admissible (r, |sigma|) slices
+    gives the unfiltered walk's table on the admissible keys, at every
+    |sigma| bound the ring and the relation sets use; `fz_relation`, which
+    asks for its one (r, |sigma|), gives the set path's relations."""
+    from tautrings.relationgen import _fz_admits, _fz_exp_minus_gamma
+    d = max(g - 2, 0)
+    cap = max(3 * d - g, 0)
+    for s in (3, 5, 7, None):
+        smax = cap if s is None else min(s, cap)
+        full = _fz_exp_minus_gamma(g, d, smax)
+        kept = _fz_exp_minus_gamma(g, d, smax, partial(_fz_admits, g))
+        assert _exports(kept) == {key: poly for key, poly in _exports(full).items()
+                                  if fz_admissible(g, *key)}, (g, s)
+    if g <= 8:
+        for rel in fz_relation_set(g, d):
+            assert fz_relation(g, rel.r, rel.index) == rel
+
+
+@pytest.mark.parametrize("g", range(2, 9))
+def test_admissible_sq_walk_is_the_full_walk_restricted(g):
+    """The SQ walk restricted to the side conditions gives the unfiltered
+    walk's admissible keys, and `sq_relation` the set path's relations."""
+    from tautrings.relationgen import _sq_admits, _sq_exp_minus_gamma
+    d = max(g - 2, 0)
+    default = max((g + 2) // 2, 1) + d + 2
+    for dmax in (default, default + 2):
+        full = _sq_exp_minus_gamma(g, d, dmax)
+        kept = _sq_exp_minus_gamma(g, d, dmax, partial(_sq_admits, g))
+        assert _exports(kept) == {key: poly for key, poly in _exports(full).items()
+                                  if sq_admissible(g, key[0], key[1][0])}, (g, dmax)
+    for rel in sq_relation_set(g, d):
+        assert sq_relation(g, rel.r, rel.index[0]) == rel
+
+
+def test_fz_walk_materialises_only_admissible_slices(monkeypatch):
+    """At (g, rmax, smax) = (10, 8, 5) the walk reaches 94 nonzero
+    coefficients of exp(-gamma) and 23 of them are admissible: only those
+    become kappa-polynomials."""
+    from tautrings import relationgen
+    made = []
+    of = GradedPolynomial._of.__func__
+
+    def spy(cls, gens, terms):
+        made.append(terms)
+        return of(cls, gens, terms)
+
+    monkeypatch.setattr(GradedPolynomial, "_of", classmethod(spy))
+    rels = fz_relation_set(10, 8, max_sigma=5)
+    assert len(made) == len(rels) == 23
+    monkeypatch.undo()
+    assert len(relationgen._fz_exp_minus_gamma(10, 8, 5)) == 94
 
 
 def _digest(table):

@@ -9,7 +9,7 @@ from tautrings import (fz_relation_set, gorenstein_check, lambda_from_kappa,
                        ring_dims, socle_class_check, vanishing_check)
 
 print("Lambda classes are polynomials in the odd kappas:")
-for i, lam in enumerate(lambda_from_kappa(4, 4)):
+for i, lam in enumerate(lambda_from_kappa(4)):
     print(f"  lambda_{i} = {lam!r}")
 
 print("\nThe first interesting relation (genus 4, degree 2):")

@@ -90,52 +90,59 @@ def _build_parser() -> argparse.ArgumentParser:
                             parser_class=lambda **kw: argparse.ArgumentParser(
                                 parents=[below], **kw))
 
-    c = sub.add_parser("correlator", help="psi-class intersection number")
+    def command(name, run, **kw) -> argparse.ArgumentParser:
+        parser = sub.add_parser(name, **kw)
+        parser.set_defaults(run=run)
+        return parser
+
+    c = command("correlator", _cmd_correlator, help="psi-class intersection number")
     c.add_argument("genus", type=int)
     c.add_argument("exponents", help="comma-separated psi exponents")
 
-    h = sub.add_parser("hodge", help="Hodge-integral closed forms")
+    h = command("hodge", _cmd_hodge, help="Hodge-integral closed forms")
     h.add_argument("flavor", choices=("lambda-g", "lambda-pair"))
     h.add_argument("genus", type=int)
     h.add_argument("exponents", help="comma-separated psi exponents")
 
-    lk = sub.add_parser("lambda-in-kappa", help="lambda classes in odd kappas")
+    lk = command("lambda-in-kappa", _cmd_lambda_in_kappa,
+                 help="lambda classes in odd kappas")
     lk.add_argument("genus", type=int)
 
-    e = sub.add_parser("euler", help="orbifold Euler characteristic")
+    e = command("euler", _cmd_euler, help="orbifold Euler characteristic")
     e.add_argument("genus", type=int)
     e.add_argument("markings", type=int)
 
     for name in ("fz", "sq"):
-        f = sub.add_parser(name, help=f"{name.upper()} kappa relations")
+        f = command(name, _cmd_relations, help=f"{name.upper()} kappa relations")
         f.add_argument("genus", type=int)
         f.add_argument("max_degree", type=int)
 
-    r = sub.add_parser("ring-dims", help="graded dimensions of the ring model")
+    r = command("ring-dims", _cmd_ring_dims, help="graded dimensions of the ring model")
     r.add_argument("genus", type=int)
 
-    go = sub.add_parser("gorenstein", help="Gorenstein verification (exit 3 on failure)")
+    go = command("gorenstein", _cmd_gorenstein,
+                 help="Gorenstein verification (exit 3 on failure)")
     go.add_argument("genus", type=int)
 
-    k = sub.add_parser("keel", help="genus-0 boundary presentation dimensions")
+    k = command("keel", _cmd_keel, help="genus-0 boundary presentation dimensions")
     k.add_argument("markings", type=int)
 
-    h2 = sub.add_parser("h2", help="rank of the second cohomology presentation")
+    h2 = command("h2", _cmd_h2, help="rank of the second cohomology presentation")
     h2.add_argument("genus", type=int)
     h2.add_argument("markings", type=int)
 
-    gr = sub.add_parser("graphs", help="stable graphs of type (g, n)")
+    gr = command("graphs", _cmd_graphs, help="stable graphs of type (g, n)")
     gr.add_argument("genus", type=int)
     gr.add_argument("markings", type=int)
     gr.add_argument("--list", action="store_true", help="emit the graphs too")
 
-    ja = sub.add_parser("jac-apply", help="apply a Jacobian operator")
+    ja = command("jac-apply", _cmd_jac_apply, help="apply a Jacobian operator")
     ja.add_argument("operator", choices=("D", "e", "h", "h-raw"))
     ja.add_argument("genus", type=int)
     ja.add_argument("poly", help="polynomial as JSON (export format)")
 
-    pd = sub.add_parser("presentation-dims",
-                        help="graded quotient dims of a JSON presentation")
+    pd = command("presentation-dims", _cmd_presentation_dims,
+                 help="graded quotient dims of a JSON presentation")
     pd.add_argument("presentation", help="JSON or @file with generators/relations")
     return ap
 
@@ -165,7 +172,7 @@ def _cmd_hodge(args) -> _Result:
 
 
 def _cmd_lambda_in_kappa(args) -> _Result:
-    lams = closedforms.lambda_from_kappa(args.genus, args.genus)
+    lams = closedforms.lambda_from_kappa(args.genus)
     payload = {"genus": args.genus,
                "lambda": [p.export() for p in lams]}
     plain = "\n".join(f"lambda_{i} = {p!r}" for i, p in enumerate(lams))
@@ -320,23 +327,6 @@ def _cmd_presentation_dims(args) -> _Result:
     return _dims(report.export(), report.dims)
 
 
-_HANDLERS = {
-    "correlator": _cmd_correlator,
-    "hodge": _cmd_hodge,
-    "lambda-in-kappa": _cmd_lambda_in_kappa,
-    "euler": _cmd_euler,
-    "fz": _cmd_relations,
-    "sq": _cmd_relations,
-    "ring-dims": _cmd_ring_dims,
-    "gorenstein": _cmd_gorenstein,
-    "keel": _cmd_keel,
-    "h2": _cmd_h2,
-    "graphs": _cmd_graphs,
-    "jac-apply": _cmd_jac_apply,
-    "presentation-dims": _cmd_presentation_dims,
-}
-
-
 def run(argv: Optional[Sequence[str]] = None) -> int:
     parser = _build_parser()
     try:
@@ -349,7 +339,7 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
         signal.signal(signal.SIGALRM, _timeout)
         signal.alarm(args.max_seconds)
     try:
-        payload, plain, csv, code = _HANDLERS[args.command](args)
+        payload, plain, csv, code = args.run(args)
         if args.format == "json":
             print(json.dumps(payload, sort_keys=True))
         else:

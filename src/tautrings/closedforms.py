@@ -186,18 +186,17 @@ def mumford_terms(max_degree: int) -> List[Tuple[int, Fraction]]:
             for k in range(1, max_degree + 1, 2)]
 
 
-def lambda_from_kappa(g: int, max_degree: int,
+def lambda_from_kappa(max_degree: int,
                       gens: Optional[GeneratorTable] = None) -> List[GradedPolynomial]:
     """Expand sum lambda_i t^i = exp(sum B_{2i} kappa_{2i-1} t^{2i-1} /
     (2i(2i-1))) and return lambda_0..lambda_max_degree as polynomials in the
-    odd kappa classes.  The expansion is formal; `g` only documents intent
-    (lambda_i vanishes for i > g on the actual moduli space).
+    odd kappa classes.  The expansion is formal: it does not depend on the
+    genus (lambda_i vanishes for i > g on the actual moduli space).
 
     The kappa generators are the series variables, weighted by degree, so
     lambda_d is the weight-d part of the exponential."""
-    if check_int("genus", g) < 0:
-        raise ValueError(f"genus must be >= 0, got {g}")
-    check_int("max_degree", max_degree)
+    if check_int("max_degree", max_degree) < 0:
+        raise ValueError(f"max degree must be >= 0, got {max_degree}")
     if gens is None:
         gens = kappa_table(max(max_degree, 1))
     expo = series_exp(TruncatedSeries(gens, max_degree, {
@@ -231,7 +230,7 @@ def chern_character_even_check(max_k: int) -> bool:
     if check_int("max_k", max_k) < 1:
         raise ValueError("max_k must be >= 1")
     top = 2 * max_k
-    lams = lambda_from_kappa(top, top)
+    lams = lambda_from_kappa(top)
     p = _power_sums_from_chern(lams, top)
     return all(p[2 * k].is_zero() for k in range(1, max_k + 1))
 
@@ -272,7 +271,7 @@ def wl_class(g: int, l: int, substitute_lambda: bool = False) -> GradedPolynomia
     target = g - l
     if substitute_lambda:
         gens = kappa_table(g - 1)
-        lams = lambda_from_kappa(g, target, gens)
+        lams = lambda_from_kappa(target, gens)
     else:
         gens = GeneratorTable([(f"lambda_{i}", i) for i in range(1, g + 1)]
                               + [(f"kappa_{i}", i) for i in range(1, g)])

@@ -16,13 +16,13 @@ _lock = threading.Lock()
 
 
 def _extend(n: int) -> None:
-    # Akiyama-Tanigawa transform, flipped to the B1 = -1/2 convention.
+    # The defining recurrence sum_{k=0}^{m} C(m+1, k) B_k = 0, which gives
+    # B_1 = -1/2; the odd B_m with m > 1 vanish.
     m = len(_cache)
     while m <= n:
         if m % 2 == 1 and m > 1:
             _cache.append(Fraction(0))
         else:
-            # Defining recurrence sum_{k=0}^{m} C(m+1, k) B_k = 0.
             s = Fraction(0)
             for k in range(m):
                 if _cache[k]:

@@ -118,11 +118,6 @@ class SparseEchelon:
             self.pivot_rows[lead] = {c: w for c, v in res.items() if (w := v * inv % p)}
         return True
 
-    def contains(self, row: Row) -> bool:
-        """Whether the row lies in the span.  (The leading column of any
-        span element is a pivot column, so forward elimination decides.)"""
-        return not self._forward(row)[0]
-
     def residual(self, row: Row) -> Row:
         """Canonical representative of `row` modulo the span: every pivot
         column is eliminated, only pivot-free columns remain.  Its entries

@@ -1,22 +1,17 @@
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Optional
 
 from . import check_int
 
 __all__ = ["partition_count"]
 
 
-def partition_count(size: int, max_part: Optional[int] = None) -> int:
-    """Number of partitions of `size` (with parts bounded by `max_part`)."""
-    check_int("size", size)
-    if max_part is not None:
-        check_int("max_part", max_part)
-    if size < 0:
+def partition_count(size: int) -> int:
+    """Number of partitions of `size`."""
+    if check_int("size", size) < 0:
         return 0
-    cap = size if max_part is None else min(max_part, size)
-    return _pcount(size, cap)
+    return _pcount(size, size)
 
 
 @lru_cache(maxsize=None)

@@ -235,8 +235,7 @@ def fz_admissible(g: int, r: int, sigma: Sequence[int]) -> bool:
     return _fz_admits(g, r, size)
 
 
-def _fz_exp_minus_gamma(g: int, rmax: int, smax: int,
-                        keep: Keep = lambda r, size: True) -> RelationTable:
+def _fz_exp_minus_gamma(g: int, rmax: int, smax: int, keep: Keep) -> RelationTable:
     """exp(-gamma), gamma = sum C_r(sigma) kappa_r t^r p^sigma, keyed by
     (r, sigma parts), at the r <= rmax, |sigma| <= smax that `keep` accepts."""
     variables, sigmas, gamma = _fz_gamma(rmax, smax)
@@ -333,8 +332,7 @@ def sq_admissible(g: int, r: int, d: int) -> bool:
     return _sq_admits(g, r, d)
 
 
-def _sq_exp_minus_gamma(g: int, rmax: int, dmax: int,
-                        keep: Keep = lambda r, d: True) -> RelationTable:
+def _sq_exp_minus_gamma(g: int, rmax: int, dmax: int, keep: Keep) -> RelationTable:
     """exp(-gamma) for the stable-quotient gamma:
     sum B_{2i} kappa_{2i-1} t^{2i-1}/(2i(2i-1))
       + sum C_d^r kappa_r t^r x^d / d!,

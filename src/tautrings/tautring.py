@@ -9,7 +9,7 @@ from .exactmath import (GeneratorTable, GradedPolynomial, GradedQuotient,
                         partition_count)
 from .exactmath.gradedpoly import Monomial
 from .closedforms import hyperelliptic_coeff, kappa_socle_eval, kappa_table
-from .relationgen import KappaRelation, fz_relation_set, sq_relation_set
+from .relationgen import KappaRelation, fz_relation_set
 
 __all__ = [
     "Certificate",
@@ -46,8 +46,8 @@ class RingModel(NamedTuple):
 
     On the default FZ path `relations` is the subset the quotient was
     built from (see `build_ring`), not every FZ relation; it generates the
-    same ideal, as `certificate` certifies.  With given relations or the
-    SQ source, `certificate` is None."""
+    same ideal, as `certificate` certifies.  With given relations,
+    `certificate` is None."""
 
     genus: int
     gens: GeneratorTable
@@ -63,11 +63,10 @@ class RingModel(NamedTuple):
         return self.quotient.report(with_pairings)
 
 
-def build_ring(g: int, relations: Optional[Sequence[KappaRelation]] = None,
-               source: str = "FZ") -> RingModel:
-    """Assemble the ring model for genus g.  `relations` overrides the
-    generated set (used for shuffle/equivalence experiments); `source`,
-    "FZ" or "SQ", selects the FZ or the stable-quotient generator.
+def build_ring(g: int, relations: Optional[Sequence[KappaRelation]] = None) -> RingModel:
+    """Assemble the ring model for genus g: the quotient by `relations`,
+    or by the FZ relations when none are given.  The stable-quotient model
+    is `build_ring(g, relations=sq_relation_set(g, g - 2))`.
 
     The default FZ model is built from the relations with |sigma| <= s,
     s = 5, 7, ..., and certified degree by degree.  That subset S gives
@@ -85,20 +84,15 @@ def build_ring(g: int, relations: Optional[Sequence[KappaRelation]] = None,
     g - 2)` is the exact route, every FZ relation eliminated over Q."""
     if check_int("genus", g) < 2:
         raise ValueError("genus must be >= 2")
-    if source not in ("FZ", "SQ"):
-        raise ValueError(f"source must be 'FZ' or 'SQ', got {source!r}")
     gens = kappa_table(g - 2)
-    if relations is None and source == "FZ":
+    if relations is None:
         pairing = _socle_pairing(_below_ceiling(g))
         relations, s = _fz_quotient(g, g - 2, lambda q: all(
             q.dim(d) == rank for d, (rank, _) in enumerate(pairing)))
         quotient = GradedQuotient(gens, [rel.polynomial for rel in relations],
                                   g - 2, spans=[k for _, k in pairing])
         return RingModel(g, gens, relations, quotient, Certificate(s, PRIME))
-    if relations is None:
-        relations = sq_relation_set(g, g - 2)
-    quotient = GradedQuotient(gens, [rel.polynomial for rel in relations],
-                              max(g - 2, 0))
+    quotient = GradedQuotient(gens, [rel.polynomial for rel in relations], g - 2)
     return RingModel(g, gens, list(relations), quotient)
 
 
@@ -178,9 +172,9 @@ def socle_pairing_ranks(g: int) -> List[int]:
     return [rank for rank, _ in _socle_pairing(g)]
 
 
-def ring_dims(g: int, source: str = "FZ") -> List[int]:
+def ring_dims(g: int) -> List[int]:
     """Graded dimensions of the candidate ring in degrees 0..g-2."""
-    return build_ring(g, source=source).dims
+    return build_ring(g).dims
 
 
 def gorenstein_check(g: int) -> QuotientReport:

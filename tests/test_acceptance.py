@@ -85,7 +85,7 @@ def test_criterion_02_hodge_closed_forms():
 
 def test_criterion_03_grr_expansion():
     with _Budget(5, "3 lambda-in-kappa expansion and even Chern vanishing"):
-        lams = lambda_from_kappa(2, 2)
+        lams = lambda_from_kappa(2)
         gens = lams[1].gens
         k1 = GradedPolynomial.generator(gens, "kappa_1")
         assert lams[1] == k1 / 12

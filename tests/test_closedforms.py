@@ -112,8 +112,7 @@ def test_base_and_euler_refuse_non_int_inputs(call, name):
     (lambda: hyperelliptic_class(5.0), "genus must be an int, got 5.0"),
     (lambda: wl_class(5, 2.0), "l must be an int, got 2.0"),
     (lambda: wl_class(5.5, 2), "genus must be an int, got 5.5"),
-    (lambda: lambda_from_kappa(5, 3.0), "max_degree must be an int, got 3.0"),
-    (lambda: lambda_from_kappa(5.5, 3), "genus must be an int, got 5.5"),
+    (lambda: lambda_from_kappa(3.0), "max_degree must be an int, got 3.0"),
     (lambda: chern_character_even_check(2.0), "max_k must be an int, got 2.0"),
     (lambda: kappa_table(3.0), "max_index must be an int, got 3.0"),
     (lambda: lambda_gm1_lambda_g_constant(True),
@@ -166,7 +165,7 @@ def test_hyperelliptic_coeff():
 # ---------------------------------------------------------------------------
 
 def test_lambda_from_kappa_low_degrees():
-    lams = lambda_from_kappa(4, 4)
+    lams = lambda_from_kappa(4)
     gens = lams[1].gens
     k1 = GradedPolynomial.generator(gens, "kappa_1")
     k3 = GradedPolynomial.generator(gens, "kappa_3")
@@ -177,8 +176,15 @@ def test_lambda_from_kappa_low_degrees():
     assert lams[4] == k1 * k1 * k1 * k1 / 497664 - k1 * k3 / 4320
 
 
+def test_lambda_from_kappa_refuses_a_negative_degree():
+    """A negative degree is refused as `fz_relation_set` refuses it, not
+    answered with an empty list."""
+    with pytest.raises(ValueError, match="max degree must be >= 0, got -1"):
+        lambda_from_kappa(-1)
+
+
 def test_lambda_from_kappa_only_odd_indices():
-    lams = lambda_from_kappa(6, 6)
+    lams = lambda_from_kappa(6)
     gens = lams[1].gens
     even = [i for i, name in enumerate(gens.names) if int(name.split("_")[1]) % 2 == 0]
     for lam in lams:

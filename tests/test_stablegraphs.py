@@ -188,9 +188,7 @@ def test_genus0_euler_characteristic_oracle(n, betti_sum):
     total = sum(prod((-1) ** (val - 3) * factorial(val - 3)
                      for val in graph.valences())
                 for graph in enumerate_graphs(0, n))
-    assert total == betti_sum
-    if n <= 6:  # the Keel presentation does not reach n = 7 at desk scale
-        assert total == sum(keel_ring_dims(n))
+    assert total == betti_sum == sum(keel_ring_dims(n))
 
 
 def test_non_int_pair_refused():

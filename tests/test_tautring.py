@@ -10,7 +10,7 @@ import pytest
 from tautrings.boundary import keel_quotient
 from tautrings.closedforms import hyperelliptic_coeff
 from tautrings.exactmath import GradedPolynomial, partition_count
-from tautrings.relationgen import fz_relation_set
+from tautrings.relationgen import fz_relation_set, sq_relation_set
 from tautrings.tautring import (build_ring, generation_check, gorenstein_check,
                                 ring_dims, socle_class_check, vanishing_check)
 
@@ -79,18 +79,6 @@ def test_ring_dims_rejects_low_genus():
         ring_dims(1)
 
 
-@pytest.mark.parametrize("source", ["fz", "XX", "sq", ""])
-def test_build_ring_rejects_unknown_source(source):
-    """A misspelt source is an error naming both sources, not the SQ ring
-    (whose genus-4 dims [1, 1, 2] differ from the FZ dims [1, 1, 1])."""
-    assert ring_dims(4, source="FZ") == [1, 1, 1]
-    assert ring_dims(4, source="SQ") == [1, 1, 2]
-    with pytest.raises(ValueError, match="'FZ' or 'SQ'"):
-        ring_dims(4, source=source)
-    with pytest.raises(ValueError, match="'FZ' or 'SQ'"):
-        build_ring(4, relations=[], source=source)
-
-
 @pytest.mark.parametrize("g", range(2, 9))
 def test_gorenstein_small_genera(g):
     rep = gorenstein_check(g)
@@ -154,7 +142,7 @@ def test_dims_invariant_under_larger_truncation():
     bigger = fz_relation_set(g, g - 2)
     # recompute each admissible relation from an over-truncated series
     from tautrings.relationgen import _fz_exp_minus_gamma
-    table = _fz_exp_minus_gamma(g, g, 3 * g)
+    table = _fz_exp_minus_gamma(g, g, 3 * g, lambda r, size: True)
     regenerated = []
     for rel in bigger:
         again = rel._replace(polynomial=table[(rel.r, rel.index)])
@@ -168,8 +156,8 @@ def test_sq_model_is_weaker_never_stronger():
     its quotient dims dominate the FZ ones componentwise (strictly wherever
     the spans differ; see test_relationgen.py)."""
     for g in (4, 5, 6):
-        fz_dims = ring_dims(g, source="FZ")
-        sq_dims = ring_dims(g, source="SQ")
+        fz_dims = ring_dims(g)
+        sq_dims = build_ring(g, relations=sq_relation_set(g, g - 2)).dims
         assert all(s >= f for s, f in zip(sq_dims, fz_dims)), (g, sq_dims, fz_dims)
 
 
@@ -277,7 +265,7 @@ def test_sq_relations_are_killed_by_socle_evaluation(g):
     falling short of FZ comes from the family being small, not from wrong
     coefficients.  (g = 4 has no SQ row in degree 2: g - d - 1 is odd
     there, so the side conditions admit none.)"""
-    _, eps, products = _socle_products(build_ring(g, source="SQ"))
+    _, eps, products = _socle_products(build_ring(g, relations=sq_relation_set(g, g - 2)))
     assert products, g
     for prod in products:
         pairing = sum(c * eps[m] for m, c in prod.terms.items())
@@ -403,7 +391,7 @@ def test_certificate_records_the_rank_mod_p():
     for g in (8, 9, 10):
         assert build_ring(g).certificate == Certificate(5, 2 ** 61 - 1)
     assert build_ring(8, relations=fz_relation_set(8, 6)).certificate is None
-    assert build_ring(8, source="SQ").certificate is None
+    assert build_ring(8, relations=sq_relation_set(8, 6)).certificate is None
 
 
 @pytest.mark.parametrize("g", range(6, 9))

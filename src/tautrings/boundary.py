@@ -149,8 +149,8 @@ def keel_quotient(n: int) -> GradedQuotient:
     ring, reduced by the generic quotient engine through the top degree
     n-3.  The crossing products are single-term relations, so the engine
     eliminates the four-point relations over the nested-set monomials
-    only.  Supports 3 <= n <= 8: the dims of n = 8 take about 43 s of CPU
-    and 400 MiB, its pairings about 3 s more.  n = 9, on 246 divisors, is
+    only.  Supports 3 <= n <= 8: the dims of n = 8 take about 9 s of CPU
+    and 200 MiB, its pairings under 1 s more.  n = 9, on 246 divisors, is
     refused."""
     if not (3 <= check_int("n", n) <= 8):
         raise ValueError(f"the Keel presentation supports 3 <= n <= 8, got {n}")
@@ -161,7 +161,7 @@ def keel_quotient(n: int) -> GradedQuotient:
 
 def keel_ring_dims(n: int) -> List[int]:
     """Graded dimensions (Betti numbers) of the genus-0 presentation,
-    degrees 0..n-3.  n = 7 takes about 0.5 s of CPU: degree 4 eliminates
+    degrees 0..n-3.  n = 7 takes about 0.2 s of CPU: degree 4 eliminates
     over its 6,251 nested-set monomials (of 455,126 in its 56 divisors)."""
     return keel_quotient(n).dims
 
@@ -169,7 +169,7 @@ def keel_ring_dims(n: int) -> List[int]:
 def keel_pairing_check(n: int) -> bool:
     """Poincare-duality check: palindromic dims and nonsingular
     complementary pairings into the one-dimensional top degree.  n = 7
-    takes about 0.6 s of CPU, nearly all of it in building the quotient."""
+    takes about 0.2 s of CPU, nearly all of it in building the quotient."""
     return bool(keel_quotient(n).report(with_pairings=True).gorenstein)
 
 

@@ -20,7 +20,7 @@ class GeneratorTable:
     used everywhere downstream (earlier generator = more significant).
     """
 
-    __slots__ = ("names", "degrees", "_index", "_units")
+    __slots__ = ("names", "degrees", "degree", "_index", "_units")
 
     def __init__(self, gens: Iterable[Tuple[str, int]]) -> None:
         gens = tuple((str(n), check_int("generator degree", d)) for n, d in gens)
@@ -32,15 +32,17 @@ class GeneratorTable:
         self.degrees = tuple(d for _, d in gens)
         self._index = {n: i for i, n in enumerate(self.names)}
         self._units: Dict[str, Monomial] = {}
+        # degree(mono), the weighted degree of an exponent tuple: a plain
+        # sum when every generator has degree 1 (the Keel and H^2 tables)
+        degrees = self.degrees
+        self.degree: Callable[[Monomial], int] = sum if set(degrees) <= {1} \
+            else lambda mono: sum(map(mul, mono, degrees))
 
     def __len__(self) -> int:
         return len(self.names)
 
     def index(self, name: str) -> int:
         return self._index[name]
-
-    def degree(self, mono: Monomial) -> int:
-        return sum(map(mul, mono, self.degrees))
 
     def monomial(self, mono) -> Monomial:
         """`mono` as an exponent tuple over this table, or a ValueError
@@ -64,26 +66,56 @@ class GeneratorTable:
             self._units[name] = mono
         return mono
 
+    def packing(self, max_degree: int) -> Tuple[int, Callable[[Monomial], int],
+                                                Callable[[int], Monomial]]:
+        """Int keys of the exponent tuples of weighted degree <= max_degree:
+        exponent j in the field at bit width * j, a byte wide below degree
+        256 (the int of the bytes of m, little-endian).  No exponent of such a
+        monomial exceeds its degree, so the key of a product is the sum of
+        its factors' keys.  Returns the width, pack (a ValueError names a
+        term with an exponent outside the field, a negative one in
+        particular) and unpack."""
+        n = len(self.names)
+        if max_degree < 256:
+            def pack(mono: Monomial) -> int:
+                try:
+                    return int.from_bytes(bytearray(mono), "little")
+                except ValueError:
+                    raise ValueError(f"term {mono} has an exponent outside 0..255") from None
+            return 8, pack, lambda key: tuple(key.to_bytes(n, "little"))
+        width = max_degree.bit_length()
+        cap = (1 << width) - 1
+
+        def pack_wide(mono: Monomial) -> int:
+            if not 0 <= min(mono, default=0) <= max(mono, default=0) <= cap:
+                raise ValueError(f"term {mono} has an exponent outside 0..{cap}")
+            return sum(e << width * j for j, e in enumerate(mono))
+        return width, pack_wide, lambda key: tuple(key >> width * j & cap for j in range(n))
+
     def monomials(self, degree: int,
                   vanishing: Iterable[Monomial] = ()) -> List[Monomial]:
         """All exponent tuples of the given weighted degree that no
         exponent tuple in `vanishing` divides, graded-lex order (within the
         fixed degree: lexicographically decreasing exponents)."""
-        return self.monomial_lister(vanishing)(degree)
+        width, _, unpack = self.packing(degree)
+        return list(map(unpack, self.monomial_lister(vanishing, width)(degree)))
 
-    def monomial_lister(self, vanishing: Iterable[Monomial] = ()
-                        ) -> Callable[[int], List[Monomial]]:
-        """The function degree -> `monomials(degree, vanishing)`, which
-        reads the supports once for every degree it is called with.  A walk
-        on an explicit stack chooses the nonzero exponents only, by
-        increasing position, each from the largest down, under the caps the
-        supports impose: a support caps its last generator once its others
-        are."""
-        n, degs = len(self.degrees), self.degrees
+    def monomial_lister(self, vanishing: Iterable[Monomial],
+                        width: int) -> Callable[[int], List[int]]:
+        """The function degree -> the keys of `monomials(degree, vanishing)`
+        in their order, with fields `width` bits wide (see `packing`).  It
+        reads the supports once for every degree it is called with; a
+        support with a negative exponent is a ValueError.  A walk on an
+        explicit stack chooses the nonzero exponents only, by increasing
+        position, each from the largest down, under the caps the supports
+        impose: a support caps its last generator once its others are."""
+        degs = self.degrees
         # second-to-last position j (None: one-generator supports) -> (its
         # exponent, needs below j) -> [mask of last positions capped at 0, caps]
         cuts: Dict[Optional[int], Dict[tuple, list]] = {}
         for mono in vanishing:
+            if min(mono, default=0) < 0:
+                raise ValueError(f"term {mono} has a negative exponent")
             *below, (k, e) = [(j, f) for j, f in enumerate(mono) if f]
             j, f = below.pop() if below else (None, 0)
             cut = cuts.setdefault(j, {}).setdefault((f, tuple(below)), [0, {}])
@@ -93,25 +125,22 @@ class GeneratorTable:
                 cut[1][k] = min(cut[1].get(k, e), e - 1)
         top_ban, top_caps = cuts.pop(None, {}).get((0, ()), (0, {}))
 
-        def lister(degree: int) -> List[Monomial]:
+        def lister(degree: int) -> List[int]:
             fits = [sum(1 << j for j, d in enumerate(degs) if d <= r)  # degree <= r
                     for r in range(min(degree, max(degs, default=0)) + 1)]
-            out: List[Monomial] = []
-            stack = [(0, degree, (), top_ban, top_caps)] if degree >= 0 else []
+            out: List[int] = []
+            stack = [(0, degree, (), 0, top_ban, top_caps)] if degree >= 0 else []
             while stack:
-                i, remaining, chosen, ban, caps = stack.pop()
+                i, remaining, chosen, key, ban, caps = stack.pop()
                 if remaining == 0:
-                    mono = [0] * n
-                    for j, e in chosen:
-                        mono[j] = e
-                    out.append(tuple(mono))
+                    out.append(key)
                     continue
                 # pushed last position first, so the first one's largest e pops first
                 free, have = fits[min(remaining, len(fits) - 1)] & ~ban >> i << i, dict(chosen)
                 while free:
                     j = free.bit_length() - 1
                     free ^= 1 << j
-                    d, fire = degs[j], cuts.get(j, {})
+                    d, fire, unit = degs[j], cuts.get(j, {}), 1 << width * j
                     for e in range(1, min(remaining // d, caps.get(j, remaining)) + 1):
                         b, c = ban, caps
                         for (f, below), (mask, more) in fire.items():
@@ -120,7 +149,7 @@ class GeneratorTable:
                                 c = {**c, **{k: min(v, c.get(k, v))
                                              for k, v in more.items()}} if more else c
                         stack.append((j + 1, remaining - e * d,
-                                      chosen + ((j, e),), b, c))
+                                      chosen + ((j, e),), key + e * unit, b, c))
             return out
         return lister
 

@@ -2,7 +2,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import islice
-from operator import add
 from typing import Container, Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from . import check_int
@@ -39,8 +38,10 @@ class QuotientReport(NamedTuple):
         }
 
 
+# a monomial as one int with a field per exponent (GeneratorTable.packing)
+Key = int
 # a relation as its degree and its terms, coefficients mapped to the field
-FieldRelation = Tuple[int, List[Tuple[Monomial, Scalar]]]
+FieldRelation = Tuple[int, List[Tuple[Key, Scalar]]]
 
 
 class GradedQuotient:
@@ -79,11 +80,18 @@ class GradedQuotient:
     with later cofactors.  So every degree's row space is unchanged, over
     F_p and modulo the vanishing monomials too.
 
-    Rows are built on multiplication maps: for a cofactor degree k and a
-    term t, the list over the surviving degree-k monomials m of the column
-    of m * t, or None where m * t vanishes.  Each map is built once per
-    quotient and shared by every relation with the term t, so no product
-    exponent tuple is built per relation, term and cofactor.
+    Inside, a monomial is one int key with a field per exponent, a byte
+    wide while max_degree < 256 and wider above (`GeneratorTable.packing`):
+    no exponent of a monomial of degree <= max_degree exceeds that degree,
+    so no field carries and the key of m * t is the sum of the keys of m
+    and t.  Rows are built on multiplication
+    maps: for a cofactor degree k and a term t, the list over the
+    surviving degree-k monomials m of the column of m * t, one int sum and
+    one lookup, or None where m * t vanishes.  Each map is built once per
+    quotient and shared by every relation with the term t.  Exponent
+    tuples are built only at the API edge (`monomials`, `basis`,
+    `reduce`), and a term with a negative exponent is refused with a
+    ValueError wherever the quotient reads it.
 
     Given a prime `p`, the same elimination runs over F_p: the relations
     must be p-integral (a ZeroDivisionError otherwise), and `dim(d)` is
@@ -117,26 +125,30 @@ class GradedQuotient:
             if rel.gens != gens:
                 raise ValueError("mixed generator tables")
             r = rel.degree()
-            if r == 0:
+            if r <= 0:
+                for mono in rel.terms:
+                    if min(mono, default=0) < 0:
+                        raise ValueError(f"term {mono} has a negative exponent")
                 raise ValueError("nonzero constant relation collapses the ring")
             if len(rel.terms) == 1:
                 self.vanishing.extend(rel.terms)
             else:
                 self.relations.setdefault(r, []).append(rel)
-        # per degree: monomial list, index map, echelon of the relation span
-        lister = gens.monomial_lister(self.vanishing)
-        self._monomials: Dict[int, List[Monomial]] = {
+        # per degree: the surviving monomials' keys in column order, their
+        # columns, the echelon of the relation span
+        width, self._pack, self._unpack = gens.packing(self.max_degree)
+        lister = gens.monomial_lister(self.vanishing, width)
+        self._keys: Dict[int, List[Key]] = {
             d: lister(d) for d in range(self.max_degree + 1)}
-        self._index: Dict[int, Dict[Monomial, int]] = {
-            d: {m: i for i, m in enumerate(monos)}
-            for d, monos in self._monomials.items()}
+        self._index: Dict[int, Dict[Key, int]] = {
+            d: {key: i for i, key in enumerate(keys)} for d, keys in self._keys.items()}
         self._echelons: Dict[int, SparseEchelon] = {}
         # per eliminated degree: [0, the rank after block 0, after block 1,
         # ...], so the first ends[i] pivots (in the order they were raised)
         # are those of the blocks before i
         self._ends: Dict[int, List[int]] = {}
         # (cofactor degree, term) -> multiplication map (see _products)
-        self._maps: Dict[Tuple[int, Monomial], List[Optional[int]]] = {}
+        self._maps: Dict[Tuple[int, Key], List[Optional[int]]] = {}
         # the relations whose own row raised the rank of an eliminated
         # degree, over the field, in the order they were kept: the blocks
         self._kept: List[FieldRelation] = []
@@ -152,14 +164,14 @@ class GradedQuotient:
     def monomials(self, d: int) -> List[Monomial]:
         """The surviving degree-d monomials, graded-lex: those no
         single-term relation divides.  They index the degree-d columns."""
-        return self._monomials[d]
+        return list(map(self._unpack, self._keys[d]))
 
     def _row(self, d: int, terms: Mapping[Monomial, Scalar]) -> Dict[int, Scalar]:
         """Degree-d terms as a row over the surviving monomials."""
-        idx = self._index[d]
-        return {i: c for m, c in terms.items() if (i := idx.get(m)) is not None}
+        idx, pack = self._index[d], self._pack
+        return {i: c for m, c in terms.items() if (i := idx.get(pack(m))) is not None}
 
-    def _products(self, k: int, d: int, t: Monomial) -> List[Optional[int]]:
+    def _products(self, k: int, d: int, t: Key) -> List[Optional[int]]:
         """The multiplication map of the degree-(d - k) term t on the
         surviving degree-k monomials: per monomial m, the column of m * t
         among the surviving degree-d ones, or None where m * t vanishes.
@@ -167,11 +179,10 @@ class GradedQuotient:
         cols = self._maps.get((k, t))
         if cols is None:
             index = self._index[d]
-            cols = self._maps[k, t] = [index.get(tuple(map(add, m, t)))
-                                       for m in self._monomials[k]]
+            cols = self._maps[k, t] = [index.get(m + t) for m in self._keys[k]]
         return cols
 
-    def _product_rows(self, d: int, r: int, terms: List[Tuple[Monomial, Scalar]],
+    def _product_rows(self, d: int, r: int, terms: List[Tuple[Key, Scalar]],
                       skip: Container[int]) -> List[Dict[int, Scalar]]:
         """Sparse rows of the degree-d products cofactor * relation, for a
         kept relation of degree r with its terms over the field, except
@@ -207,9 +218,12 @@ class GradedQuotient:
                 for row in self._product_rows(e, r, terms, skip):
                     ech.add_row(row)
                 ends.append(ech.rank)
+            idx, pack = self._index[e], self._pack
             for rel in self.relations.get(e, ()):
-                if ech.add_row(self._row(e, rel.terms)):
-                    self._kept.append((e, [(t, c) for t, v in rel.terms.items()
+                terms = [(pack(m), v) for m, v in rel.terms.items()]
+                if ech.add_row({i: v for t, v in terms
+                                if (i := idx.get(t)) is not None}):
+                    self._kept.append((e, [(t, c) for t, v in terms
                                            if (c := ech.scalar(v))]))
                     ends.append(ech.rank)
         return self._echelons[d]
@@ -218,7 +232,7 @@ class GradedQuotient:
 
     def dim(self, d: int) -> int:
         rank = self._echelon(d).rank
-        return len(self._monomials[d]) - rank
+        return len(self._keys[d]) - rank
 
     @property
     def dims(self) -> List[int]:
@@ -226,8 +240,11 @@ class GradedQuotient:
 
     def basis(self, d: int) -> List[Monomial]:
         """Quotient basis in degree d: the pivot-free monomials, graded-lex."""
-        pivots = set(self._echelon(d).pivot_columns())
-        return [m for i, m in enumerate(self._monomials[d]) if i not in pivots]
+        return list(map(self._unpack, self._basis_keys(d)))
+
+    def _basis_keys(self, d: int) -> List[Key]:
+        pivots = self._echelon(d).pivot_rows
+        return [key for i, key in enumerate(self._keys[d]) if i not in pivots]
 
     def reduce(self, poly: GradedPolynomial) -> Dict[Monomial, Fraction]:
         """Canonical representative of a homogeneous polynomial on the
@@ -238,8 +255,8 @@ class GradedQuotient:
             return {}
         d = poly.degree()
         res = self._echelon(d).residual(self._row(d, poly.terms))
-        monos = self._monomials[d]
-        return {monos[i]: c for i, c in res.items()}
+        keys = self._keys[d]
+        return {self._unpack(keys[i]): c for i, c in res.items()}
 
     def pairing_matrix(self, i: int) -> Optional[List[List[Fraction]]]:
         """Multiplication pairing basis(i) x basis(D-i) -> socle coefficient,
@@ -248,20 +265,16 @@ class GradedQuotient:
         D = self.max_degree
         if self.dim(D) != 1:
             return None
-        socle = self.basis(D)[0]
-        left = self.basis(i)
-        right = self.basis(D - i)
-        ech = self._echelon(D)
-        idx = self._index[D]
-        monos = self._monomials[D]
-        socle_i = idx[socle]
+        ech, idx = self._echelon(D), self._index[D]
+        socle = idx[self._basis_keys(D)[0]]
+        right = self._basis_keys(D - i)
         mat: List[List[Fraction]] = []
-        for a in left:
+        for a in self._basis_keys(i):
             row_out: List[Fraction] = []
             for b in right:
-                col = idx.get(tuple(map(add, a, b)))
+                col = idx.get(a + b)
                 res = {} if col is None else ech.residual({col: Fraction(1)})
-                row_out.append(res.get(socle_i, Fraction(0)))
+                row_out.append(res.get(socle, Fraction(0)))
             mat.append(row_out)
         return mat
 

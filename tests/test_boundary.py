@@ -113,6 +113,16 @@ def test_keel_pairing_perfect(n):
     assert keel_pairing_check(n)
 
 
+def test_keel_seven_point_report():
+    """n = 7: Keel's Betti numbers, a one-dimensional socle and full-rank
+    pairings into it (Poincare duality)."""
+    report = keel_quotient(7).report(True)
+    assert report.dims == [1, 42, 127, 42, 1]
+    assert report.gorenstein is True
+    assert report.pairing_ranks == [min(d, e) for d, e in
+                                    zip(report.dims, report.dims[::-1])]
+
+
 def test_keel_pivot_rows_are_integral():
     """The Keel rows are integral, so every pivot row of every degree is
     stored as ints (primitive, positive lead): the elimination never

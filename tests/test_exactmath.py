@@ -1072,3 +1072,114 @@ def test_quotient_from_spans_matches_elimination(seed):
                 assert spanned.reduce(poly) == eliminated.reduce(poly)
     with pytest.raises(ValueError, match="spans"):
         GradedQuotient(gens, rels, 3, spans=[[]] * 3)
+
+
+def _assert_maps_and_pairings_match_tuple_sums(quotient):
+    """Every multiplication map the quotient built, and every map of a
+    relation term, is the tuple-sum map: the column of m + t in the
+    surviving monomials of its degree, or None.  Where the top degree is
+    one-dimensional, every pairing matrix is the socle coefficient of the
+    reduced tuple sum a + b of the basis monomials."""
+    gens, top = quotient.gens, quotient.max_degree
+    monos = [gens.monomials(d, quotient.vanishing) for d in range(top + 1)]
+    index = [{m: i for i, m in enumerate(ms)} for ms in monos]
+    quotient.dims
+    checked = set()
+    for r, rels in quotient.relations.items():
+        for t in {t for rel in rels for t in rel.terms} if r <= top else ():
+            for k in range(top - r + 1):
+                expected = [index[k + r].get(tuple(a + b for a, b in zip(m, t)))
+                            for m in monos[k]]
+                key = quotient._pack(t)
+                assert quotient._products(k, k + r, key) == expected, (k, t)
+                checked.add((k, key))
+    assert set(quotient._maps) <= checked
+    if quotient.dim(top) != 1:
+        return
+    socle = quotient.basis(top)[0]
+    for i in range(top + 1):
+        expected = [[quotient.reduce(GradedPolynomial(
+            gens, {tuple(x + y for x, y in zip(a, b)): 1})).get(socle, 0)
+            for b in quotient.basis(top - i)] for a in quotient.basis(i)]
+        assert quotient.pairing_matrix(i) == expected, i
+
+
+@pytest.mark.parametrize("n", [4, 5, 6])
+def test_keel_maps_and_pairings_match_tuple_sums(n):
+    from tautrings.boundary import keel_quotient
+    _assert_maps_and_pairings_match_tuple_sums(keel_quotient(n))
+
+
+@pytest.mark.parametrize("p", [None, 2 ** 61 - 1])
+@pytest.mark.parametrize("g", range(2, 9))
+def test_kappa_ring_maps_and_pairings_match_tuple_sums(g, p):
+    from tautrings.closedforms import kappa_table
+    from tautrings.relationgen import fz_relation_set
+    _assert_maps_and_pairings_match_tuple_sums(GradedQuotient(
+        kappa_table(g - 2), [rel.polynomial for rel in fz_relation_set(g, g - 2)],
+        g - 2, p))
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_random_maps_and_pairings_match_tuple_sums(seed):
+    rng = random.Random(seed)
+    gens, rels = _dependent_presentation(rng)
+    for p in (None, 7):
+        for top in range(3, 7):
+            _assert_maps_and_pairings_match_tuple_sums(
+                GradedQuotient(gens, rels, top, p))
+
+
+def test_quotient_past_degree_255_has_wider_keys():
+    """At max_degree 300 an exponent does not fit a byte: the keys take
+    wider fields, and dims, maps and reductions are those of a byte-keyed
+    quotient where both are defined."""
+    x = GradedPolynomial.generator(GeneratorTable([("x", 1)]), "x")
+    quotient = GradedQuotient(x.gens, [], 300)
+    assert quotient.dims == [1] * 301
+    top = GradedPolynomial(x.gens, {(300,): 2})
+    assert quotient.reduce(top) == {(300,): 2}
+    assert quotient.monomials(300) == [(300,)]
+    gens = GeneratorTable([("a", 1), ("b", 1)])
+    a, b = (GradedPolynomial.generator(gens, n) for n in "ab")
+    rels = [a * a * b - a * b * b, b * b * b * b]
+    wide, narrow = GradedQuotient(gens, rels, 260), GradedQuotient(gens, rels, 255)
+    assert wide.dims[:256] == narrow.dims
+    assert wide.dims[256:] == [1] * 5
+    for d in (3, 200, 255):
+        assert wide.basis(d) == narrow.basis(d)
+        poly = GradedPolynomial(gens, {(d - 2, 2): 3, (d - 3, 3): 1})
+        assert wide.reduce(poly) == narrow.reduce(poly)
+
+
+def test_quotient_monomials_are_fresh_exponent_tuples():
+    """monomials(d) is a new list of tuples each call, equal to the table's
+    own listing without the vanishing supports."""
+    gens, rels = _dependent_presentation(random.Random(3))
+    quotient = GradedQuotient(gens, rels, 5)
+    for d in range(6):
+        monos = quotient.monomials(d)
+        assert monos == gens.monomials(d, quotient.vanishing)
+        assert all(type(m) is tuple for m in monos)
+        monos.clear()
+        assert quotient.monomials(d) == gens.monomials(d, quotient.vanishing)
+
+
+def test_quotient_refuses_a_negative_exponent():
+    """a^2 b^-1 has degree 1 over degree-1 generators; a term with a
+    negative exponent is refused by name in a relation, a span, a
+    single-term relation and a reduce argument, not dropped (the relation
+    a^2 b^-1 + b read as b = 0)."""
+    gens = GeneratorTable([("a", 1), ("b", 1)])
+    a, b = (GradedPolynomial.generator(gens, n) for n in "ab")
+    odd = GradedPolynomial(gens, {(2, -1): 3})
+    with pytest.raises(ValueError, match=r"\(2, -1\)"):
+        GradedQuotient(gens, [odd + b], 2).dims
+    with pytest.raises(ValueError, match=r"\(2, -1\)"):
+        GradedQuotient(gens, [], 2).reduce(odd + a)
+    with pytest.raises(ValueError, match=r"\(2, -1\)"):
+        GradedQuotient(gens, [], 1, spans=[[], [{(2, -1): 1, (0, 1): 1}]])
+    with pytest.raises(ValueError, match=r"\(2, -1\) has a negative exponent"):
+        GradedQuotient(gens, [odd], 2)
+    with pytest.raises(ValueError, match=r"\(1, -1\) has a negative exponent"):
+        GradedQuotient(gens, [GradedPolynomial(gens, {(1, -1): 1, (0, 0): 1})], 2)

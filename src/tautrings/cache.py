@@ -135,7 +135,10 @@ class CacheFile:
 
         def lookup(g, exps):
             text = entries.get(_key_text(g, exps))
-            return None if text is None else Fraction(text)
+            if text is None:
+                return None
+            num, den = text.split("/")  # `load` checked the "num/den" grammar
+            return Fraction(int(num), int(den))
         table.attach(lookup)
 
     def collect(self, table: CorrelatorTable) -> bool:

@@ -126,6 +126,7 @@ class CorrelatorTable:
 
 
 default_table = CorrelatorTable()
+_ONE = Fraction(1)  # <tau_0^3>_0, shared by every hit of the base case
 
 
 def genus0_closed_form(exponents: Sequence[int]) -> Fraction:
@@ -240,7 +241,7 @@ def _value(g: int, exps: Tuple[int, ...], table: CorrelatorTable) -> Fraction:
 
 def _known(g: int, exps: Tuple[int, ...], table: CorrelatorTable) -> Optional[Fraction]:
     if g == 0 and len(exps) == 3:
-        return Fraction(1)
+        return _ONE
     return table.get(g, exps)
 
 
@@ -252,17 +253,28 @@ def _steps(g: int, exps: Tuple[int, ...]) -> _Steps:
       6 <tau_1>_1 = (1/4) <tau_2 tau_0^4>_0;
     - an exponent 1: the dilaton equation <tau_1 X>_g = (2g-2+|X|) <X>_g;
     - otherwise (every exponent >= 2): the DVV recursion `_dvv`.
+
+    Every step works on integer numerators and denominators, so a key
+    builds one Fraction: its value.
     """
     if exps[-1] == 0:
-        total = Fraction(0)
+        terms = []
         for reduced, mult in _string_terms(exps):
-            total += mult * (yield g, reduced)
-        return total
+            v = yield g, reduced
+            terms.append((mult * v.numerator, v.denominator))
+        return _over_lcm(terms, 1)
     if exps[-1] == 1:
         if len(exps) == 1:
             return (yield 0, (2, 0, 0, 0, 0)) / 24
-        return (2 * g - 3 + len(exps)) * (yield g, exps[:-1])
+        v = yield g, exps[:-1]
+        return Fraction((2 * g - 3 + len(exps)) * v.numerator, v.denominator)
     return (yield from _dvv(g, exps))
+
+
+def _over_lcm(terms: List[Tuple[int, int]], scale: int) -> Fraction:
+    """sum(p / q for p, q in terms) / scale, as one Fraction over the lcm."""
+    den = lcm(*(q for _, q in terms))
+    return Fraction(sum(p * (den // q) for p, q in terms), scale * den)
 
 
 def _dvv(g: int, exps: Tuple[int, ...]) -> _Steps:
@@ -279,8 +291,9 @@ def _dvv(g: int, exps: Tuple[int, ...]) -> _Steps:
     large exponents out of the memo.  The first sum runs over the distinct
     k in X, times their multiplicity; the last over sub-multisets I of X
     (i_k copies of each k that occurs c_k times), where the degree fixes
-    g1 = (a + sum(I) - |I| + 2) / 3.  Each term is kept as an integer
-    numerator and denominator, and the value is one Fraction over their lcm.
+    g1 = (a + sum(I) - |I| + 2) / 3.  As in every step, each term is an
+    integer numerator and denominator, and the value is one Fraction over
+    their lcm (`_over_lcm`).
 
     Every exponent is at least 2, so no term needs a stability or genus
     guard: the degree 3g - 2 + |X| = sum(exps) >= 2 |X| + 2 gives g >= 2, so
@@ -325,5 +338,4 @@ def _dvv(g: int, exps: Tuple[int, ...]) -> _Steps:
             terms.append((pair[a] * wt * v.numerator * u.numerator,
                           v.denominator * u.denominator))
 
-    den = lcm(*(q for _, q in terms))
-    return Fraction(sum(p * (den // q) for p, q in terms), 2 * odd[d + 1] * den)
+    return _over_lcm(terms, 2 * odd[d + 1])

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import random
 import sys
 from fractions import Fraction as F
@@ -8,6 +9,7 @@ from math import factorial
 
 import pytest
 
+from tautrings import correlators
 from tautrings.cache import CacheFile
 from tautrings.correlators import (CorrelatorKey, CorrelatorTable,
                                    default_table, genus0_closed_form,
@@ -287,8 +289,10 @@ def test_cache_load_accepts_the_written_grammar(tmp_path):
     lowest terms are entries too."""
     table = CorrelatorTable()
     _cache_of(tmp_path, {"0:0,0,0": "1/1", "2:": "0/1", "10:28": "1/2",
-                         "3:7": "-2/4"}).attach_correlators(table)
+                         "3:7": "-2/4", "1:1": "2/48"}).attach_correlators(table)
     assert table.get(3, (7,)) == F(-1, 2)
+    value = table.get(1, (1,))
+    assert (value.numerator, value.denominator) == (1, 24)
     assert table.get(10, (28,)) == F(1, 2)
     assert table.get(2, ()) == 0
 
@@ -355,8 +359,9 @@ def test_one_point_tower_closed_form():
 
 def test_high_genus_one_point_stays_small():
     """<tau_{3g-2}>_g = 1/(24^g g!) for g = 13..20 from an empty memo.  The
-    DVV step on the smallest exponent reaches 3,722 keys (about 0.1 s);
-    on the largest it reached 81,465 (about 12 s)."""
+    DVV step on the smallest exponent reaches 3,722 keys (0.08-0.12 s of
+    CPU on a shared 2-vCPU Xeon); on the largest it reached 81,465 (about
+    12 s)."""
     table = CorrelatorTable()
     for g in range(13, 21):
         assert psi_intersection(g, [3 * g - 2], table) == \
@@ -435,6 +440,50 @@ def test_matches_reference_dvv():
     for g, exps in keys:
         assert psi_intersection(g, exps, table) == \
             _reference_value(g, exps, memo), (g, exps)
+
+
+@pytest.mark.parametrize("g,exps", [
+    (0, (0, 0, 0)),  # the base case
+    (0, (1, 0, 0, 0)),  # a string step with one term
+    (2, (4, 2, 0)),  # a string step over 1/384 and 29/5760
+    (2, (4, 1)),  # a dilaton step, 3 * 1/1152
+    (1, (1,)),  # the one-point seed
+    (2, (3, 2)),  # a DVV step
+    (2, (3, 3)),  # off degree
+])
+def test_values_are_fractions_in_lowest_terms(g, exps):
+    """Each step kind returns a `Fraction` in lowest terms equal to the
+    reference recursion's value."""
+    value = psi_intersection(g, exps, CorrelatorTable())
+    assert type(value) is F
+    assert value == _reference_value(g, exps, {})
+    again = F(value.numerator, value.denominator)
+    assert (again.numerator, again.denominator) == (value.numerator, value.denominator)
+
+
+def test_cold_sweep_values_and_work(monkeypatch):
+    """Every degree-matching stable key with g, n <= 6, then <tau_{3g-2}>_g
+    for g = 7..12, from an empty memo: one digest pins every memo value,
+    and the memo size and the number of DVV frames pin the work."""
+    frames = []
+    dvv = correlators._dvv
+
+    def counted(g, exps):
+        frames.append((g, exps))
+        return dvv(g, exps)
+    monkeypatch.setattr(correlators, "_dvv", counted)
+    keys = [(g, exps) for g in range(7) for n in range(7)
+            for exps in _keys_of_degree(g, n)]
+    keys += [(g, (3 * g - 2,)) for g in range(7, 13)]
+    table = CorrelatorTable()
+    for g, exps in keys:
+        psi_intersection(g, exps, table)
+    text = "\n".join(f"{g}:{','.join(map(str, exps))} {v.numerator}/{v.denominator}"
+                     for (g, exps), v in sorted(table.items()))
+    assert hashlib.sha256(text.encode()).hexdigest() == \
+        "13c82bf8b7f36265c0d00f350a2b778cc0d3f460ef699da9a737b9f67cf4edd6"
+    assert len(table) == 1987
+    assert len(frames) == 371
 
 
 def test_deep_chains_at_default_recursion_limit():

@@ -24,17 +24,7 @@ __all__ = [
     "hyperelliptic_coeff",
     "euler_orbifold",
     "kappa_table",
-    "multinomial",
 ]
-
-
-def multinomial(top: int, parts: Sequence[int]) -> int:
-    if top != sum(parts):
-        raise ValueError("multinomial parts must sum to the top index")
-    r = factorial(top)
-    for p in parts:
-        r //= factorial(p)
-    return r
 
 
 # ---------------------------------------------------------------------------
@@ -51,8 +41,8 @@ def lambda_g_base(g: int) -> Fraction:
 
 
 def lambda_g_eval(g: int, alpha: Sequence[int]) -> Fraction:
-    """psi^alpha lambda_g integral: multinomial(2g-3+n; alpha) times the
-    one-point base value.  Off-degree requests return 0."""
+    """psi^alpha lambda_g integral: the multinomial (2g-3+n)!/prod a_i!
+    times the one-point base value.  Off-degree requests return 0."""
     a = list(alpha)
     if not all(map(is_int, [g] + a)):
         raise ValueError(f"genus and exponents must be ints, got {g!r}, {a!r}")
@@ -61,9 +51,11 @@ def lambda_g_eval(g: int, alpha: Sequence[int]) -> Fraction:
     if any(x < 0 for x in a):
         raise ValueError("exponents must be non-negative")
     n = len(a)
+    if 2 * g - 2 + n <= 0:
+        raise ValueError(f"(g, n) = ({g}, {n}): need g, n >= 0 and 2g - 2 + n > 0")
     if sum(a) != 2 * g - 3 + n:
         return Fraction(0)
-    return multinomial(2 * g - 3 + n, a) * lambda_g_base(g)
+    return factorial(2 * g - 3 + n) // prod(map(factorial, a)) * lambda_g_base(g)
 
 
 def lambda_gm1_lambda_g_constant(g: int) -> Fraction:

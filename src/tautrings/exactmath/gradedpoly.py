@@ -41,9 +41,6 @@ class GeneratorTable:
     def __len__(self) -> int:
         return len(self.names)
 
-    def index(self, name: str) -> int:
-        return self._index[name]
-
     def monomial(self, mono) -> Monomial:
         """`mono` as an exponent tuple over this table, or a ValueError
         when it has the wrong length or an exponent that is not an int.  An
@@ -92,30 +89,28 @@ class GeneratorTable:
             return sum(e << width * j for j, e in enumerate(mono))
         return width, pack_wide, lambda key: tuple(key >> width * j & cap for j in range(n))
 
-    def monomials(self, degree: int,
-                  vanishing: Iterable[Monomial] = ()) -> List[Monomial]:
-        """All exponent tuples of the given weighted degree that no
-        exponent tuple in `vanishing` divides, graded-lex order (within the
-        fixed degree: lexicographically decreasing exponents)."""
+    def monomials(self, degree: int) -> List[Monomial]:
+        """All exponent tuples of the given weighted degree, graded-lex
+        order (within the fixed degree: lexicographically decreasing
+        exponents)."""
         width, _, unpack = self.packing(degree)
-        return list(map(unpack, self.monomial_lister(vanishing, width)(degree)))
+        return list(map(unpack, self._lister((), width)(degree)))
 
-    def monomial_lister(self, vanishing: Iterable[Monomial],
-                        width: int) -> Callable[[int], List[int]]:
-        """The function degree -> the keys of `monomials(degree, vanishing)`
-        in their order, with fields `width` bits wide (see `packing`).  It
-        reads the supports once for every degree it is called with; a
-        support with a negative exponent is a ValueError.  A walk on an
-        explicit stack chooses the nonzero exponents only, by increasing
-        position, each from the largest down, under the caps the supports
-        impose: a support caps its last generator once its others are."""
+    def _lister(self, vanishing: Iterable[Monomial],
+                width: int) -> Callable[[int], List[int]]:
+        """The function degree -> the keys of the degree-d exponent tuples
+        that no tuple in `vanishing` divides, in the order of `monomials`,
+        with fields `width` bits wide (see `packing`).  `GradedQuotient`
+        passes its single-term supports, `monomials` none; the supports
+        are read once for every degree.  A walk on an explicit stack
+        chooses the nonzero exponents only, by increasing position, each
+        from the largest down, under the caps the supports impose: a
+        support caps its last generator once its others are."""
         degs = self.degrees
         # second-to-last position j (None: one-generator supports) -> (its
         # exponent, needs below j) -> [mask of last positions capped at 0, caps]
         cuts: Dict[Optional[int], Dict[tuple, list]] = {}
         for mono in vanishing:
-            if min(mono, default=0) < 0:
-                raise ValueError(f"term {mono} has a negative exponent")
             *below, (k, e) = [(j, f) for j, f in enumerate(mono) if f]
             j, f = below.pop() if below else (None, 0)
             cut = cuts.setdefault(j, {}).setdefault((f, tuple(below)), [0, {}])
@@ -168,9 +163,11 @@ class GeneratorTable:
 class GradedPolynomial:
     """Sparse polynomial over Q in weighted generators.
 
-    Terms map exponent tuples to nonzero Fractions.  Addition and
-    multiplication respect the grading; `degree()` is defined for
-    homogeneous polynomials only.
+    Terms map exponent tuples to nonzero Fractions.  Exponents are
+    non-negative: a term with a negative one is refused by name when the
+    polynomial is built, so no product or quotient input carries one.
+    Addition and multiplication respect the grading; `degree()` is
+    defined for homogeneous polynomials only.
     """
 
     __slots__ = ("gens", "terms")
@@ -181,9 +178,11 @@ class GradedPolynomial:
         clean: Dict[Monomial, Fraction] = {}
         if terms:
             for mono, c in terms.items():
-                c = Fraction(c)
+                mono, c = gens.monomial(mono), Fraction(c)
+                if min(mono, default=0) < 0:
+                    raise ValueError(f"term {mono} has a negative exponent")
                 if c:
-                    clean[gens.monomial(mono)] = c
+                    clean[mono] = c
         self.terms = clean
 
     # ---- constructors -------------------------------------------------

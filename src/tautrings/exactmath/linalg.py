@@ -2,9 +2,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Iterable, Optional, Sequence, Tuple, Union
 
-__all__ = ["SparseEchelon", "exact_rank", "field_scalar"]
+__all__ = ["SparseEchelon", "exact_rank"]
 
 Scalar = Union[int, Fraction]
 Row = Dict[int, Fraction]
@@ -15,7 +15,7 @@ def _lean(v: Scalar) -> Scalar:
     return v.numerator if v.denominator == 1 else v
 
 
-def field_scalar(p: Optional[int] = None) -> Callable[[Scalar], Scalar]:
+def _field_scalar(p: Optional[int] = None) -> Callable[[Scalar], Scalar]:
     """The map from rationals to the field: over Q (`p` None) a rational
     stays itself, an int where integral; over F_p it becomes its residue
     in 0..p-1, and a ZeroDivisionError names a denominator that p divides."""
@@ -48,7 +48,7 @@ class SparseEchelon:
     g = gcd(a, b).  `residual` divides by the gathered scale, so its
     coefficients are exact.
 
-    Over F_p the input entries are mapped by `field_scalar(p)`, so they
+    Over F_p the input entries are mapped by `_field_scalar(p)`, so they
     must be p-integral, and the same loop runs on ints: pivot rows are
     residues with lead 1, a working row is reduced mod p only where the
     loop needs its value (a leading entry), and its other entries grow
@@ -60,15 +60,12 @@ class SparseEchelon:
 
     def __init__(self, p: Optional[int] = None) -> None:
         self.p = p
-        self.scalar = field_scalar(p)
+        self.scalar = _field_scalar(p)
         self.pivot_rows: Dict[int, Row] = {}
 
     @property
     def rank(self) -> int:
         return len(self.pivot_rows)
-
-    def pivot_columns(self) -> List[int]:
-        return sorted(self.pivot_rows)
 
     def _forward(self, row: Row) -> Tuple[Row, int]:
         """Eliminate leading columns while they hit pivots; stops at the

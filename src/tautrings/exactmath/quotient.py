@@ -90,8 +90,8 @@ class GradedQuotient:
     one lookup, or None where m * t vanishes.  Each map is built once per
     quotient and shared by every relation with the term t.  Exponent
     tuples are built only at the API edge (`monomials`, `basis`,
-    `reduce`), and a term with a negative exponent is refused with a
-    ValueError wherever the quotient reads it.
+    `reduce`).  A `GradedPolynomial` has no negative exponent, and a span
+    term with one is refused by its packing (a ValueError that names it).
 
     Given a prime `p`, the same elimination runs over F_p: the relations
     must be p-integral (a ZeroDivisionError otherwise), and `dim(d)` is
@@ -125,10 +125,7 @@ class GradedQuotient:
             if rel.gens != gens:
                 raise ValueError("mixed generator tables")
             r = rel.degree()
-            if r <= 0:
-                for mono in rel.terms:
-                    if min(mono, default=0) < 0:
-                        raise ValueError(f"term {mono} has a negative exponent")
+            if r == 0:
                 raise ValueError("nonzero constant relation collapses the ring")
             if len(rel.terms) == 1:
                 self.vanishing.extend(rel.terms)
@@ -137,7 +134,7 @@ class GradedQuotient:
         # per degree: the surviving monomials' keys in column order, their
         # columns, the echelon of the relation span
         width, self._pack, self._unpack = gens.packing(self.max_degree)
-        lister = gens.monomial_lister(self.vanishing, width)
+        lister = gens._lister(self.vanishing, width)
         self._keys: Dict[int, List[Key]] = {
             d: lister(d) for d in range(self.max_degree + 1)}
         self._index: Dict[int, Dict[Key, int]] = {

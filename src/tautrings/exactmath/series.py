@@ -22,8 +22,8 @@ class TruncatedSeries:
 
     A coefficient container for `series_exp`, `series_log` and
     `series_mul`, which do the multiplying; the only arithmetic on the
-    series itself is with a scalar: adding or subtracting one shifts the
-    constant term, multiplying by one scales every coefficient.
+    series itself is multiplying by a scalar, which scales every
+    coefficient.  A constant term enters through the coefficient map.
 
     Coefficients are rationals, stored per weight slice as int numerators
     over one positive int denominator, with no common factor of the
@@ -89,20 +89,6 @@ class TruncatedSeries:
         return self.coefficient((0,) * len(self.gens))
 
     # ---- scalar arithmetic ---------------------------------------------
-
-    def __add__(self, other):
-        if not isinstance(other, (int, Fraction)):
-            return NotImplemented
-        slices = dict(self._slices)
-        c = self.constant_term() + other
-        if c:
-            slices[0] = ({(0,) * len(self.gens): c.numerator}, c.denominator)
-        else:
-            slices.pop(0, None)
-        return self._spawn(slices)
-
-    def __sub__(self, other):
-        return self + (-other)
 
     def __mul__(self, other):
         if not isinstance(other, (int, Fraction)):

@@ -44,8 +44,8 @@ class RingModel(NamedTuple):
     """The candidate tautological ring of genus g: the quotient of
     Q[kappa_1..kappa_{g-2}] by the FZ relation ideal, in degrees 0..g-2.
 
-    On the default FZ path `relations` is the subset the quotient was
-    built from (see `build_ring`), not every FZ relation; it generates the
+    On the default FZ path `relations` is the subset that certified the
+    quotient (see `build_ring`), not every FZ relation; it generates the
     same ideal, as `certificate` certifies.  With given relations,
     `certificate` is None."""
 
@@ -75,7 +75,7 @@ def build_ring(g: int, relations: Optional[Sequence[KappaRelation]] = None) -> R
     The number of degree-d monomials minus the rank of the relation rows
     mod p = 2^61 - 1 is an upper bound on dim Q_S^d.  When the bounds meet
     in every degree, Q_S = Q_FZ, its degree-d relation space is the left
-    kernel of P_d, and the quotient is filled with that kernel
+    kernel of P_d, and the quotient is built from that kernel alone
     (`_socle_pairing`) instead of eliminating relation rows over Q.  The
     echelon depends only on the span, so dims, bases, `reduce`, pairings
     and the verdict are those of the full relation set.  A genus past
@@ -89,8 +89,7 @@ def build_ring(g: int, relations: Optional[Sequence[KappaRelation]] = None) -> R
         pairing = _socle_pairing(_below_ceiling(g))
         relations, s = _fz_quotient(g, g - 2, lambda q: all(
             q.dim(d) == rank for d, (rank, _) in enumerate(pairing)))
-        quotient = GradedQuotient(gens, [rel.polynomial for rel in relations],
-                                  g - 2, spans=[k for _, k in pairing])
+        quotient = GradedQuotient(gens, [], g - 2, spans=[k for _, k in pairing])
         return RingModel(g, gens, relations, quotient, Certificate(s, PRIME))
     quotient = GradedQuotient(gens, [rel.polynomial for rel in relations], g - 2)
     return RingModel(g, gens, list(relations), quotient)

@@ -214,53 +214,65 @@ def test_kappa1_nonzero_in_quotient():
     assert q.reduce(kappa1_in_boundary_basis(4))
 
 
-def _top_integral(q, poly, n):
-    """The integral of a top-degree class: its reduction over that of the
-    point class, the product of the divisors of the nested chain
-    {1,2} < {1,2,3} < ... < {1,...,n-2}."""
-    point = GradedPolynomial.constant(poly.gens, 1)
+def _residues(q, factors, words):
+    """Per word (a tuple of positions in `factors`), the reduction in q of
+    the product of its factors, reduced after each factor: a step is the
+    public `reduce` of the reduced prefix times the next factor, and every
+    prefix is reduced once."""
+    gens = factors[0].gens
+    memo = {(): q.reduce(GradedPolynomial.constant(gens, 1))}
+
+    def residue(word):
+        if word not in memo:
+            prefix = GradedPolynomial(gens, residue(word[:-1]))
+            memo[word] = q.reduce(prefix * factors[word[-1]])
+        return memo[word]
+    return [residue(word) for word in words]
+
+
+def _top_integral(q, residue, n):
+    """The integral of a top-degree class, given by its `reduce` residue:
+    its value over that of the point class, the product of the divisors of
+    the nested chain {1,2} < {1,2,3} < ... < {1,...,n-2}."""
+    point = GradedPolynomial.constant(q.gens, 1)
     for m in range(2, n - 1):
         point = point * GradedPolynomial.generator(
-            poly.gens, BoundaryDivisor(n, range(1, m + 1)).name())
-    (mono, value), = q.reduce(poly).items()
+            q.gens, BoundaryDivisor(n, range(1, m + 1)).name())
+    (mono, value), = residue.items()
     (point_mono, point_value), = q.reduce(point).items()
     assert point_mono == mono
     return value / point_value
 
 
 def test_kappa1_top_power_integrates_as_pushforward():
-    """kappa_1^(n-3) on the n-pointed genus-0 space integrates to 1, 5, 61
-    for n = 4, 5, 6.  For n = 4 and 5 the pushforward formula over the
+    """kappa_1^(n-3) on the n-pointed genus-0 space integrates to 1, 5, 61,
+    1379 for n = 4..7.  For n = 4 and 5 the pushforward formula over the
     correlator engine gives the same: <tau_2 tau_0^4>_0, and
     <tau_2^2 tau_0^5>_0 - <tau_3 tau_0^5>_0 = 6 - 1."""
     integrals = []
-    for n in (4, 5, 6):
-        kappa = kappa1_in_boundary_basis(n)
-        power = GradedPolynomial.constant(kappa.gens, 1)
-        for _ in range(n - 3):
-            power = power * kappa
-        integrals.append(_top_integral(keel_quotient(n), power, n))
-    assert integrals == [1, 5, 61]
+    for n in (4, 5, 6, 7):
+        quotient = keel_quotient(n)
+        power, = _residues(quotient, [kappa1_in_boundary_basis(n)], [(0,) * (n - 3)])
+        integrals.append(_top_integral(quotient, power, n))
+    assert integrals == [1, 5, 61, 1379]
     assert psi_intersection(0, [2, 0, 0, 0, 0]) == integrals[0]
     assert (psi_intersection(0, [2, 2] + [0] * 5)
             - psi_intersection(0, [3] + [0] * 5)) == integrals[1]
 
 
-@pytest.mark.parametrize("n", [5, 6])
+@pytest.mark.parametrize("n", [5, 6, 7])
 def test_psi_monomials_integrate_as_correlators(n):
     """Every psi-monomial of degree n - 3, with each psi_z from
     psi_in_boundary_basis, integrates through keel_quotient(n) to the
-    correlator psi_intersection(0, a): 15 monomials at n = 5, 56 at n = 6.
-    n = 7 (210 monomials) is left out for its time."""
+    correlator psi_intersection(0, a): 15 monomials at n = 5, 56 at n = 6,
+    210 at n = 7."""
     quotient = keel_quotient(n)
     psis = [psi_in_boundary_basis(n, z, *[x for x in range(1, n + 1) if x != z][:2])
             for z in range(1, n + 1)]
-    for chosen in combinations_with_replacement(range(n), n - 3):
-        poly = GradedPolynomial.constant(psis[0].gens, 1)
-        for z in chosen:
-            poly = poly * psis[z]
+    words = list(combinations_with_replacement(range(n), n - 3))
+    for chosen, residue in zip(words, _residues(quotient, psis, words)):
         exponents = [chosen.count(z) for z in range(n)]
-        assert (_top_integral(quotient, poly, n)
+        assert (_top_integral(quotient, residue, n)
                 == psi_intersection(0, exponents)), exponents
 
 

@@ -262,7 +262,8 @@ def test_cli_usage_errors(capsys):
     assert run(["correlator", "0", "5"]) == 2          # unstable
     assert run(["bogus-command"]) == 2
     assert run(["euler", "0", "2"]) == 2
-    capsys.readouterr()
+    assert run(["hodge", "lambda-g", "1", ""]) == 2  # unstable (1, 0)
+    assert "(g, n) = (1, 0)" in capsys.readouterr().err
 
 
 def test_cli_seed_flag_rejected(capsys):

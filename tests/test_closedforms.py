@@ -47,6 +47,12 @@ def test_lambda_g_eval():
     assert lambda_g_eval(1, [1]) == 0
 
 
+def test_lambda_g_eval_refuses_the_unstable_type():
+    """(g, n) = (1, 0) has no moduli space: refused, not integrated to 0."""
+    with pytest.raises(ValueError, match=r"\(g, n\) = \(1, 0\): need .*2g - 2 \+ n > 0"):
+        lambda_g_eval(1, [])
+
+
 def test_lambda_g_eval_permutation_invariance():
     assert lambda_g_eval(2, [2, 1, 0]) == lambda_g_eval(2, [0, 1, 2])
 
@@ -220,7 +226,7 @@ def test_wl_class_top_lambda_coefficient():
         w = wl_class(g, 2)
         gens = w.gens
         mono = [0] * len(gens)
-        mono[gens.index(f"lambda_{g - 2}")] = 1
+        mono[gens.names.index(f"lambda_{g - 2}")] = 1
         assert w.coefficient(tuple(mono)) == (-1) ** (g - 2) * (6 * g - 6)
 
 
@@ -229,7 +235,7 @@ def test_wl_class_kappa_top_coefficient_and_weierstrass_count():
         w = wl_class(g, 2)
         gens = w.gens
         mono = [0] * len(gens)
-        mono[gens.index(f"kappa_{g - 2}")] = 1
+        mono[gens.names.index(f"kappa_{g - 2}")] = 1
         assert w.coefficient(tuple(mono)) == 2 ** g - 1
         # degree-0 component of the l = g case: weighted Weierstrass count
         assert wl_class(g, g) == g ** 3 - g

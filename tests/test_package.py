@@ -6,7 +6,7 @@ from __future__ import annotations
 import os
 import subprocess
 import sys
-from importlib import import_module
+from importlib import import_module, util
 
 import pytest
 
@@ -16,7 +16,8 @@ from tautrings.jacobian import JacContext
 from tautrings.relationgen import KappaRelation, fz_relation_set
 from tautrings.tautring import Certificate, RingModel, build_ring, gorenstein_check
 
-SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+SRC = os.path.join(ROOT, "src")
 
 
 # ---------------------------------------------------------------------------
@@ -130,6 +131,28 @@ def test_dir_and_star_import_list_every_name():
     namespace = {}
     exec("from tautrings import *", namespace)
     assert names <= set(namespace)
+
+
+def test_benchmark_tracer_patches_existing_names_and_restores_them():
+    """`perfbench/tracing.py` patches layer boundaries by name (functions
+    where their callers look them up, methods on their class): installing
+    it finds every name, and uninstalling puts every original back.  A
+    deleted or renamed boundary fails here, not in a traced benchmark run."""
+    spec = util.spec_from_file_location(
+        "perfbench_tracing", os.path.join(ROOT, "perfbench", "tracing.py"))
+    tracing = util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    tracer = tracing.Tracer(0)
+    try:
+        tracer.install()
+        patched = list(tracer._restore)
+        assert patched
+        assert all(getattr(owner, attr) is not original
+                   for owner, attr, original in patched)
+    finally:
+        tracer.uninstall()
+    for owner, attr, original in patched:
+        assert getattr(owner, attr) is original, (owner, attr)
 
 
 def test_unknown_name_raises_attribute_error_naming_it():

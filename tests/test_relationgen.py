@@ -22,7 +22,7 @@ from tautrings.relationgen import (fz_admissible, fz_coefficients, fz_relation,
 def _coeff(series, **exps):
     ev = [0] * len(series.gens)
     for name, e in exps.items():
-        ev[series.gens.index(name)] = e
+        ev[series.gens.names.index(name)] = e
     return series.coefficient(tuple(ev))
 
 
@@ -192,9 +192,9 @@ def test_fz_genus4_ratio_against_lambda_pair_evaluations():
     rel = fz_relation(4, 2, [1]).polynomial
     gens = rel.gens
     mono_sq = [0] * len(gens)
-    mono_sq[gens.index("kappa_1")] = 2
+    mono_sq[gens.names.index("kappa_1")] = 2
     mono_k2 = [0] * len(gens)
-    mono_k2[gens.index("kappa_2")] = 1
+    mono_k2[gens.names.index("kappa_2")] = 1
     a = rel.coefficient(tuple(mono_sq))
     b = rel.coefficient(tuple(mono_k2))
     # a kappa_1^2 + b kappa_2 = 0  =>  kappa_2 = -(a/b) kappa_1^2
